@@ -37,6 +37,7 @@ __all__ = [
     "svm_objective",
     "one_vs_rest",
     "binary_family_protocol",
+    "binary_eligible_families",
     "multiclass_protocol",
 ]
 
@@ -250,6 +251,21 @@ def _confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     )
 
 
+def _binary_min_members(folds: int) -> int:
+    return max(10, folds)
+
+
+def binary_eligible_families(
+    vectors: Mapping[str, np.ndarray], labels: Mapping[str, str], folds: int = 10
+) -> list[str]:
+    """Families that binary_family_protocol accepts at ``folds`` (at least
+    max(10, folds) members), largest first with ties broken by name."""
+    sizes = Counter(labels[i] for i in vectors if i in labels)
+    need = _binary_min_members(folds)
+    return sorted((fam for fam, n in sizes.items() if n >= need),
+                  key=lambda fam: (-sizes[fam], fam))
+
+
 def binary_family_protocol(
     vectors: Mapping[str, np.ndarray],
     labels: Mapping[str, str],
@@ -268,10 +284,11 @@ def binary_family_protocol(
     """
     ids = sorted(i for i in vectors if i in labels)
     pos_ids = [i for i in ids if labels[i] == family]
-    if len(pos_ids) < max(10, folds):
+    need = _binary_min_members(folds)
+    if len(pos_ids) < need:
         raise DataError(
             f"family {family!r} has {len(pos_ids)} members; "
-            f"need >= {max(10, folds)} for {folds}-fold evaluation"
+            f"need >= {need} for {folds}-fold evaluation"
         )
     pool = [i for i in ids if labels[i] != family]
     if len(pool) < len(pos_ids):

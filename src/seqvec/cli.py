@@ -16,23 +16,20 @@ import numpy as np
 
 from . import model_io
 from .align import AlignParams, align_classify, blosum62_params, load_substitution_matrix
-from .classify import binary_family_protocol, multiclass_protocol
+from .classify import binary_eligible_families, binary_family_protocol, multiclass_protocol
 from .embedding import TrainConfig, infer_docs, init_model, loss_estimate, train
 from .errors import ConfigError, DataError
 from .knn import VectorIndex, knn_cross_validate
 from .sequences import DNA, PROTEIN, load_family_labels, parse_fasta
-from .tokenizer import (
-    TokenizerConfig,
-    build_corpus,
-    kmers_nonoverlapping,
-    kmers_overlapping,
-    read_corpus,
-    write_corpus,
-)
+from .tokenizer import TokenizerConfig, build_corpus, read_corpus, write_corpus
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SEQVEC_SEED", "1"))
+    raw = os.environ.get("SEQVEC_SEED", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"SEQVEC_SEED must be an integer, got {raw!r}") from None
 
 
 def _alphabet(name: str):
@@ -123,12 +120,9 @@ def cmd_infer(args) -> int:
         if len(rec.residues) < tok.min_length():
             skipped += 1
             continue
-        if tok.mode == "overlap":
-            phases = [kmers_overlapping(rec.residues, tok.k)]
-        else:
-            phases = kmers_nonoverlapping(rec.residues, tok.k)
         token_lists = [
-            [lookup[km] for km in phase if km in lookup] for phase in phases
+            [lookup[km] for km in phase if km in lookup]
+            for phase in tok.phases(rec.residues)
         ]
         token_lists = [tl for tl in token_lists if tl]
         if not token_lists:
@@ -204,13 +198,7 @@ def cmd_svm_eval(args) -> int:
                 f"{_fmt(report.accuracy)}\n"
             )
         else:
-            from collections import Counter
-
-            sizes = Counter(labels[i] for i in ids)
-            eligible = sorted(
-                (fam for fam, n in sizes.items() if n >= max(10, args.folds)),
-                key=lambda fam: (-sizes[fam], fam),
-            )
+            eligible = binary_eligible_families(vectors, labels, args.folds)
             if args.top_n:
                 eligible = eligible[: args.top_n]
             if not eligible:
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_infer)
 
@@ -308,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--k", default="1,3,5,10")
     p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_knn_eval)
 
@@ -319,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-n", type=int, default=25, dest="top_n")
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_svm_eval)
 
@@ -340,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except ConfigError as exc:
         print(f"seqvec: usage error: {exc}", file=sys.stderr)

@@ -28,15 +28,14 @@ terms; each row contributing to h receives grad_h scaled by
 learning rate decays linearly from alpha0 toward alpha_min over the total
 scheduled token count (document granularity).
 
-Training with ``workers=1`` and a fixed seed is bit-deterministic. With
-more workers, threads sweep disjoint document shards and update the
-shared matrices without locks; colliding read-modify-writes are accepted
-and multi-worker results are not reproducible.
+Training, ``loss_estimate`` and ``infer_docs`` share one position walk
+(``_walk``), which draws the window widths and assembles each hidden
+vector. Training runs on a single thread and is bit-deterministic for a
+fixed seed; ``workers`` must be 1.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,8 +107,8 @@ class TrainConfig:
             raise ConfigError("alpha_min must satisfy 0 <= alpha_min < alpha0")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers != 1:
+            raise ConfigError("workers must be 1 (training is single-threaded)")
 
 
 @dataclass
@@ -261,55 +260,53 @@ def _make_objective(model: EmbeddingModel, cfg: TrainConfig):
     return _HierSoftmax(model.O, ensure_huffman(model.vocab))
 
 
-def _context(toks: np.ndarray, pos: int, c: int) -> np.ndarray:
-    lo = pos - c
-    if lo < 0:
-        lo = 0
-    return np.concatenate((toks[lo:pos], toks[pos + 1 : pos + 1 + c]))
+def _walk(arch, W, doc, toks, window, rng):
+    """Yield ``(h, target, rows, n)`` for each update of one pass over ``toks``.
 
-
-def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng, learn_doc=True):
-    """One pass over one document's positions. Mutates the matrices."""
-    n = len(toks)
+    ``h`` is assembled from W and the document row ``doc`` as they stand
+    when the step is reached, so updates a caller makes between steps are
+    seen by later ones. For sg and dbow, ``h`` is a view of its only
+    contributing row (the current word row, the document row), which takes
+    the whole h-update; ``rows`` and ``n`` are then None. For dm and cbow,
+    ``rows`` are the context word rows and ``n`` (float32) counts the
+    contributors, ``doc`` included for dm; each takes 1/n of the h-update.
+    Window widths are drawn from ``rng`` once per document (not for dbow).
+    """
+    n_toks = len(toks)
     if arch == "dbow":
-        for pos in range(n):
-            e = obj.apply(D[tag], toks[pos], alpha, rng)
-            if learn_doc:
-                D[tag] += e
+        for pos in range(n_toks):
+            yield doc, toks[pos], None, None
         return
-    cs = rng.integers(1, window + 1, size=n)
-    if arch == "dm":
-        for pos in range(n):
-            ctx = _context(toks, pos, cs[pos])
-            nc = len(ctx) + 1
-            h = (W[ctx].sum(axis=0) + D[tag]) / np.float32(nc)
-            e = obj.apply(h, toks[pos], alpha, rng)
-            share = e / np.float32(nc)
-            if len(ctx):
-                np.add.at(W, ctx, share)
-            if learn_doc:
-                D[tag] += share
-    elif arch == "cbow":
-        for pos in range(n):
-            ctx = _context(toks, pos, cs[pos])
-            if len(ctx) == 0:
-                continue
-            h = W[ctx].sum(axis=0) / np.float32(len(ctx))
-            e = obj.apply(h, toks[pos], alpha, rng)
-            np.add.at(W, ctx, e / np.float32(len(ctx)))
-    elif arch == "sg":
-        for pos in range(n):
-            c = cs[pos]
-            cur = toks[pos]
-            lo = max(0, pos - c)
-            hi = min(n, pos + 1 + c)
-            for j in range(lo, hi):
-                if j == pos:
-                    continue
-                e = obj.apply(W[cur], toks[j], alpha, rng)
-                W[cur] += e
-    else:  # pragma: no cover - guarded by TrainConfig validation
-        raise ConfigError(f"unknown architecture {arch!r}")
+    cs = rng.integers(1, window + 1, size=n_toks)
+    for pos in range(n_toks):
+        lo, hi = max(0, pos - cs[pos]), pos + 1 + cs[pos]
+        if arch == "sg":
+            for j in range(lo, min(n_toks, hi)):
+                if j != pos:
+                    yield W[toks[pos]], toks[j], None, None
+            continue
+        ctx = np.concatenate((toks[lo:pos], toks[pos + 1 : hi]))
+        if arch == "dm":
+            n = np.float32(len(ctx) + 1)
+            yield (W[ctx].sum(axis=0) + doc) / n, toks[pos], ctx, n
+        elif len(ctx):  # cbow skips positions with no context
+            n = np.float32(len(ctx))
+            yield W[ctx].sum(axis=0) / n, toks[pos], ctx, n
+
+
+def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng):
+    """One pass over one document's positions. Mutates the matrices."""
+    doc = D[tag]
+    for h, target, rows, n in _walk(arch, W, doc, toks, window, rng):
+        e = obj.apply(h, target, alpha, rng)
+        if rows is None:  # h is a view of its only contributing row
+            h += e
+            continue
+        share = e / n
+        if len(rows):
+            np.add.at(W, rows, share)
+        if arch == "dm":
+            doc += share
 
 
 def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
@@ -354,12 +351,13 @@ def train(
     arch, window = cfg.architecture, cfg.window
     alpha0, alpha_min = cfg.alpha0, cfg.alpha_min
 
-    def sweep(doc_indices, rng, processed_cell):
-        for di in doc_indices:
+    rng = np.random.default_rng([cfg.seed, 1])
+    processed = 0
+    for _ in range(cfg.epochs):
+        for di in rng.permutation(len(docs)):
             doc = docs[di]
-            frac = min(1.0, processed_cell[0] / total)
-            alpha = alpha0 + (alpha_min - alpha0) * frac
-            processed_cell[0] += len(doc.tokens)
+            alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
+            processed += len(doc.tokens)
             toks = doc.tokens
             if keep is not None:
                 toks = toks[rng.random(len(toks)) < keep[toks]]
@@ -367,30 +365,6 @@ def train(
                     continue
             _train_doc(arch, model.D, model.W, obj, toks, doc.doc_tag, alpha,
                        window, rng)
-
-    if cfg.workers == 1:
-        rng = np.random.default_rng([cfg.seed, 1])
-        processed = [0]
-        for _ in range(cfg.epochs):
-            sweep(rng.permutation(len(docs)), rng, processed)
-    else:
-        order_rng = np.random.default_rng([cfg.seed, 1])
-        processed = [0]  # shared, unsynchronized: alpha drift is accepted
-        for epoch in range(cfg.epochs):
-            perm = order_rng.permutation(len(docs))
-            threads = [
-                threading.Thread(
-                    target=sweep,
-                    args=(perm[w :: cfg.workers],
-                          np.random.default_rng([cfg.seed, 2, epoch, w]),
-                          processed),
-                )
-                for w in range(cfg.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
     return model
 
 
@@ -460,36 +434,12 @@ def loss_estimate(
     cfg = model.config
     obj = _make_objective(model, cfg)
     rng = np.random.default_rng([probe_seed, 5])
-    D, W = model.D, model.W
     total = 0.0
     count = 0
     for doc in docs:
-        toks = doc.tokens
-        n = len(toks)
-        if cfg.architecture == "dbow":
-            h = D[doc.doc_tag]
-            for pos in range(n):
-                total += obj.loss(h, toks[pos], rng)
-                count += 1
-            continue
-        cs = rng.integers(1, cfg.window + 1, size=n)
-        for pos in range(n):
-            if cfg.architecture == "sg":
-                lo = max(0, pos - cs[pos])
-                hi = min(n, pos + 1 + cs[pos])
-                for j in range(lo, hi):
-                    if j != pos:
-                        total += obj.loss(W[toks[pos]], toks[j], rng)
-                        count += 1
-                continue
-            ctx = _context(toks, pos, cs[pos])
-            if cfg.architecture == "dm":
-                h = (W[ctx].sum(axis=0) + D[doc.doc_tag]) / np.float32(len(ctx) + 1)
-            else:  # cbow
-                if len(ctx) == 0:
-                    continue
-                h = W[ctx].sum(axis=0) / np.float32(len(ctx))
-            total += obj.loss(h, toks[pos], rng)
+        for h, target, _, _ in _walk(cfg.architecture, model.W, model.D[doc.doc_tag],
+                                     doc.tokens, cfg.window, rng):
+            total += obj.loss(h, target, rng)
             count += 1
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
@@ -540,7 +490,6 @@ def infer_docs(
     if infer_epochs == 0:
         return vec
     obj = _make_objective(model, cfg)
-    W = model.W
     alpha_min = alpha0 / 10_000.0
     total = infer_epochs * sum(len(t) for t in kept)
     processed = 0
@@ -548,18 +497,10 @@ def infer_docs(
         for toks in kept:
             alpha = alpha0 + (alpha_min - alpha0) * (processed / total)
             processed += len(toks)
-            n = len(toks)
-            if cfg.architecture == "dbow":
-                for pos in range(n):
-                    vec += obj.apply(vec, toks[pos], alpha, rng, learn_hidden=False)
-                continue
-            cs = rng.integers(1, cfg.window + 1, size=n)
-            for pos in range(n):
-                ctx = _context(toks, pos, cs[pos])
-                nc = len(ctx) + 1
-                h = (W[ctx].sum(axis=0) + vec) / np.float32(nc)
-                e = obj.apply(h, toks[pos], alpha, rng, learn_hidden=False)
-                vec += e / np.float32(nc)
+            for h, target, rows, n in _walk(cfg.architecture, model.W, vec, toks,
+                                            cfg.window, rng):
+                e = obj.apply(h, target, alpha, rng, learn_hidden=False)
+                vec += e if rows is None else e / n
     return vec
 
 

@@ -64,6 +64,13 @@ class TokenizerConfig:
         """Shortest sequence this configuration can tokenize."""
         return self.k if self.mode == "overlap" else 2 * self.k - 1
 
+    def phases(self, residues: str) -> list[list[str]]:
+        """The kmer documents of one sequence: a single overlapping reading,
+        or the k non-overlapping phase readings."""
+        if self.mode == "overlap":
+            return [kmers_overlapping(residues, self.k)]
+        return kmers_nonoverlapping(residues, self.k)
+
 
 @dataclass(frozen=True)
 class TokenizedDoc:
@@ -215,11 +222,7 @@ def build_corpus(
             continue
         seq_index = len(kept_records)
         kept_records.append(rec)
-        if cfg.mode == "overlap":
-            phases = [kmers_overlapping(rec.residues, cfg.k)]
-        else:
-            phases = kmers_nonoverlapping(rec.residues, cfg.k)
-        for phase, kmers in enumerate(phases):
+        for phase, kmers in enumerate(cfg.phases(rec.residues)):
             raw_docs.append((seq_index, phase, kmers))
             counts.update(kmers)
 

@@ -114,6 +114,23 @@ class TestTrain:
                    "--output", str(root / "bad.bin")])
         assert rc == 2
 
+    def test_workers_other_than_one_is_usage_error(self, tiny_dataset, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        rc = main(["train", "--corpus", str(corpus), "--workers", "2",
+                   "--output", str(root / "bad.bin")])
+        assert rc == 2
+        assert "seqvec: usage error: workers" in capsys.readouterr().err
+
+    def test_non_integer_seqvec_seed_is_usage_error(self, tiny_dataset, monkeypatch,
+                                                   capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        monkeypatch.setenv("SEQVEC_SEED", "abc")
+        rc = main(["train", "--corpus", str(corpus), "--output", str(root / "bad.bin")])
+        assert rc == 2
+        assert "seqvec: usage error: SEQVEC_SEED" in capsys.readouterr().err
+
     def test_hs_objective_trains(self, tiny_dataset):
         root, fasta, labels = tiny_dataset
         corpus = _tokenize(root, fasta)

@@ -13,6 +13,7 @@ import pytest
 
 from seqvec.embedding import (
     TrainConfig,
+    _make_objective,
     _train_doc,
     draw_negatives,
     infer_doc,
@@ -23,7 +24,7 @@ from seqvec.embedding import (
     train,
 )
 from seqvec.errors import ConfigError, DataError
-from seqvec.tokenizer import TokenizedDoc, build_vocabulary
+from seqvec.tokenizer import TokenizedDoc, build_vocabulary, subsample_keep_probs
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -350,6 +351,156 @@ class TestUpdateDistribution:
         assert not W.any()
 
 
+# Reference: one position loop per architecture for training, scoring and
+# inference, as the library ran them before they were folded into one walk.
+# The library must reproduce these byte for byte.
+
+
+def _ref_context(toks, pos, c):
+    return np.concatenate((toks[max(0, pos - c) : pos], toks[pos + 1 : pos + 1 + c]))
+
+
+def _ref_train_doc(arch, D, W, obj, toks, tag, alpha, window, rng):
+    n = len(toks)
+    if arch == "dbow":
+        for pos in range(n):
+            D[tag] += obj.apply(D[tag], toks[pos], alpha, rng)
+        return
+    cs = rng.integers(1, window + 1, size=n)
+    for pos in range(n):
+        if arch == "sg":
+            cur = toks[pos]
+            for j in range(max(0, pos - cs[pos]), min(n, pos + 1 + cs[pos])):
+                if j != pos:
+                    W[cur] += obj.apply(W[cur], toks[j], alpha, rng)
+            continue
+        ctx = _ref_context(toks, pos, cs[pos])
+        if arch == "dm":
+            nc = len(ctx) + 1
+            h = (W[ctx].sum(axis=0) + D[tag]) / np.float32(nc)
+            share = obj.apply(h, toks[pos], alpha, rng) / np.float32(nc)
+            if len(ctx):
+                np.add.at(W, ctx, share)
+            D[tag] += share
+        elif len(ctx):  # cbow
+            h = W[ctx].sum(axis=0) / np.float32(len(ctx))
+            e = obj.apply(h, toks[pos], alpha, rng)
+            np.add.at(W, ctx, e / np.float32(len(ctx)))
+
+
+def _ref_train(model, docs):
+    cfg = model.config
+    obj = _make_objective(model, cfg)
+    keep = subsample_keep_probs(model.vocab, cfg.subsample_t) if cfg.subsample_t else None
+    total = cfg.epochs * sum(len(d.tokens) for d in docs)
+    rng = np.random.default_rng([cfg.seed, 1])
+    processed = 0
+    for _ in range(cfg.epochs):
+        for di in rng.permutation(len(docs)):
+            doc = docs[di]
+            alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * min(1.0, processed / total)
+            processed += len(doc.tokens)
+            toks = doc.tokens
+            if keep is not None:
+                toks = toks[rng.random(len(toks)) < keep[toks]]
+                if len(toks) == 0:
+                    continue
+            _ref_train_doc(cfg.architecture, model.D, model.W, obj, toks, doc.doc_tag,
+                           alpha, cfg.window, rng)
+    return model
+
+
+def _ref_loss_estimate(model, docs, probe_seed):
+    cfg = model.config
+    obj = _make_objective(model, cfg)
+    rng = np.random.default_rng([probe_seed, 5])
+    D, W = model.D, model.W
+    total = 0.0
+    count = 0
+    for doc in docs:
+        toks = doc.tokens
+        n = len(toks)
+        if cfg.architecture == "dbow":
+            for pos in range(n):
+                total += obj.loss(D[doc.doc_tag], toks[pos], rng)
+                count += 1
+            continue
+        cs = rng.integers(1, cfg.window + 1, size=n)
+        for pos in range(n):
+            if cfg.architecture == "sg":
+                for j in range(max(0, pos - cs[pos]), min(n, pos + 1 + cs[pos])):
+                    if j != pos:
+                        total += obj.loss(W[toks[pos]], toks[j], rng)
+                        count += 1
+                continue
+            ctx = _ref_context(toks, pos, cs[pos])
+            if cfg.architecture == "dm":
+                h = (W[ctx].sum(axis=0) + D[doc.doc_tag]) / np.float32(len(ctx) + 1)
+            elif len(ctx):  # cbow
+                h = W[ctx].sum(axis=0) / np.float32(len(ctx))
+            else:
+                continue
+            total += obj.loss(h, toks[pos], rng)
+            count += 1
+    return total / count
+
+
+def _ref_infer_docs(model, token_lists, infer_epochs, seed):
+    cfg = model.config
+    rng = np.random.default_rng([seed, 3])
+    bound = 0.5 / cfg.dim
+    vec = rng.uniform(-bound, bound, cfg.dim).astype(np.float32)
+    obj = _make_objective(model, cfg)
+    W = model.W
+    alpha0 = cfg.alpha0
+    alpha_min = alpha0 / 10_000.0
+    total = infer_epochs * sum(len(t) for t in token_lists)
+    processed = 0
+    for _ in range(infer_epochs):
+        for toks in token_lists:
+            alpha = alpha0 + (alpha_min - alpha0) * (processed / total)
+            processed += len(toks)
+            n = len(toks)
+            if cfg.architecture == "dbow":
+                for pos in range(n):
+                    vec += obj.apply(vec, toks[pos], alpha, rng, learn_hidden=False)
+                continue
+            cs = rng.integers(1, cfg.window + 1, size=n)
+            for pos in range(n):
+                ctx = _ref_context(toks, pos, cs[pos])
+                nc = len(ctx) + 1
+                h = (W[ctx].sum(axis=0) + vec) / np.float32(nc)
+                e = obj.apply(h, toks[pos], alpha, rng, learn_hidden=False)
+                vec += e / np.float32(nc)
+    return vec
+
+
+class TestWalkerMatchesReference:
+    @pytest.mark.parametrize("subsample_t", [0.0, 0.05])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    def test_train_loss_and_inference_are_bitwise_equal(self, arch, objective,
+                                                        subsample_t):
+        vocab = _vocab(10)
+        rng = np.random.default_rng(21)
+        # lengths 1 and 2 reach the dm no-context and cbow skip branches
+        docs = [_doc(tag % 4, rng.integers(0, 10, n)) for tag, n in
+                enumerate([1, 2, 5, 9, 14, 7])]
+        cfg = TrainConfig(architecture=arch, dim=6, window=3, objective=objective,
+                          negative=3, subsample_t=subsample_t, epochs=3,
+                          alpha0=0.1, seed=13)
+        lib = train(init_model(vocab, 4, cfg), docs)
+        ref = _ref_train(init_model(vocab, 4, cfg), docs)
+        assert np.array_equal(lib.D, ref.D)
+        assert np.array_equal(lib.W, ref.W)
+        assert np.array_equal(lib.O, ref.O)
+        assert loss_estimate(lib, docs, probe_seed=4) == _ref_loss_estimate(ref, docs, 4)
+        if arch in ("dm", "dbow"):
+            lists = [docs[3].tokens, docs[0].tokens, docs[4].tokens]
+            assert np.array_equal(infer_docs(lib, lists, infer_epochs=4, seed=6),
+                                  _ref_infer_docs(ref, lists, 4, 6))
+
+
 def _repetitive_docs(n_docs=2):
     return [_doc(tag, [0, 1, 0, 1]) for tag in range(n_docs)]
 
@@ -429,12 +580,10 @@ class TestTrain:
         model = train(init_model(vocab, 2, cfg), _repetitive_docs())
         assert np.isfinite(model.D).all()
 
-    def test_multiple_workers_run_and_stay_finite(self):
-        vocab = _vocab(6)
-        cfg = TrainConfig(architecture="dm", dim=6, epochs=4, seed=0, workers=3)
-        docs = [_doc(tag, [0, 1, 2, 3, 4, 5]) for tag in range(9)]
-        model = train(init_model(vocab, 9, cfg), docs)
-        assert np.isfinite(model.D).all()
+    def test_workers_other_than_one_rejected(self):
+        for workers in (0, 2, 3):
+            with pytest.raises(ConfigError, match="workers"):
+                TrainConfig(architecture="dm", dim=6, epochs=4, seed=0, workers=workers)
 
     def test_empty_document_list_rejected(self):
         model = init_model(_vocab(4), 1, TrainConfig(dim=3))

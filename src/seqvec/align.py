@@ -2,10 +2,27 @@
 
 Affine-gap Smith-Waterman, score only: a gap of length L costs
 gap_open + (L - 1) * gap_extend (both nonpositive, open <= extend).
-Scores are computed with the three-matrix recurrence collapsed to two
-rolling rows plus a prefix-max scan for horizontal gaps, so a pair costs
-O(len(a) * len(b)) time and O(min) memory. No traceback is produced;
-retrieval only needs ranks.
+No traceback is produced; retrieval only needs ranks.
+
+One DP kernel, ``_sw_lanes``, scores a run of query residues (the DP
+rows) against a block of database sequences at once, one lane per
+sequence, in the inter-sequence style of SWIPE (Rognes 2011, BMC
+Bioinformatics 12:221). The three-matrix recurrence is collapsed to two
+rolling rows, a vertical-gap row and a prefix-max scan along each lane
+for horizontal gaps, each an integer operation over the whole
+(lanes, columns) block. ``align_topk`` sorts the database by length and
+cuts it into blocks of at most ``_BLOCK_CELLS`` padded cells, which also
+bounds the kernel's memory however large the database; ``smith_waterman``
+is the one-lane case, with the shorter sequence as the rows.
+
+Lanes shorter than their block are right-padded with a sentinel letter
+that scores a large negative value against everything, so no diagonal
+step enters padding and, gaps adding nothing, no padding cell scores
+above the real cells of its lane. Real cells read only cells to their
+left and above, never padding, so the block's per-lane maximum is the
+lane's own score. Lanes are int32 when a bound on every DP
+value, computed from the table, the gaps and the two lengths, fits with
+room for the sentinel, and int64 otherwise, so scores are exact integers.
 
 The built-in substitution table is BLOSUM62 in half-bit units for the 20
 standard amino acids plus B and Z, extended to the full A-Z range by the
@@ -126,8 +143,13 @@ class AlignParams:
         sub = np.asarray(self.substitution)
         if sub.shape != (26, 26):
             raise ConfigError("substitution table must be 26x26 (letters A-Z)")
+        if sub.dtype.kind not in "iu":
+            raise ConfigError("substitution table must hold integers")
         if not np.array_equal(sub, sub.T):
             raise ConfigError("substitution table must be symmetric")
+        for gap in (self.gap_open, self.gap_extend):
+            if not isinstance(gap, (int, np.integer)):
+                raise ConfigError("gap penalties must be integers")
         if not self.gap_open <= self.gap_extend <= 0:
             raise ConfigError(
                 "gap penalties must satisfy gap_open <= gap_extend <= 0"
@@ -158,11 +180,21 @@ def load_substitution_matrix(data: str | bytes | IO) -> np.ndarray:
     return _parse_matrix_text(text)
 
 
+#: Cells (lanes x padded columns) one block scores at a time. The kernel
+#: holds about 35 integers per cell (26 of them the block's query profile),
+#: so this caps its working memory near 1 MB in int32 (2 MB in int64),
+#: whatever the database size; larger blocks ran slower, out of cache.
+_BLOCK_CELLS = 8192
+
+#: Letter code of the right padding; it scores the dtype's sentinel.
+_PAD = 26
+
+
 def _encode(residues: str, what: str) -> np.ndarray:
     if not residues:
         raise DataError(f"{what} sequence is empty")
     codes = np.frombuffer(residues.upper().encode("ascii"), dtype=np.uint8).astype(
-        np.int64
+        np.intp
     ) - 65
     if codes.min() < 0 or codes.max() > 25:
         bad = residues[int(np.flatnonzero((codes < 0) | (codes > 25))[0])]
@@ -170,40 +202,98 @@ def _encode(residues: str, what: str) -> np.ndarray:
     return codes
 
 
+def _sw_lanes(rows: np.ndarray, lanes: np.ndarray, p: AlignParams) -> np.ndarray:
+    """Best local score of the codes ``rows`` against each row of ``lanes``.
+
+    ``lanes`` is a (lanes, n) code matrix right-padded with ``_PAD``. Column
+    j of every DP row is stored plus ``-gap_extend * j``: the horizontal-gap
+    ladder then cancels, so E is a plain prefix max of B along each lane.
+    """
+    n_lanes, n = lanes.shape
+    open_, ext = int(p.gap_open), int(p.gap_extend)
+    # every DP value lies within +-top; the sentinel lies below -top, with
+    # room in the dtype for a gap penalty added to it
+    top = (int(np.abs(p.substitution).max()) - open_ - ext) * (len(rows) + n + 1)
+    if top < 2**30:
+        dt, sentinel = np.int32, -(2**30)
+    elif top < 2**62:
+        dt, sentinel = np.int64, -(2**62)
+    else:
+        raise ConfigError("alignment scores would overflow 64-bit integers")
+    shift = -ext * np.arange(1, n + 1, dtype=dt)  # the zero floor, shifted
+    # dtype scalars: a Python int costs a conversion on every ufunc call
+    o, e, c = dt(open_), dt(ext), dt(open_ - ext)
+    letters, row_letter = np.unique(rows, return_inverse=True)
+    table = np.full((len(letters), _PAD + 1), sentinel, dtype=dt)
+    table[:, :_PAD] = p.substitution[letters]
+    table[:, :_PAD] -= ext
+    profile = table[:, lanes]  # (distinct row letters, lanes, n)
+
+    # two rolling H rows, each seen as (columns 0..n-1, columns 1..n); column
+    # 0 is the empty prefix, 0, and row 0 scores 0 everywhere
+    H, Hn = np.zeros((2, n_lanes, n + 1), dt)
+    H[:, 1:] = shift
+    cur, nxt = (H[:, :-1], H[:, 1:]), (Hn[:, :-1], Hn[:, 1:])
+    F = np.full((n_lanes, n), sentinel, dt)
+    B = np.empty_like(F)
+    D = np.empty_like(F)
+    E = np.empty_like(F)
+    best = np.zeros_like(F)
+    by_letter = list(profile)
+    for r in row_letter.tolist():
+        diag, up = cur
+        np.add(diag, by_letter[r], out=D)
+        np.add(F, e, out=F)
+        np.add(up, o, out=E)
+        np.maximum(F, E, out=F)
+        np.maximum(D, F, out=B)
+        np.maximum(B, shift, out=B)
+        # E[j] = open - ext + max B[l] over l < j; taking l <= j (and no
+        # gap after column 0) changes no H: open <= ext and H >= 0
+        np.maximum.accumulate(B, axis=1, out=E)
+        np.add(E, c, out=E)
+        np.maximum(B, E, out=nxt[1])
+        np.maximum(best, nxt[1], out=best)
+        cur, nxt = nxt, cur
+    return (best - shift).max(axis=1)
+
+
 def smith_waterman(a: str, b: str, p: AlignParams) -> int:
     """Best local alignment score of ``a`` vs ``b`` (floored at zero)."""
     ca = _encode(a, "first")
     cb = _encode(b, "second")
-    if len(cb) > len(ca):
-        ca, cb = cb, ca  # table is symmetric; keep the rolling rows short
-    m = len(cb)
-    sub = p.substitution.astype(np.float64)
-    open_, ext = float(p.gap_open), float(p.gap_extend)
+    if len(ca) > len(cb):
+        ca, cb = cb, ca  # table is symmetric; fewer rows, wider columns
+    return int(_sw_lanes(ca, cb[None, :], p)[0])
 
-    H = np.zeros(m + 1)
-    F = np.full(m + 1, -np.inf)
-    ladder = ext * np.arange(1, m + 1)  # l * ext for the prefix-max trick
-    expand = open_ + ext * np.arange(m)  # open + (j-1) * ext
-    G = np.empty(m + 1)
-    best = 0.0
-    for ai in ca:
-        D = H[:-1] + sub[ai, cb]
-        Fn = np.maximum(H[1:] + open_, F[1:] + ext)
-        B = np.maximum(np.maximum(D, Fn), 0.0)
-        # E[j] = open + (j-1-l)*ext + B[l] maximized over l < j, where a
-        # horizontal gap never starts from a cell that itself ends in one
-        # (open <= extend makes merged gaps at least as good).
-        G[0] = 0.0
-        G[1:] = B - ladder
-        M = np.maximum.accumulate(G)
-        E = expand + M[:m]
-        Hn = np.maximum(B, E)
-        row_best = Hn.max()
-        if row_best > best:
-            best = row_best
-        H[1:] = Hn
-        F[1:] = Fn
-    return int(best)
+
+def _score_all(query: str, seqs: Sequence[str], p: AlignParams) -> np.ndarray:
+    """Local alignment scores of ``query`` against every sequence of ``seqs``.
+
+    Sequences are sorted by length and cut into blocks of at most
+    ``_BLOCK_CELLS`` padded cells (a longer sequence gets a block alone).
+    """
+    rows = _encode(query, "query")
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    lens = np.array([len(seqs[i]) for i in order], dtype=np.intp)
+    if lens[0] == 0:
+        raise DataError("database sequence is empty")
+    codes = _encode("".join(seqs[i] for i in order), "database")
+    ends = np.cumsum(lens)
+    scores = np.empty(len(seqs), dtype=np.int64)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop + 1 - start) * lens[stop] <= _BLOCK_CELLS:
+            stop += 1
+        block = lens[start:stop]
+        lanes = np.full((len(block), block[-1]), _PAD, dtype=np.intp)
+        lanes[np.arange(block[-1]) < block[:, None]] = codes[
+            ends[start] - block[0]:ends[stop - 1]
+        ]
+        scores[order[start:stop]] = _sw_lanes(rows, lanes, p)
+        start = stop
+    return scores
 
 
 def align_topk(
@@ -220,12 +310,13 @@ def align_topk(
         raise ConfigError("k must be >= 1")
     if not db:
         raise DataError("alignment database is empty")
-    scored = [
-        (rec.id, smith_waterman(query.residues, rec.residues, p))
-        for rec in db
-        if rec.id != query.id
-    ]
-    scored.sort(key=lambda t: (-t[1], t[0]))
+    others = [rec for rec in db if rec.id != query.id]
+    if not others:
+        return []
+    scores = _score_all(query.residues, [rec.residues for rec in others], p)
+    scored = sorted(
+        zip((rec.id for rec in others), scores.tolist()), key=lambda t: (-t[1], t[0])
+    )
     return [
         NeighborResult(rid, float(score), rank)
         for rank, (rid, score) in enumerate(scored[:k], start=1)

@@ -234,11 +234,12 @@ def cmd_align_knn(args) -> int:
             params = AlignParams(
                 load_substitution_matrix(fh.read()), args.gap_open, args.gap_extend
             )
+    # classify every query before opening --output: a failure leaves no file
+    predicted = [align_classify(db, q, args.k, params, labels) for q in queries]
     out = _out_stream(args.output)
     try:
         out.write("query\tpredicted_family\n")
-        for query in queries:
-            fam = align_classify(db, query, args.k, params, labels)
+        for query, fam in zip(queries, predicted):
             out.write(f"{query.id}\t{fam}\n")
     finally:
         if out is not sys.stdout:

@@ -232,9 +232,8 @@ class _HierSoftmax:
     def __init__(self, O: np.ndarray, huffman):
         self.O = O
         self.paths = huffman.paths
-        # precomputed (1 - code bit) so the hot loop stays in float32
-        self.targets = [np.float32(1.0) - c.astype(np.float32) for c in huffman.codes]
-        self.signs = [1.0 - 2.0 * c.astype(np.float64) for c in huffman.codes]
+        self.targets = huffman.targets  # float32, so the hot loop stays in float32
+        self.signs = huffman.signs
 
     def apply(self, h, target, alpha, rng, learn_hidden=True):
         O = self.O

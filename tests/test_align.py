@@ -1,8 +1,10 @@
 """Tests for local alignment scoring and retrieval.
 
-The reference oracle below is a deliberately naive full-matrix
-three-matrix affine DP; the production code must agree with it exactly
-on every instance tried.
+Two oracles stand behind the batched kernel: ``reference_sw``, a
+deliberately naive full-matrix three-matrix affine DP, and
+``rolling_sw``, the earlier production pair scorer (float rolling rows,
+fast enough for 240-residue pairs in bulk). The production code must
+agree with both exactly on every instance tried.
 """
 
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqvec import align
 from seqvec.align import (
     AlignParams,
     BLOSUM62,
@@ -40,6 +43,38 @@ def reference_sw(a: str, b: str, sub: np.ndarray, open_: int, ext: int) -> int:
             s = sub[ord(a[i - 1]) - 65, ord(b[j - 1]) - 65]
             H[i][j] = max(0.0, H[i - 1][j - 1] + s, E[i][j], F[i][j])
             best = max(best, H[i][j])
+    return int(best)
+
+
+def rolling_sw(a: str, b: str, sub: np.ndarray, open_: int, ext: int) -> int:
+    """One pair, float64 rolling rows plus a prefix-max scan per row."""
+    ca = np.frombuffer(a.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
+    cb = np.frombuffer(b.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
+    if len(cb) > len(ca):
+        ca, cb = cb, ca
+    m = len(cb)
+    sub = np.asarray(sub).astype(np.float64)
+    open_, ext = float(open_), float(ext)
+
+    H = np.zeros(m + 1)
+    F = np.full(m + 1, -np.inf)
+    ladder = ext * np.arange(1, m + 1)  # l * ext for the prefix-max trick
+    expand = open_ + ext * np.arange(m)  # open + (j-1) * ext
+    G = np.empty(m + 1)
+    best = 0.0
+    for ai in ca:
+        D = H[:-1] + sub[ai, cb]
+        Fn = np.maximum(H[1:] + open_, F[1:] + ext)
+        B = np.maximum(np.maximum(D, Fn), 0.0)
+        # E[j] = open + (j-1-l)*ext + B[l] maximized over l < j
+        G[0] = 0.0
+        G[1:] = B - ladder
+        M = np.maximum.accumulate(G)
+        E = expand + M[:m]
+        Hn = np.maximum(B, E)
+        best = max(best, Hn.max())
+        H[1:] = Hn
+        F[1:] = Fn
     return int(best)
 
 
@@ -180,6 +215,18 @@ class TestAlignParams:
         with pytest.raises(ConfigError, match="gap"):
             AlignParams(uniform_table(), gap_open=1, gap_extend=1)
 
+    def test_scores_must_be_integers(self):
+        # the kernel scores in int32/int64 lanes
+        with pytest.raises(ConfigError, match="integers"):
+            AlignParams(uniform_table().astype(np.float64), -2, -1)
+        with pytest.raises(ConfigError, match="integers"):
+            AlignParams(uniform_table(), gap_open=-2.5, gap_extend=-1)
+        assert smith_waterman("ACG", "ACG", AlignParams(uniform_table(), np.int64(-2),
+                                                        np.int32(-1))) == 6
+        for dtype in (np.int8, np.uint8, np.int64):
+            t = uniform_table(3, 0).astype(dtype)
+            assert smith_waterman("ACGTA", "ACG", AlignParams(t, -2, -1)) == 9
+
 
 class TestMatrixLoader:
     def test_blosum50_fixture_spot_values(self, blosum50):
@@ -255,3 +302,121 @@ class TestRetrieval:
     def test_empty_db_is_an_error(self):
         with pytest.raises(DataError):
             align_classify([], SequenceRecord("q", "", "MKV"), 3, blosum62_params())
+
+
+PROTEIN = list("ACDEFGHIKLMNPQRSTVWY")
+GAP_REGIMES = [(-11, -1), (-4, -1), (-1, -1), (0, 0)]
+
+
+def _random_db(rng, lengths, letters=PROTEIN):
+    """Records of the given lengths, ids shuffled against length order."""
+    ids = rng.permutation(len(lengths))
+    return [
+        SequenceRecord(f"r{ids[i]:03d}", "", "".join(rng.choice(letters, n)),
+                       family="F")
+        for i, n in enumerate(lengths)
+    ]
+
+
+def _check_topk(db, query, p, oracles):
+    """align_topk over the whole db equals every oracle, in (-score, id) order."""
+    hits = align_topk(db, query, len(db), p)
+    got = {h.id: h.score for h in hits}
+    others = [rec for rec in db if rec.id != query.id]
+    for oracle in oracles:
+        want = {
+            rec.id: oracle(query.residues, rec.residues, p.substitution,
+                           p.gap_open, p.gap_extend)
+            for rec in others
+        }
+        assert got == want
+    assert [h.id for h in hits] == sorted(got, key=lambda i: (-got[i], i))
+    assert [h.rank for h in hits] == list(range(1, len(others) + 1))
+    return got
+
+
+def _short_cases(rng):
+    """Queries shorter and longer than every record of mixed-length dbs."""
+    with_ones = _random_db(rng, [1, 1, 2, 3] + list(rng.integers(1, 31, 16)) + [30])
+    no_short = _random_db(rng, list(rng.integers(5, 31, 16)) + [5])
+    queries = [1, 2, 4, 17, 31, 45]
+    for db in (with_ones, no_short):
+        for n in queries:
+            residues = "".join(rng.choice(PROTEIN, n))
+            # the db's first record shares the query's id: it must be skipped
+            yield db, SequenceRecord(db[0].id, "", residues)
+
+
+class TestBatchedRetrievalMatchesOracles:
+    @pytest.mark.parametrize("gaps", GAP_REGIMES)
+    @pytest.mark.parametrize("table", ["blosum62", "blosum50"])
+    def test_short_sequences_both_oracles(self, table, gaps, blosum50):
+        rng = np.random.default_rng([len(table), -gaps[0], -gaps[1]])
+        p = AlignParams(BLOSUM62 if table == "blosum62" else blosum50, *gaps)
+        for db, query in _short_cases(rng):
+            _check_topk(db, query, p, (reference_sw, rolling_sw))
+
+    @pytest.mark.parametrize("gaps", GAP_REGIMES)
+    @pytest.mark.parametrize("table", ["blosum62", "blosum50"])
+    def test_long_sequences_rolling_oracle(self, table, gaps, blosum50):
+        rng = np.random.default_rng([7, len(table), -gaps[0], -gaps[1]])
+        p = AlignParams(BLOSUM62 if table == "blosum62" else blosum50, *gaps)
+        lengths = [1] + list(np.floor(1.5 * 160 ** rng.random(40)).astype(int)) + [240]
+        db = _random_db(rng, lengths)
+        for n in (1, 60, 300):
+            query = SequenceRecord("q", "", "".join(rng.choice(PROTEIN, n)))
+            _check_topk(db, query, p, (rolling_sw,))
+        a, b = db[-1].residues, query.residues
+        assert smith_waterman(a, b, p) == rolling_sw(a, b, p.substitution, *gaps)
+
+    @pytest.mark.parametrize("cells", [1, 64, 1000])
+    def test_block_budget_does_not_change_scores(self, cells, monkeypatch):
+        # small budgets: many blocks, records longer than a whole block
+        monkeypatch.setattr(align, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        db = _random_db(rng, [1, 2, 90] + list(rng.integers(1, 120, 30)))
+        query = SequenceRecord("q", "", "".join(rng.choice(PROTEIN, 70)))
+        _check_topk(db, query, blosum62_params(-4, -1), (rolling_sw,))
+
+    def test_blocks_respect_the_cell_budget(self, monkeypatch):
+        shapes = []
+        kernel = align._sw_lanes
+
+        def recording(rows, lanes, p):
+            shapes.append(lanes.shape)
+            return kernel(rows, lanes, p)
+
+        monkeypatch.setattr(align, "_sw_lanes", recording)
+        rng = np.random.default_rng(2)
+        lengths = list(rng.integers(1, 300, 200)) + [align._BLOCK_CELLS + 5]
+        db = _random_db(rng, lengths)
+        align_topk(db, SequenceRecord("q", "", "MKV"), 1, blosum62_params())
+        assert sum(lanes for lanes, _ in shapes) == len(db)
+        assert len(shapes) > 1
+        for lanes, n in shapes:
+            assert lanes * n <= align._BLOCK_CELLS or lanes == 1
+
+    def test_scores_beyond_int32_take_the_int64_path(self):
+        t = uniform_table(2**26, -(2**25)).astype(np.int64)
+        p = AlignParams(t, gap_open=-(2**26), gap_extend=-(2**24))
+        rng = np.random.default_rng(9)
+        base = "".join(rng.choice(list("ACGT"), 60))
+        db = _random_db(rng, [1, 7, 33, 60], letters=list("ACGT"))
+        db.append(SequenceRecord("twin", "", base[:50] + "GG" + base[50:]))
+        got = _check_topk(db, SequenceRecord("q", "", base), p,
+                          (reference_sw, rolling_sw))
+        assert max(got.values()) > 2**31
+
+    def test_overflowing_table_rejected(self):
+        p = AlignParams(uniform_table().astype(np.int64) * 2**60, -1, -1)
+        with pytest.raises(ConfigError, match="overflow"):
+            smith_waterman("ACGT", "ACGT", p)
+
+    def test_equal_scores_order_by_id_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(align, "_BLOCK_CELLS", 8)
+        db = [SequenceRecord(i, "", seq) for i, seq in
+              [("m", "WWWWWWWWWW"), ("c", "WW"), ("x", "WWG"), ("a", "GWW"),
+               ("q", "WW")]]
+        hits = align_topk(db, SequenceRecord("q", "", "WW"), 3, blosum62_params())
+        assert [(h.id, h.score) for h in hits] == [("a", 22.0), ("c", 22.0),
+                                                    ("m", 22.0)]

@@ -285,3 +285,18 @@ class TestAlignKnn:
                    "--gap-open", "-2", "--gap-extend", "-1"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1] == "q\tFA"
+
+    def test_failure_leaves_no_output_file(self, tmp_path, capsys):
+        # q1 classifies; q2's top hit d2 has no label, so the vote fails
+        db = tmp_path / "db.fasta"
+        db.write_text(">d1\nMKVLAWGHEE\n>d2\nPPPWWFFYYQ\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("d1\tF1\n")
+        query = tmp_path / "q.fasta"
+        query.write_text(">q1\nMKVLAWGHEE\n>q2\nPPPWWFFYYQ\n")
+        out = tmp_path / "pred.tsv"
+        rc = main(["align-knn", "--db", str(db), "--labels", str(labels),
+                   "--query", str(query), "--k", "1", "--output", str(out)])
+        assert rc == 1
+        assert "no family label" in capsys.readouterr().err
+        assert not out.exists()

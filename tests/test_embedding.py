@@ -619,6 +619,14 @@ class TestLossEstimate:
         value = loss_estimate(model, _repetitive_docs(), probe_seed=0)
         assert value == pytest.approx(math.log(2), rel=1e-12)
 
+    def test_hs_code_arrays_built_once_per_vocabulary(self):
+        # infer_docs and loss_estimate bind a fresh objective on every call
+        cfg = TrainConfig(architecture="dm", dim=4, objective="hs", seed=0)
+        model = init_model(_vocab(6), 2, cfg)
+        first, second = _make_objective(model, cfg), _make_objective(model, cfg)
+        assert first.targets is second.targets
+        assert first.signs is second.signs
+
 
 class TestInference:
     def _trained(self):

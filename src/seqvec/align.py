@@ -39,8 +39,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .knn import NeighborResult, majority_vote
-from .sequences import SequenceRecord
+from .knn import NeighborResult, _ranked, majority_vote
+from .sequences import SequenceRecord, _as_text
 
 __all__ = [
     "AlignParams",
@@ -169,15 +169,7 @@ def load_substitution_matrix(data: str | bytes | IO) -> np.ndarray:
     single letters (such as '*') are skipped. Letter pairs absent from
     the file score 0.
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    elif isinstance(data, str):
-        text = data
-    else:
-        text = data.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    return _parse_matrix_text(text)
+    return _parse_matrix_text(_as_text(data))
 
 
 #: Cells (lanes x padded columns) one block scores at a time. The kernel
@@ -193,6 +185,9 @@ _PAD = 26
 def _encode(residues: str, what: str) -> np.ndarray:
     if not residues:
         raise DataError(f"{what} sequence is empty")
+    if not residues.isascii():  # before upper(), which maps 'ß' to 'SS'
+        bad = next(ch for ch in residues if not ch.isascii())
+        raise DataError(f"{what} sequence contains non-ASCII character {bad!r}")
     codes = np.frombuffer(residues.upper().encode("ascii"), dtype=np.uint8).astype(
         np.intp
     ) - 65
@@ -314,13 +309,7 @@ def align_topk(
     if not others:
         return []
     scores = _score_all(query.residues, [rec.residues for rec in others], p)
-    scored = sorted(
-        zip((rec.id for rec in others), scores.tolist()), key=lambda t: (-t[1], t[0])
-    )
-    return [
-        NeighborResult(rid, float(score), rank)
-        for rank, (rid, score) in enumerate(scored[:k], start=1)
-    ]
+    return _ranked([rec.id for rec in others], scores, k, descending=True)
 
 
 def align_classify(

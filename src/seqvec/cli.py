@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,8 +37,18 @@ def _alphabet(name: str):
     return PROTEIN if name == "protein" else DNA
 
 
-def _out_stream(path: str | None):
-    return open(path, "w") if path else sys.stdout
+@contextmanager
+def _output(path: str | None):
+    """The --output file, opened for writing, or stdout when no path is given.
+
+    Commands compute their whole report before entering this, so a
+    failure leaves no output file behind.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as out:
+        yield out
 
 
 def _fmt(summary) -> str:
@@ -98,12 +109,8 @@ def cmd_train(args) -> int:
 def cmd_vectors(args) -> int:
     with open(args.model, "rb") as fh:
         model = model_io.load_model(fh)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         model_io.write_vectors(model.doc_ids, model.D, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -134,12 +141,8 @@ def cmd_infer(args) -> int:
         )
     if not ids:
         raise DataError("no sequence could be inferred (all too short or unknown)")
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         model_io.write_vectors(ids, np.stack(rows), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if skipped:
         print(f"skipped {skipped} sequences", file=sys.stderr)
     return 0
@@ -169,54 +172,43 @@ def cmd_knn_eval(args) -> int:
     index = VectorIndex(matrix, ids, [labels[i] for i in ids], metric=args.metric)
     k_values = [int(k) for k in args.k.split(",") if k]
     report = knn_cross_validate(index, args.folds, k_values, seed=args.seed)
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("k\tAccuracy(%)\tStd(%)\n")
         for k in k_values:
             out.write(f"{k}\t{_fmt(report[k])}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_svm_eval(args) -> int:
     ids, matrix, labels = _load_labeled_vectors(args.vectors, args.labels)
     vectors = {rid: matrix[i] for i, rid in enumerate(ids)}
-    out = _out_stream(args.output)
-    try:
-        if args.mode == "multiclass":
-            report = multiclass_protocol(
-                vectors, labels, top_n_families=args.top_n,
-                folds=args.folds, seed=args.seed, C=args.C,
+    if args.mode == "multiclass":
+        report = multiclass_protocol(
+            vectors, labels, top_n_families=args.top_n,
+            folds=args.folds, seed=args.seed, C=args.C,
+        )
+        lines = [
+            "Precision(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd",
+            f"{_fmt(report.precision)}\t{_fmt(report.sensitivity)}\t"
+            f"{_fmt(report.accuracy)}",
+        ]
+    else:
+        eligible = binary_eligible_families(vectors, labels, args.folds)
+        if args.top_n:
+            eligible = eligible[: args.top_n]
+        if not eligible:
+            raise DataError("no family has enough members for the binary protocol")
+        lines = ["Family\tSpecificity(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd"]
+        for fam in eligible:
+            report = binary_family_protocol(
+                vectors, labels, fam, folds=args.folds, seed=args.seed, C=args.C
             )
-            out.write(
-                "Precision(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd\n"
+            lines.append(
+                f"{fam}\t{_fmt(report.specificity)}\t{_fmt(report.sensitivity)}\t"
+                f"{_fmt(report.accuracy)}"
             )
-            out.write(
-                f"{_fmt(report.precision)}\t{_fmt(report.sensitivity)}\t"
-                f"{_fmt(report.accuracy)}\n"
-            )
-        else:
-            eligible = binary_eligible_families(vectors, labels, args.folds)
-            if args.top_n:
-                eligible = eligible[: args.top_n]
-            if not eligible:
-                raise DataError("no family has enough members for the binary protocol")
-            out.write(
-                "Family\tSpecificity(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd\n"
-            )
-            for fam in eligible:
-                report = binary_family_protocol(
-                    vectors, labels, fam, folds=args.folds, seed=args.seed, C=args.C
-                )
-                out.write(
-                    f"{fam}\t{_fmt(report.specificity)}\t{_fmt(report.sensitivity)}\t"
-                    f"{_fmt(report.accuracy)}\n"
-                )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.output) as out:
+        out.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -234,16 +226,11 @@ def cmd_align_knn(args) -> int:
             params = AlignParams(
                 load_substitution_matrix(fh.read()), args.gap_open, args.gap_extend
             )
-    # classify every query before opening --output: a failure leaves no file
     predicted = [align_classify(db, q, args.k, params, labels) for q in queries]
-    out = _out_stream(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("query\tpredicted_family\n")
         for query, fam in zip(queries, predicted):
             out.write(f"{query.id}\t{fam}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -3,9 +3,14 @@
 Search is a brute-force scan: every query is scored against every index
 row, so results are exact by construction. Euclidean distance is the
 default metric; cosine similarity is offered because embedding norms
-grow with token frequency. All tie-breaking is deterministic: equal
-scores order by id, equal vote counts resolve by summed score and then
-by label.
+grow with token frequency.
+
+One ranking rule, ``_ranked``, orders every retrieval in the package:
+``neighbors`` (and through it ``knn_cross_validate``) and the alignment
+baseline's ``align_topk``. Results run by ascending distance or by
+descending similarity or alignment score, equal scores order by the
+smaller id (Python ``str`` order) and ranks count from 1. Equal vote
+counts resolve by summed score and then by label.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import MetricSummary, stratified_folds
+from .classify import MetricSummary, _summarize, stratified_folds
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -74,6 +79,18 @@ def _scores(matrix: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
     return np.divide(sims, norms, out=np.zeros_like(sims), where=norms > 0)
 
 
+def _ranked(
+    ids: Sequence[str], scores: np.ndarray, k: int, descending: bool
+) -> list[NeighborResult]:
+    """The first ``k`` of ``ids`` by score, ties broken by the smaller id."""
+    key = np.asarray(ids, dtype=object)  # object compare is Python str order
+    order = np.lexsort((key, -scores if descending else scores))[:k]
+    return [
+        NeighborResult(ids[i], float(scores[i]), rank)
+        for rank, i in enumerate(order.tolist(), start=1)
+    ]
+
+
 def neighbors(
     index: VectorIndex,
     query: np.ndarray,
@@ -94,16 +111,13 @@ def neighbors(
         raise DataError(
             f"query dimension {query.shape} does not match index d={index.matrix.shape[1]}"
         )
+    ids = index.ids
     scores = _scores(index.matrix, query, index.metric)
-    sign = 1.0 if index.metric == "euclidean" else -1.0
-    order = sorted(
-        (i for i in range(len(index)) if index.ids[i] != exclude_id),
-        key=lambda i: (sign * scores[i], index.ids[i]),
-    )
-    return [
-        NeighborResult(index.ids[i], float(scores[i]), rank)
-        for rank, i in enumerate(order[:k], start=1)
-    ]
+    if exclude_id in ids:
+        drop = ids.index(exclude_id)
+        ids = ids[:drop] + ids[drop + 1:]
+        scores = np.delete(scores, drop)
+    return _ranked(ids, scores, k, descending=index.metric == "cosine")
 
 
 def majority_vote(
@@ -168,39 +182,27 @@ def knn_cross_validate(
         raise DataError("need at least 2 usable families")
 
     rows = np.flatnonzero(usable)
-    labels = labels[rows]
+    labels = labels[rows].tolist()
     matrix = index.matrix[rows]
-    ids = np.asarray(index.ids, dtype=object)[rows]
+    ids = [index.ids[i] for i in rows]
 
     fold_of = stratified_folds(labels, folds, np.random.default_rng([seed]))
     maxk = max(k_values)
-    correct = {k: np.zeros(folds) for k in k_values}
+    acc: dict[int, list[float]] = {k: [] for k in k_values}
     for f in range(folds):
-        test = fold_of == f
-        train = ~test
-        train_ids = ids[train]
-        train_labels = labels[train]
-        label_map = dict(zip(train_ids.tolist(), train_labels.tolist()))
-        sign = 1.0 if index.metric == "euclidean" else -1.0
-        for row in np.flatnonzero(test):
-            scores = _scores(matrix[train], matrix[row], index.metric)
-            order = np.lexsort((train_ids, sign * scores))[:maxk]
-            ranked = [
-                NeighborResult(train_ids[i], float(scores[i]), rank)
-                for rank, i in enumerate(order, start=1)
-            ]
+        test = np.flatnonzero(fold_of == f)
+        train = np.flatnonzero(fold_of != f)
+        fold_index = VectorIndex(matrix[train], [ids[i] for i in train],
+                                 metric=index.metric)
+        label_map = {ids[i]: labels[i] for i in train}
+        correct = dict.fromkeys(k_values, 0)
+        for row in test:
+            ranked = neighbors(fold_index, matrix[row], maxk)
             for k in k_values:
                 pred = majority_vote(
                     ranked[:k], label_map, similarity=index.metric == "cosine"
                 )
-                correct[k][f] += pred == labels[row]
-        n_test = int(test.sum())
+                correct[k] += pred == labels[row]
         for k in k_values:
-            correct[k][f] /= n_test
-
-    out = {}
-    for k in k_values:
-        acc = correct[k]
-        out[k] = MetricSummary(float(acc.mean()),
-                               float(acc.std(ddof=1)) if folds > 1 else 0.0)
-    return out
+            acc[k].append(correct[k] / len(test))
+    return {k: _summarize(acc[k]) for k in k_values}

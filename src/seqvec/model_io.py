@@ -35,6 +35,7 @@ import numpy as np
 
 from .embedding import EmbeddingModel, TrainConfig, ARCHITECTURES, OBJECTIVES
 from .errors import DataError
+from .sequences import _as_text
 from .tokenizer import MODES, TokenizerConfig, Vocabulary
 
 __all__ = [
@@ -195,29 +196,30 @@ def write_vectors(ids: Sequence[str], matrix: np.ndarray, stream: IO[str]) -> No
 
 
 def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    elif isinstance(data, str):
-        text = data
-    else:
-        text = data.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    lines = text.splitlines()
+    lines = _as_text(data).splitlines()
     if not lines:
         raise DataError("empty vector file")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not all(h.isdecimal() for h in head):
         raise DataError(f"line 1: expected header 'N d', got {lines[0]!r}")
     n, d = int(head[0]), int(head[1])
     if len(lines) - 1 != n:
         raise DataError(f"header declares {n} vectors but file has {len(lines) - 1}")
     ids = []
-    matrix = np.empty((n, d), dtype=np.float32)
+    matrix = np.empty((n, d))
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d + 1:
             raise DataError(f"line {i}: expected id plus {d} values, got {len(parts) - 1}")
         ids.append(parts[0])
-        matrix[i - 2] = [float(v) for v in parts[1:]]
+        try:
+            matrix[i - 2] = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise DataError(f"line {i}: non-numeric value in {parts[0]!r}") from None
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected below
+        matrix = matrix.astype(np.float32)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise DataError(f"line {bad + 2}: vector {ids[bad]!r} has a non-finite value")
     return ids, matrix

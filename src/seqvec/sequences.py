@@ -83,15 +83,11 @@ class FastaParseError(DataError):
     """FASTA input rejected; message carries line (and column) position."""
 
 
-def _as_text_lines(data: bytes | str | IO) -> Iterable[str]:
-    if isinstance(data, bytes):
-        return io.StringIO(data.decode("utf-8")).readlines()
-    if isinstance(data, str):
-        return io.StringIO(data).readlines()
-    first = data.read()
-    if isinstance(first, bytes):
-        first = first.decode("utf-8")
-    return io.StringIO(first).readlines()
+def _as_text(data: bytes | str | IO) -> str:
+    """The text of ``data``: UTF-8 bytes, a string, or a text or binary stream."""
+    if not isinstance(data, (bytes, str)):
+        data = data.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 def parse_fasta(
@@ -114,7 +110,7 @@ def parse_fasta(
         raise ConfigError(f"unknown parse policy {policy!r}")
     replace = policy == "replace" and alphabet.unknown is not None
 
-    lines = _as_text_lines(data)
+    lines = io.StringIO(_as_text(data))  # split at '\n' only
     records: list[SequenceRecord] = []
     seen: set[str] = set()
     header: str | None = None
@@ -189,7 +185,7 @@ def load_family_labels(data: bytes | str | IO) -> tuple[dict[str, str], int]:
     """
     labels: dict[str, str] = {}
     duplicates = 0
-    for lineno, raw in enumerate(_as_text_lines(data), start=1):
+    for lineno, raw in enumerate(io.StringIO(_as_text(data)), start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
             continue

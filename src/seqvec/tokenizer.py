@@ -18,6 +18,7 @@ negative samples plus, on demand, a Huffman coding of the tokens.
 from __future__ import annotations
 
 import heapq
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Sequence
@@ -25,7 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sequences import SequenceRecord
+from .sequences import SequenceRecord, _as_text
 
 __all__ = [
     "TokenizerConfig",
@@ -359,15 +360,13 @@ def write_corpus(
 
 def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
     """Load a tokenized corpus written by write_corpus (or by hand)."""
-    from .sequences import _as_text_lines  # shared line normalization
-
     k = None
     mode = None
     id_of: dict[int, str] = {}
     raw: list[tuple[int, int, list[str]]] = []
     counts: Counter[str] = Counter()
     max_phase = 0
-    for lineno, line in enumerate(_as_text_lines(data), start=1):
+    for lineno, line in enumerate(io.StringIO(_as_text(data)), start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue

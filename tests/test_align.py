@@ -117,6 +117,12 @@ class TestSmithWaterman:
         with pytest.raises(DataError, match="non-letter"):
             smith_waterman("AC-G", "ACG", p)
 
+    def test_non_ascii_rejected_before_case_folding(self):
+        # 'É' has no ASCII code; 'ß'.upper() is 'SS', two valid residues
+        for seq in ("AÉ", "Aß"):
+            with pytest.raises(DataError, match="non-ASCII"):
+                smith_waterman(seq, "A", blosum62_params())
+
     def test_matches_oracle_on_random_dna_pairs(self):
         rng = np.random.default_rng(11)
         p = AlignParams(uniform_table(3, -2), gap_open=-4, gap_extend=-1)

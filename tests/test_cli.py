@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,33 @@ class TestEvaluationCommands:
         assert len(out) == 3  # one row per family
         for row in out[1:]:
             assert float(row.split("\t")[5]) >= 95.0  # Accuracy(%)
+
+
+    @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
+    def test_non_finite_vector_is_data_error(self, eval_files, tmp_path, command, capsys):
+        vectors, labels = eval_files
+        lines = vectors.read_text().splitlines()
+        lines[3] = lines[3].rsplit(" ", 1)[0] + " nan"
+        broken = tmp_path / "nan.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = main([command, "--vectors", str(broken), "--labels", str(labels),
+                   "--folds", "4", "--seed", "0"])
+        assert rc == 1
+        assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    def test_svm_eval_failure_leaves_no_output_file(self, eval_files, tmp_path, mode,
+                                                    capsys):
+        # 20 folds exceed every family's 12 members: no family is usable
+        vectors, labels = eval_files
+        out = tmp_path / "report.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["svm-eval", "--vectors", str(vectors), "--labels", str(labels),
+                       "--mode", mode, "--folds", "20", "--output", str(out)])
+        assert rc == 1
+        assert "seqvec: error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAlignKnn:

@@ -55,25 +55,36 @@ class TestNeighbors:
         assert got[0].id == "x"
         assert got[0].score >= got[1].score >= got[2].score
 
-    def test_agrees_with_full_sort_oracle(self):
+    @pytest.mark.parametrize("ids_of", [
+        lambda n: [f"v{i:02d}" for i in range(n)],
+        lambda n: ["a" * (i + 1) for i in range(n)],  # each a prefix of the next
+        lambda n: list("éeEßzZāaΩ中0_"[:n]),  # non-ASCII, mixed case
+        lambda n: ["a" + "\0" * i for i in range(n)],  # numpy str dtype drops trailing NULs
+    ])
+    def test_agrees_with_full_sort_oracle(self, ids_of):
         rng = np.random.default_rng(0)
         for trial in range(1000):
             n = int(rng.integers(2, 12))
             d = int(rng.integers(1, 5))
             M = rng.normal(size=(n, d))
-            ids = [f"v{i:02d}" for i in range(n)]
-            metric = "euclidean" if trial % 2 == 0 else "cosine"
+            if trial % 2:  # forced ties: duplicated rows
+                M[rng.integers(0, n, size=n // 2 + 1)] = M[0]
+            pool = ids_of(n)
+            ids = [pool[i] for i in rng.permutation(n)]
+            metric = "euclidean" if trial % 4 < 2 else "cosine"
             index = VectorIndex(M, ids=ids, metric=metric)
-            q = rng.normal(size=d)
+            q = M[0] if trial % 3 == 0 else rng.normal(size=d)
             k = int(rng.integers(1, n + 1))
-            got = [r.id for r in neighbors(index, q, k)]
+            exclude = ids[int(rng.integers(0, n))] if trial % 5 < 2 else None
+            got = [r.id for r in neighbors(index, q, k, exclude_id=exclude)]
             if metric == "euclidean":
                 scores = np.linalg.norm(M - q, axis=1)
                 sign = 1.0
             else:
                 scores = (M @ q) / (np.linalg.norm(M, axis=1) * np.linalg.norm(q))
                 sign = -1.0
-            oracle = [ids[i] for i in sorted(range(n), key=lambda i: (sign * scores[i], ids[i]))[:k]]
+            kept = [i for i in range(n) if ids[i] != exclude]
+            oracle = [ids[i] for i in sorted(kept, key=lambda i: (sign * scores[i], ids[i]))[:k]]
             assert got == oracle
 
     def test_positive_scaling_preserves_order(self):
@@ -151,6 +162,41 @@ class TestMajorityVote:
             assert majority_vote(perm, labels) == expected
 
 
+def fold_loop_cv(index, folds, k_values, seed=0):
+    """The brute-force fold loop knn_cross_validate once inlined, kept as
+    an oracle: every test row scored against a fresh copy of its training
+    rows and ranked by one lexsort over (id, signed score)."""
+    from seqvec.classify import stratified_folds
+    from seqvec.knn import _scores
+
+    labels = np.asarray(index.labels)
+    fam_names, fam_counts = np.unique(labels, return_counts=True)
+    usable = np.isin(labels, [f for f, c in zip(fam_names, fam_counts) if c >= folds])
+    rows = np.flatnonzero(usable)
+    labels = labels[rows]
+    matrix = index.matrix[rows]
+    ids = np.asarray(index.ids, dtype=object)[rows]
+    fold_of = stratified_folds(labels, folds, np.random.default_rng([seed]))
+    sign = 1.0 if index.metric == "euclidean" else -1.0
+    correct = {k: np.zeros(folds) for k in k_values}
+    for f in range(folds):
+        test, train = fold_of == f, fold_of != f
+        label_map = dict(zip(ids[train].tolist(), labels[train].tolist()))
+        for row in np.flatnonzero(test):
+            scores = _scores(matrix[train], matrix[row], index.metric)
+            order = np.lexsort((ids[train], sign * scores))[:max(k_values)]
+            ranked = [NeighborResult(ids[train][i], float(scores[i]), r)
+                      for r, i in enumerate(order, start=1)]
+            for k in k_values:
+                pred = majority_vote(ranked[:k], label_map,
+                                     similarity=index.metric == "cosine")
+                correct[k][f] += pred == labels[row]
+        for k in k_values:
+            correct[k][f] /= test.sum()
+    return {k: MetricSummary(float(c.mean()), float(c.std(ddof=1)))
+            for k, c in correct.items()}
+
+
 def _two_cluster_index(per_class=20, spread=0.05, gap=100.0, seed=0):
     rng = np.random.default_rng(seed)
     a = spread * rng.normal(size=(per_class, 2))
@@ -218,3 +264,19 @@ class TestKnnCrossValidate:
         cos_report = knn_cross_validate(cos_index, folds=5, k_values=[1, 3], seed=0)
         assert report[1].mean == 1.0
         assert cos_report[1].mean > 0.9
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_matches_fold_loop_oracle_with_ties(self, metric):
+        rng = np.random.default_rng(3)
+        for trial in range(12):
+            n_fam, per, d = int(rng.integers(2, 5)), int(rng.integers(4, 12)), 3
+            centers = 2.0 * rng.normal(size=(n_fam, d))
+            # rounding to integers makes equal rows and equal scores common
+            M = np.round(np.repeat(centers, per, axis=0) + rng.normal(size=(n_fam * per, d)))
+            labels = [f"F{i // per}" for i in range(n_fam * per)]
+            ids = ["a" * (i + 1) if trial % 2 else f"é{i}" for i in range(n_fam * per)]
+            index = VectorIndex(M, ids, labels, metric=metric)
+            folds = int(rng.integers(2, min(per, 5) + 1))
+            k_values = [1, 2, 5, 9]
+            assert knn_cross_validate(index, folds, k_values, seed=trial) == \
+                fold_loop_cv(index, folds, k_values, seed=trial)

@@ -112,3 +112,18 @@ class TestVectorText:
     def test_empty_file_rejected(self):
         with pytest.raises(DataError):
             read_vectors("")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_rejected_with_its_line(self, value):
+        # 1e39 is finite in float64 but overflows the float32 matrix
+        with pytest.raises(DataError, match="line 3: vector 'b' has a non-finite"):
+            read_vectors(f"2 2\na 1 2\nb 1 {value}\n")
+
+    def test_non_numeric_value_rejected_with_its_line(self):
+        with pytest.raises(DataError, match="line 2: non-numeric"):
+            read_vectors("1 2\na 1 x\n")
+
+    @pytest.mark.parametrize("header", ["1 2.0", "one 2", "1 -2"])
+    def test_non_integer_header_rejected(self, header):
+        with pytest.raises(DataError, match="line 1"):
+            read_vectors(f"{header}\na 1 2\n")

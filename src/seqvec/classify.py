@@ -251,6 +251,33 @@ def _confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     )
 
 
+def _ranked_families(sizes: Mapping[str, int]) -> list[str]:
+    """Families largest first, ties broken by name."""
+    return sorted(sizes, key=lambda fam: (-sizes[fam], fam))
+
+
+def _cv_families(
+    sizes: Mapping[str, int], folds: int, top_n: int | None = None
+) -> list[str]:
+    """The ``top_n`` largest families (all when None) that have at least
+    ``folds`` members, largest first.
+
+    One warning names the families dropped for size; fewer than 2 left
+    is a DataError. Used by kNN cross-validation and multiclass_protocol.
+    """
+    ranked = _ranked_families(sizes)[:top_n]
+    usable = [fam for fam in ranked if sizes[fam] >= folds]
+    dropped = [fam for fam in ranked if sizes[fam] < folds]
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} families with fewer than {folds} members: "
+            f"{', '.join(map(str, dropped[:5]))}{'...' if len(dropped) > 5 else ''}"
+        )
+    if len(usable) < 2:
+        raise DataError("need at least 2 usable families")
+    return usable
+
+
 def _binary_min_members(folds: int) -> int:
     return max(10, folds)
 
@@ -262,8 +289,7 @@ def binary_eligible_families(
     max(10, folds) members), largest first with ties broken by name."""
     sizes = Counter(labels[i] for i in vectors if i in labels)
     need = _binary_min_members(folds)
-    return sorted((fam for fam, n in sizes.items() if n >= need),
-                  key=lambda fam: (-sizes[fam], fam))
+    return [fam for fam in _ranked_families(sizes) if sizes[fam] >= need]
 
 
 def binary_family_protocol(
@@ -332,16 +358,7 @@ def multiclass_protocol(
             f"top_n_families={top_n_families} exceeds the {len(sizes)} "
             "available families; using all of them"
         )
-    ranked = sorted(sizes, key=lambda fam: (-sizes[fam], fam))[:top_n_families]
-    usable = [fam for fam in ranked if sizes[fam] >= folds]
-    if len(usable) < len(ranked):
-        warnings.warn(
-            f"dropped {len(ranked) - len(usable)} families with fewer than "
-            f"{folds} members"
-        )
-    if len(usable) < 2:
-        raise DataError("need at least 2 usable families")
-    keep = set(usable)
+    keep = set(_cv_families(sizes, folds, top_n_families))
     ids = [i for i in ids if labels[i] in keep]
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in ids])
     y = np.array([labels[i] for i in ids])

@@ -25,12 +25,15 @@ from .sequences import DNA, PROTEIN, load_family_labels, parse_fasta
 from .tokenizer import TokenizerConfig, build_corpus, read_corpus, write_corpus
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SEQVEC_SEED", "1")
+def _integer(name: str, text: str) -> int:
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"SEQVEC_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _default_seed() -> int:
+    return _integer("SEQVEC_SEED", os.environ.get("SEQVEC_SEED", "1"))
 
 
 def _alphabet(name: str):
@@ -75,7 +78,7 @@ def cmd_tokenize(args) -> int:
 def cmd_train(args) -> int:
     if args.objective.startswith("ns"):
         objective, _, n = args.objective.partition(":")
-        negative = int(n) if n else 5
+        negative = _integer("the N of --objective ns:N", n) if n else 5
     elif args.objective == "hs":
         objective, negative = "hs", 5
     else:
@@ -168,9 +171,9 @@ def _load_labeled_vectors(vec_path: str, labels_path: str):
 
 
 def cmd_knn_eval(args) -> int:
+    k_values = [_integer("each --k value", k) for k in args.k.split(",") if k]
     ids, matrix, labels = _load_labeled_vectors(args.vectors, args.labels)
     index = VectorIndex(matrix, ids, [labels[i] for i in ids], metric=args.metric)
-    k_values = [int(k) for k in args.k.split(",") if k]
     report = knn_cross_validate(index, args.folds, k_values, seed=args.seed)
     with _output(args.output) as out:
         out.write("k\tAccuracy(%)\tStd(%)\n")

@@ -14,13 +14,16 @@ sampled context half-width c (uniform in [1, window]):
 * ``dbow``: h = document row; every token of the document is a target in
   turn. Input word rows are never read or written.
 
-Objectives score (h, target) pairs:
+Both objectives score h against a set of output rows with 0/1 labels,
+with loss -sum_r log s(+-o_r.h) (+ for label 1, - for label 0). An SGD
+step computes g_r = (label_r - s(o_r.h)) * alpha, moves each row o_r by
+g_r * h and h by sum_r g_r * o_r. The objectives differ only in the rows:
 
-* negative sampling: loss = -log s(o_t.h) - sum_j log s(-o_nj.h) with n
-  noise rows drawn from the cumulative count^0.75 table (draws equal to
-  the target are redrawn up to 16 times, then skipped);
-* hierarchical softmax: loss = -sum log s(sign*o_p.h) over the target's
-  Huffman path, sign +1 where the code bit is 0 and -1 where it is 1.
+* negative sampling: the target's row (label 1) and n noise rows (label
+  0) drawn from the cumulative count^0.75 table (draws equal to the
+  target are redrawn up to 16 times, then skipped);
+* hierarchical softmax: the inner nodes of the target's Huffman path,
+  each labelled 1 - its code bit.
 
 SGD applies the analytic gradients: output rows get their own gradient
 terms; each row contributing to h receives grad_h scaled by
@@ -192,71 +195,67 @@ def draw_negatives(
     return np.array(out, dtype=idx.dtype)
 
 
-class _NegSampling:
-    """Negative-sampling objective bound to an output matrix."""
+class _Objective:
+    """The output objective (rows and 0/1 labels, see above) bound to O."""
 
-    def __init__(self, O: np.ndarray, table: np.ndarray, n: int):
+    def __init__(self, O: np.ndarray, vocab: Vocabulary, cfg: TrainConfig):
         self.O = O
-        self.table = table
-        self.n = n
+        self.hs = cfg.objective == "hs"
+        if self.hs:
+            huffman = ensure_huffman(vocab)
+            self.paths, self.path_labels = huffman.paths, huffman.targets
+        else:
+            self.table, self.n = vocab.sampling_table, cfg.negative
+            self.ns_labels = np.zeros(1 + cfg.negative, dtype=np.float32)
+            self.ns_labels[0] = 1.0
+
+    def scored(self, target, rng, negatives=None):
+        """Output rows scored at ``target`` and their float32 labels.
+
+        Noise rows come from ``rng`` unless ``negatives`` are given.
+        """
+        if self.hs:
+            return self.paths[target], self.path_labels[target]
+        if negatives is None:
+            if rng is None:
+                raise ConfigError("negative sampling needs rng or pre-drawn negatives")
+            negatives = draw_negatives(rng, self.table, target, self.n)
+        elif len(negatives) >= len(self.ns_labels):  # more than cfg.negative
+            self.ns_labels = np.zeros(1 + len(negatives), dtype=np.float32)
+            self.ns_labels[0] = 1.0
+        rows = np.empty(1 + len(negatives), dtype=np.int64)
+        rows[0] = target
+        rows[1:] = negatives
+        return rows, self.ns_labels[: len(rows)]
 
     def apply(self, h, target, alpha, rng, learn_hidden=True):
         """SGD step at (h, target); returns the h-update -alpha * grad_h."""
         O = self.O
-        negs = draw_negatives(rng, self.table, target, self.n)
-        rows = np.empty(1 + len(negs), dtype=np.int64)
-        rows[0] = target
-        rows[1:] = negs
+        rows, labels = self.scored(target, rng)
         vecs = O[rows]
-        f = _sigmoid(vecs @ h)
-        g = -f
-        g[0] += np.float32(1.0)
+        g = labels - _sigmoid(vecs @ h)
         g *= np.float32(alpha)
         e = g @ vecs
         if learn_hidden:
-            # negatives may repeat; add.at accumulates duplicate rows
-            np.add.at(O, rows, g[:, None] * h)
+            if self.hs:
+                O[rows] += g[:, None] * h  # path nodes are distinct
+            else:
+                np.add.at(O, rows, g[:, None] * h)  # negatives may repeat
         return e
 
     def loss(self, h, target, rng):
-        negs = draw_negatives(rng, self.table, target, self.n)
-        x = self.O[np.concatenate(([target], negs))].astype(np.float64) @ np.asarray(
-            h, dtype=np.float64
-        )
-        return float(np.logaddexp(0.0, -x[0]) + np.logaddexp(0.0, x[1:]).sum())
+        rows, labels = self.scored(target, rng)
+        x = self.O[rows].astype(np.float64) @ np.asarray(h, dtype=np.float64)
+        return _loss(x, labels)
 
 
-class _HierSoftmax:
-    """Hierarchical-softmax objective bound to the inner-node matrix."""
-
-    def __init__(self, O: np.ndarray, huffman):
-        self.O = O
-        self.paths = huffman.paths
-        self.targets = huffman.targets  # float32, so the hot loop stays in float32
-        self.signs = huffman.signs
-
-    def apply(self, h, target, alpha, rng, learn_hidden=True):
-        O = self.O
-        nodes = self.paths[target]
-        vecs = O[nodes]
-        f = _sigmoid(vecs @ h)
-        g = (self.targets[target] - f) * np.float32(alpha)
-        e = g @ vecs
-        if learn_hidden:
-            O[nodes] += g[:, None] * h  # path nodes are distinct
-        return e
-
-    def loss(self, h, target, rng):
-        x = self.O[self.paths[target]].astype(np.float64) @ np.asarray(
-            h, dtype=np.float64
-        )
-        return float(np.logaddexp(0.0, -self.signs[target] * x).sum())
+def _loss(x: np.ndarray, labels: np.ndarray) -> float:
+    """-sum log s(+-x): +x where the label is 1, -x where it is 0."""
+    return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * x).sum())
 
 
-def _make_objective(model: EmbeddingModel, cfg: TrainConfig):
-    if cfg.objective == "ns":
-        return _NegSampling(model.O, model.vocab.sampling_table, cfg.negative)
-    return _HierSoftmax(model.O, ensure_huffman(model.vocab))
+def _make_objective(model: EmbeddingModel, cfg: TrainConfig) -> _Objective:
+    return _Objective(model.O, model.vocab, cfg)
 
 
 def _walk(arch, W, doc, toks, window, rng):
@@ -378,46 +377,21 @@ def objective_gradient(
 
     Returns ``(loss, grad_h, row_grads)`` in float64, where ``row_grads``
     maps output-row index to the loss gradient with respect to that row
-    (an SGD step subtracts alpha times these). Negative-sampling draws
-    come from ``rng`` unless ``negatives`` are supplied pre-drawn; the
-    result is pure given the generator state.
+    (an SGD step subtracts alpha times these). The rows and labels are
+    the ones training scores; only those rows are read, in float64.
+    Negative-sampling draws come from ``rng`` unless ``negatives`` are
+    supplied pre-drawn; the result is pure given the generator state.
     """
-    cfg = model.config
     h = np.asarray(h, dtype=np.float64)
-    O = model.O.astype(np.float64)
-    if cfg.objective == "ns":
-        if negatives is None:
-            if rng is None:
-                raise ConfigError("negative sampling needs rng or pre-drawn negatives")
-            negatives = draw_negatives(rng, model.vocab.sampling_table, target,
-                                       cfg.negative)
-        rows = np.concatenate(([target], negatives)).astype(np.int64)
-        x = O[rows] @ h
-        f = 1.0 / (1.0 + np.exp(-x))
-        loss = float(np.logaddexp(0.0, -x[0]) + np.logaddexp(0.0, x[1:]).sum())
-        coeff = f.copy()
-        coeff[0] -= 1.0  # d loss / d x: (f - label)
-        grad_h = coeff @ O[rows]
-        row_grads: dict[int, np.ndarray] = {}
-        for r, c in zip(rows, coeff):
-            r = int(r)
-            if r in row_grads:
-                row_grads[r] = row_grads[r] + c * h
-            else:
-                row_grads[r] = c * h
-        return loss, grad_h, row_grads
-
-    huff = ensure_huffman(model.vocab)
-    nodes = huff.paths[target]
-    bits = huff.codes[target].astype(np.float64)
-    x = O[nodes] @ h
-    f = 1.0 / (1.0 + np.exp(-x))
-    sign = 1.0 - 2.0 * bits
-    loss = float(np.logaddexp(0.0, -sign * x).sum())
-    coeff = f - (1.0 - bits)  # d loss / d x per path node
-    grad_h = coeff @ O[nodes]
-    row_grads = {int(nd): c * h for nd, c in zip(nodes, coeff)}
-    return loss, grad_h, row_grads
+    rows, labels = _make_objective(model, model.config).scored(target, rng, negatives)
+    vecs = model.O[rows].astype(np.float64)
+    x = vecs @ h
+    coeff = 1.0 / (1.0 + np.exp(-x)) - labels  # d loss / d x
+    row_grads: dict[int, np.ndarray] = {}
+    for r, c in zip(rows.tolist(), coeff):
+        grad = c * h
+        row_grads[r] = row_grads[r] + grad if r in row_grads else grad
+    return _loss(x, labels), coeff @ vecs, row_grads
 
 
 def loss_estimate(

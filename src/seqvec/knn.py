@@ -15,13 +15,13 @@ counts resolve by summed score and then by label.
 
 from __future__ import annotations
 
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import MetricSummary, _summarize, stratified_folds
+from .classify import MetricSummary, _cv_families, _summarize, stratified_folds
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -169,20 +169,9 @@ def knn_cross_validate(
     if not k_values or min(k_values) < 1:
         raise ConfigError("k_values must be positive")
 
-    labels = np.asarray(index.labels)
-    fam_names, fam_counts = np.unique(labels, return_counts=True)
-    dropped = [f for f, c in zip(fam_names, fam_counts) if c < folds]
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} families with fewer than {folds} members: "
-            f"{', '.join(map(str, dropped[:5]))}{'...' if len(dropped) > 5 else ''}"
-        )
-    usable = np.isin(labels, [f for f in fam_names if f not in set(dropped)])
-    if len(set(labels[usable].tolist())) < 2:
-        raise DataError("need at least 2 usable families")
-
-    rows = np.flatnonzero(usable)
-    labels = labels[rows].tolist()
+    keep = set(_cv_families(Counter(index.labels), folds))
+    rows = [i for i, fam in enumerate(index.labels) if fam in keep]
+    labels = [index.labels[i] for i in rows]
     matrix = index.matrix[rows]
     ids = [index.ids[i] for i in rows]
 

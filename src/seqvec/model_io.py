@@ -118,6 +118,17 @@ class _Reader:
     def unpack(self, fmt: struct.Struct, what: str):
         return fmt.unpack(self.take(fmt.size, what))
 
+    def text(self, what: str) -> str:
+        """A u16 byte length, then that many bytes of UTF-8."""
+        (ln,) = self.unpack(_U16, f"{what} length")
+        raw = self.take(ln, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(
+                f"{what} is not valid UTF-8 at byte {self.off - ln + exc.start}"
+            ) from None
+
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -154,11 +165,15 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
         raise ModelFormatError(f"invalid config block: {exc}") from exc
 
     (V,) = r.unpack(_U64, "vocabulary size")
+    # each token takes at least 10 bytes (u16 length, u64 count)
+    if not (2 if cfg.objective == "hs" else 1) <= V <= (len(r.blob) - r.off) // 10:
+        raise ModelFormatError(
+            f"impossible {cfg.objective} vocabulary size {V} at byte {r.off - 8}"
+        )
     tokens: list[str] = []
     counts = np.empty(V, dtype=np.int64)
     for i in range(V):
-        (ln,) = r.unpack(_U16, f"token {i} length")
-        tokens.append(r.take(ln, f"token {i}").decode("utf-8"))
+        tokens.append(r.text(f"token {i}"))
         (counts[i],) = r.unpack(_U64, f"token {i} count")
     try:
         vocab = Vocabulary(tokens, counts, min_count=min_count)
@@ -166,10 +181,7 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
         raise ModelFormatError(f"invalid vocabulary block: {exc}") from exc
 
     (N,) = r.unpack(_U64, "document count")
-    doc_ids = []
-    for i in range(N):
-        (ln,) = r.unpack(_U16, f"doc id {i} length")
-        doc_ids.append(r.take(ln, f"doc id {i}").decode("utf-8"))
+    doc_ids = [r.text(f"doc id {i}") for i in range(N)]
 
     def matrix(rows: int, what: str) -> np.ndarray:
         raw = r.take(rows * dim * 4, what)

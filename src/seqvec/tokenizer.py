@@ -93,20 +93,18 @@ class HuffmanCoding:
     ``paths[t][i]`` is the inner-node index whose sigmoid decision consumes
     ``codes[t][i]``; paths run root to leaf parent. Inner nodes are numbered
     in creation (merge) order, so the root is node ``n_inner - 1``.
-    ``targets[t]`` (float32 ``1 - bit``) and ``signs[t]`` (float64 ``+1``
-    for bit 0, ``-1`` for bit 1) are the code bits as the hierarchical
-    softmax consumes them, derived once here rather than per objective.
+    ``targets[t]`` (float32 ``1 - bit``) are the code bits as the
+    hierarchical softmax labels its path nodes, derived once here rather
+    than per objective.
     """
 
     codes: list[np.ndarray]  # uint8 bit arrays
     paths: list[np.ndarray]  # int32 inner-node indices
     n_inner: int
     targets: list[np.ndarray] = field(init=False, repr=False)
-    signs: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.targets = [np.float32(1.0) - c.astype(np.float32) for c in self.codes]
-        self.signs = [1.0 - 2.0 * c.astype(np.float64) for c in self.codes]
 
 
 @dataclass

@@ -5,6 +5,7 @@ import pytest
 
 from seqvec.classify import (
     ConfusionCounts,
+    _cv_families,
     MetricValues,
     SvmModel,
     aggregate_metrics,
@@ -101,6 +102,13 @@ class TestStratifiedFolds:
         for lab in "abc":
             per_fold = [np.sum((fold_of == f) & (labels == lab)) for f in range(5)]
             assert max(per_fold) - min(per_fold) <= 1
+
+    def test_family_selection_ranks_by_size_then_name(self):
+        sizes = {"A": 12, "B": 15, "C": 20, "E": 15, "D": 3}
+        assert _cv_families(sizes, folds=10, top_n=3) == ["C", "B", "E"]
+        with pytest.warns(UserWarning, match="dropped 1 families with fewer than "
+                                             "10 members: D$"):
+            assert _cv_families(sizes, folds=10) == ["C", "B", "E", "A"]
 
     def test_deterministic_for_seed(self):
         labels = ["a"] * 10 + ["b"] * 10

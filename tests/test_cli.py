@@ -124,6 +124,15 @@ class TestTrain:
         assert rc == 2
         assert "seqvec: usage error: workers" in capsys.readouterr().err
 
+    def test_non_integer_negative_count_is_usage_error(self, tiny_dataset, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        rc = main(["train", "--corpus", str(corpus), "--objective", "ns:abc",
+                   "--output", str(root / "bad.bin")])
+        assert rc == 2
+        assert "seqvec: usage error: the N of --objective" in capsys.readouterr().err
+        assert not (root / "bad.bin").exists()
+
     def test_non_integer_seqvec_seed_is_usage_error(self, tiny_dataset, monkeypatch,
                                                    capsys):
         root, fasta, labels = tiny_dataset
@@ -188,6 +197,19 @@ class TestVectorsAndInfer:
         assert rc == 1
         assert "byte" in capsys.readouterr().err
 
+    def test_undecodable_doc_id_is_data_error(self, tiny_dataset, tmp_path, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        blob = bytearray(_train(root, corpus).read_bytes())
+        first_id = load_model(bytes(blob)).doc_ids[0].encode()
+        blob[blob.index(first_id)] = 0xFF
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(bytes(blob))
+        rc = main(["vectors", "--model", str(broken), "--output",
+                   str(tmp_path / "v.txt")])
+        assert rc == 1
+        assert "doc id 0 is not valid UTF-8 at byte" in capsys.readouterr().err
+
 
 PER_FAMILY = 12
 
@@ -246,6 +268,15 @@ class TestEvaluationCommands:
         for row in out[1:]:
             assert float(row.split("\t")[5]) >= 95.0  # Accuracy(%)
 
+
+    def test_non_integer_k_is_usage_error(self, eval_files, capsys):
+        vectors, labels = eval_files
+        rc = main(["knn-eval", "--vectors", str(vectors), "--labels",
+                   str(labels), "--folds", "4", "--k", "1,x", "--seed", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seqvec: usage error: each --k value" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
     def test_non_finite_vector_is_data_error(self, eval_files, tmp_path, command, capsys):

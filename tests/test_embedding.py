@@ -24,7 +24,12 @@ from seqvec.embedding import (
     train,
 )
 from seqvec.errors import ConfigError, DataError
-from seqvec.tokenizer import TokenizedDoc, build_vocabulary, subsample_keep_probs
+from seqvec.tokenizer import (
+    TokenizedDoc,
+    build_vocabulary,
+    ensure_huffman,
+    subsample_keep_probs,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -168,10 +173,46 @@ class TestObjectiveGradient:
                 grad_h,
             )
 
+    def test_ns_accepts_more_negatives_than_configured(self):
+        cfg = TrainConfig(dim=4, objective="ns", negative=2, seed=0)
+        model = init_model(_vocab(8), 1, cfg)
+        model.O[:] = np.random.default_rng(1).normal(size=model.O.shape)
+        negs = np.array([1, 2, 3, 2, 5, 6, 7])
+        loss, grad_h, row_grads = objective_gradient(np.zeros(4), 0, model,
+                                                     negatives=negs)
+        assert loss == pytest.approx(8 * math.log(2), rel=1e-12)
+        O = model.O.astype(np.float64)
+        assert np.allclose(grad_h, 0.5 * O[negs].sum(axis=0) - 0.5 * O[0], atol=1e-12)
+        assert sorted(row_grads) == [0, 1, 2, 3, 5, 6, 7]
+
     def test_ns_requires_rng_or_negatives(self):
         model = init_model(_vocab(4), 1, TrainConfig(dim=3))
         with pytest.raises(ConfigError):
             objective_gradient(np.zeros(3), 0, model)
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    def test_apply_takes_the_checked_gradient_step(self, objective):
+        # 3 tokens and 6 noise draws: under ns the negatives must repeat
+        cfg = TrainConfig(dim=5, objective=objective, negative=6, seed=0)
+        model = init_model(_vocab(3), 1, cfg)
+        rng = np.random.default_rng(8)
+        model.O[:] = 0.5 * rng.normal(size=model.O.shape)
+        h = (0.5 * rng.normal(size=5)).astype(np.float32)
+        alpha, target = 0.1, 1
+        negs = draw_negatives(np.random.default_rng(5), model.vocab.sampling_table,
+                              target, cfg.negative)
+        if objective == "ns":
+            assert len(np.unique(negs)) < len(negs)
+        _, grad_h, row_grads = objective_gradient(h, target, model, negatives=negs)
+
+        before = model.O.copy()
+        e = _make_objective(model, cfg).apply(h, target, alpha,
+                                              np.random.default_rng(5))
+        assert np.allclose(e, -alpha * grad_h, rtol=1e-5, atol=1e-7)
+        expected = before.astype(np.float64)
+        for row, grad in row_grads.items():
+            expected[row] -= alpha * grad
+        assert np.allclose(model.O, expected, rtol=1e-5, atol=1e-7)
 
 
 def _position_loss(model, arch, tag, toks, pos, c, negatives):
@@ -623,9 +664,11 @@ class TestLossEstimate:
         # infer_docs and loss_estimate bind a fresh objective on every call
         cfg = TrainConfig(architecture="dm", dim=4, objective="hs", seed=0)
         model = init_model(_vocab(6), 2, cfg)
-        first, second = _make_objective(model, cfg), _make_objective(model, cfg)
-        assert first.targets is second.targets
-        assert first.signs is second.signs
+        huffman = ensure_huffman(model.vocab)
+        for obj in (_make_objective(model, cfg), _make_objective(model, cfg)):
+            rows, labels = obj.scored(3, None)
+            assert rows is huffman.paths[3]
+            assert labels is huffman.targets[3]
 
 
 class TestInference:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqvec.classify import MetricSummary
+from seqvec.classify import MetricSummary, multiclass_protocol
 from seqvec.errors import ConfigError, DataError
 from seqvec.knn import (
     NeighborResult,
@@ -234,6 +234,23 @@ class TestKnnCrossValidate:
                 VectorIndex(matrix, ids, labels), folds=2, k_values=[1], seed=0
             )
         assert report[1].mean == 1.0
+
+    def test_drops_the_same_families_as_multiclass_protocol(self):
+        index = _two_cluster_index(per_class=6)
+        matrix = np.vstack([index.matrix, [[50.0, 50.0], [60.0, 60.0]]])
+        ids = index.ids + ["lonely", "alone"]
+        labels = index.labels + ["D", "C"]
+        with pytest.warns(UserWarning) as knn_warned:
+            knn_cross_validate(VectorIndex(matrix, ids, labels), folds=2,
+                               k_values=[1], seed=0)
+        with pytest.warns(UserWarning) as svm_warned:
+            multiclass_protocol(dict(zip(ids, matrix)), dict(zip(ids, labels)),
+                                top_n_families=4, folds=2, seed=0)
+        dropped = [[str(w.message) for w in warned if "dropped" in str(w.message)]
+                   for warned in (knn_warned, svm_warned)]
+        assert dropped[0] == dropped[1] == [
+            "dropped 2 families with fewer than 2 members: C, D"
+        ]
 
     def test_folds_partition_the_data(self):
         # every usable vector lands in exactly one test fold

@@ -8,6 +8,7 @@ import pytest
 from seqvec.embedding import TrainConfig, init_model, train
 from seqvec.errors import DataError
 from seqvec.model_io import (
+    _CONFIG,
     ModelFormatError,
     load_model,
     read_vectors,
@@ -83,6 +84,26 @@ class TestModelRejection:
         blob = _bytes_of(_trained_model())
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(blob + b"\x00")
+
+    @pytest.mark.parametrize("field, what", [(b"km4", "token 4"), (b"seqB", "doc id 1")])
+    def test_undecodable_id_rejected_with_its_offset(self, field, what):
+        blob = bytearray(_bytes_of(_trained_model()))
+        at = blob.index(field) + 1
+        blob[at] = 0xFF
+        with pytest.raises(ModelFormatError,
+                           match=f"{what} is not valid UTF-8 at byte {at}$"):
+            load_model(bytes(blob))
+
+    @pytest.mark.parametrize("objective, size", [
+        ("ns", 0), ("hs", 0), ("hs", 1), ("ns", 2**63), ("ns", 2**64 - 1),
+    ])
+    def test_impossible_vocabulary_size_rejected(self, objective, size):
+        blob = bytearray(_bytes_of(_trained_model(objective)))
+        at = 8 + _CONFIG.size
+        blob[at : at + 8] = size.to_bytes(8, "little")
+        with pytest.raises(ModelFormatError,
+                           match=f"vocabulary size {size} at byte {at}$"):
+            load_model(bytes(blob))
 
 
 class TestVectorText:

@@ -214,10 +214,9 @@ class TestHuffman:
 
     def test_objective_arrays_follow_the_code_bits(self):
         h = build_huffman(build_vocabulary({"a": 4, "b": 1, "c": 1}))
-        for bits, target, sign in zip(h.codes, h.targets, h.signs):
-            assert target.dtype == np.float32 and sign.dtype == np.float64
+        for bits, target in zip(h.codes, h.targets):
+            assert target.dtype == np.float32
             assert np.array_equal(target, 1 - bits.astype(int))
-            assert np.array_equal(sign, 1 - 2 * bits.astype(int))
 
     def test_single_token_is_an_error(self):
         with pytest.raises(DataError):

@@ -24,13 +24,14 @@ records = markov_family_corpus(n_families=3, per_family=40, length=80,
 held_out = records[::20]          # a few members of each family
 training = [r for r in records if r not in held_out]
 
-corpus = build_corpus(training, TokenizerConfig(k=3, mode="nonoverlap"))
+tokenizer = TokenizerConfig(k=3, mode="nonoverlap")
+corpus = build_corpus(training, tokenizer)
 print(f"{len(training)} sequences -> {len(corpus.docs)} documents, "
       f"vocabulary {len(corpus.vocab)}")
 
 cfg = TrainConfig(architecture="dm", dim=32, window=5, objective="ns",
                   negative=5, epochs=60, alpha0=0.05, seed=1)
-model = init_model(corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids)
+model = init_model(corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids, tokenizer)
 
 before = loss_estimate(model, corpus.docs, probe_seed=0)
 train(model, corpus.docs)
@@ -49,12 +50,9 @@ print(f"mean cosine across family : {sims[~same].mean():+.3f}")
 
 # --- inference: a frozen model embeds sequences it never trained on ------
 
-lookup = corpus.vocab.index
-from seqvec import kmers_nonoverlapping
-
 for rec in held_out[:3]:
-    phases = kmers_nonoverlapping(rec.residues, 3)
-    token_lists = [[lookup[km] for km in ph if km in lookup] for ph in phases]
+    # the same kmer -> id rule as training; unknown kmers are dropped
+    token_lists = [corpus.vocab.encode(ph) for ph in tokenizer.phases(rec.residues)]
     vec = infer_docs(model, token_lists, seed=42)
     vec = vec / np.linalg.norm(vec)
     per_family = {f: float(np.mean(D[fams == f] @ vec)) for f in sorted(set(fams))}

@@ -365,6 +365,7 @@ def multiclass_protocol(
 
     fold_of = stratified_folds(y, folds, np.random.default_rng([seed, 1]))
     per_fold = []
+    undefined = Counter()  # metric -> folds where some class leaves it undefined
     for f in range(folds):
         test = fold_of == f
         ovr = one_vs_rest(X[~test], y[~test], C, epochs, seed=[seed, 2, f])
@@ -382,8 +383,11 @@ def multiclass_protocol(
         for name in MetricValues._fields:
             defined = [getattr(m, name) for m in per_class
                        if getattr(m, name) is not None]
-            if len(defined) < len(per_class):
-                warnings.warn(f"{name} undefined for some classes in fold {f}")
+            undefined[name] += len(defined) < len(per_class)
             macro.append(float(np.mean(defined)) if defined else None)
         per_fold.append(MetricValues(*macro))
+    for name in MetricValues._fields:
+        if undefined[name]:
+            warnings.warn(f"{name} undefined for some classes in "
+                          f"{undefined[name]} of {folds} folds")
     return aggregate_metrics(per_fold)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 data errors (unreadable or malformed input),
 2 usage errors (bad flags or parameter values). Diagnostics go to
-stderr; reports go to stdout unless an --output path is given.
+stderr; reports go to stdout unless an --output path is given. Warnings,
+the library's included, print once per distinct message as
+``seqvec: warning: <message>``.
 The environment variable SEQVEC_SEED provides the default --seed.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +21,8 @@ import numpy as np
 from . import model_io
 from .align import AlignParams, align_classify, blosum62_params, load_substitution_matrix
 from .classify import binary_eligible_families, binary_family_protocol, multiclass_protocol
-from .embedding import TrainConfig, infer_docs, init_model, loss_estimate, train
+from .embedding import DOC_ARCHITECTURES, TrainConfig, infer_docs, init_model
+from .embedding import loss_estimate, train
 from .errors import ConfigError, DataError
 from .knn import VectorIndex, knn_cross_validate
 from .sequences import DNA, PROTEIN, load_family_labels, parse_fasta
@@ -52,6 +56,23 @@ def _output(path: str | None):
         return
     with open(path, "w") as out:
         yield out
+
+
+@contextmanager
+def _warnings_to_stderr():
+    """Print each distinct warning raised inside once, in the CLI's own form."""
+    seen = set()
+
+    def show(message, *_):  # the signature of warnings.showwarning
+        if str(message) not in seen:
+            seen.add(str(message))
+            print(f"seqvec: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        # past Python's once-per-call-site memory: each command warns afresh
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = show
+        yield
 
 
 def _fmt(summary) -> str:
@@ -112,6 +133,10 @@ def cmd_train(args) -> int:
 def cmd_vectors(args) -> int:
     with open(args.model, "rb") as fh:
         model = model_io.load_model(fh)
+    arch = model.config.architecture
+    if arch not in DOC_ARCHITECTURES:
+        raise ConfigError(f"architecture {arch!r} trains no sequence vectors "
+                          f"(only {', '.join(DOC_ARCHITECTURES)} do)")
     with _output(args.output) as out:
         model_io.write_vectors(model.doc_ids, model.D, out)
     return 0
@@ -123,19 +148,12 @@ def cmd_infer(args) -> int:
     with open(args.input, "rb") as fh:
         records = parse_fasta(fh, PROTEIN, "replace")
     tok = model.tokenizer
-    lookup = model.vocab.index
     ids, rows = [], []
     skipped = 0
     for rec in records:
-        if len(rec.residues) < tok.min_length():
-            skipped += 1
-            continue
-        token_lists = [
-            [lookup[km] for km in phase if km in lookup]
-            for phase in tok.phases(rec.residues)
-        ]
-        token_lists = [tl for tl in token_lists if tl]
-        if not token_lists:
+        phases = tok.phases(rec.residues) if len(rec.residues) >= tok.min_length() else []
+        token_lists = [tl for tl in map(model.vocab.encode, phases) if len(tl)]
+        if not token_lists:  # too short, or no kmer in the vocabulary
             skipped += 1
             continue
         ids.append(rec.id)
@@ -147,7 +165,7 @@ def cmd_infer(args) -> int:
     with _output(args.output) as out:
         model_io.write_vectors(ids, np.stack(rows), out)
     if skipped:
-        print(f"skipped {skipped} sequences", file=sys.stderr)
+        warnings.warn(f"skipped {skipped} sequences")
     return 0
 
 
@@ -157,13 +175,10 @@ def _load_labeled_vectors(vec_path: str, labels_path: str):
     with open(labels_path, "rb") as fh:
         labels, dups = load_family_labels(fh)
     if dups:
-        print(f"warning: {dups} duplicate label lines", file=sys.stderr)
+        warnings.warn(f"{dups} duplicate label lines")
     keep = [i for i, rid in enumerate(ids) if rid in labels]
     if len(keep) < len(ids):
-        print(
-            f"warning: {len(ids) - len(keep)} vectors have no family label",
-            file=sys.stderr,
-        )
+        warnings.warn(f"{len(ids) - len(keep)} vectors have no family label")
     if not keep:
         raise DataError("no vector id appears in the label file")
     ids = [ids[i] for i in keep]
@@ -321,7 +336,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        with _warnings_to_stderr():
+            return args.func(args)
     except ConfigError as exc:
         print(f"seqvec: usage error: {exc}", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ from .tokenizer import (
 
 __all__ = [
     "ARCHITECTURES",
+    "DOC_ARCHITECTURES",
     "OBJECTIVES",
     "TrainConfig",
     "EmbeddingModel",
@@ -67,6 +68,8 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("dm", "dbow", "cbow", "sg")
+#: The architectures that train document vectors (cbow and sg leave D as drawn).
+DOC_ARCHITECTURES = ("dm", "dbow")
 OBJECTIVES = ("ns", "hs")
 
 #: Sigmoid inputs are clamped here; s(30) is 1 within float32 resolution.
@@ -139,10 +142,6 @@ class EmbeddingModel:
         return self.D.shape[1]
 
 
-def _output_rows(vocab_size: int, objective: str) -> int:
-    return vocab_size if objective == "ns" else vocab_size - 1
-
-
 def init_model(
     vocab: Vocabulary,
     n_docs: int,
@@ -165,7 +164,7 @@ def init_model(
     bound = 0.5 / cfg.dim
     D = rng.uniform(-bound, bound, (n_docs, cfg.dim)).astype(np.float32)
     W = rng.uniform(-bound, bound, (V, cfg.dim)).astype(np.float32)
-    O = np.zeros((_output_rows(V, cfg.objective), cfg.dim), dtype=np.float32)
+    O = np.zeros((V if cfg.objective == "ns" else V - 1, cfg.dim), dtype=np.float32)
     return EmbeddingModel(D, W, O, vocab, cfg, doc_ids, tokenizer)
 
 
@@ -320,23 +319,14 @@ def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
             raise DataError(f"document {doc.doc_tag} has token ids outside [0, {V})")
 
 
-def train(
-    model: EmbeddingModel,
-    docs: Sequence[TokenizedDoc],
-    cfg: TrainConfig | None = None,
-) -> EmbeddingModel:
-    """Run cfg.epochs SGD passes over ``docs``, updating the model in place.
+def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel:
+    """Run model.config.epochs SGD passes over ``docs``, updating the model
+    in place.
 
     Document order is reshuffled per epoch from the seeded generator;
-    positions within a document run in order. Passing a ``cfg`` overrides
-    the training schedule, but its dim/objective must match the model.
+    positions within a document run in order.
     """
-    if cfg is None:
-        cfg = model.config
-    if cfg.dim != model.dim:
-        raise ConfigError("cfg.dim does not match the model matrices")
-    if _output_rows(len(model.vocab), cfg.objective) != model.O.shape[0]:
-        raise ConfigError("cfg.objective does not match the output matrix shape")
+    cfg = model.config
     _check_docs(model, docs)
 
     obj = _make_objective(model, cfg)
@@ -423,7 +413,6 @@ def infer_docs(
     model: EmbeddingModel,
     token_lists: Sequence[Sequence[int] | np.ndarray],
     infer_epochs: int | None = None,
-    alpha0: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Learn one new document vector from the given token documents.
@@ -431,13 +420,13 @@ def infer_docs(
     W and O stay frozen; a freshly initialized vector receives the
     document-side updates of the model's architecture for ``infer_epochs``
     passes (default: twice the training epochs) at a learning rate
-    decaying linearly from ``alpha0`` (default: the training alpha0).
+    decaying linearly from the training alpha0.
     Token ids outside the vocabulary are dropped; multiple documents (the
     phase readings of one sequence) share the single inferred vector.
     Only document architectures (dm, dbow) support inference.
     """
     cfg = model.config
-    if cfg.architecture not in ("dm", "dbow"):
+    if cfg.architecture not in DOC_ARCHITECTURES:
         raise ConfigError(
             f"architecture {cfg.architecture!r} has no document pathway to infer with"
         )
@@ -445,8 +434,6 @@ def infer_docs(
         infer_epochs = 2 * cfg.epochs
     if infer_epochs < 0:
         raise ConfigError("infer_epochs must be >= 0")
-    if alpha0 is None:
-        alpha0 = cfg.alpha0
     V = len(model.vocab)
     kept = []
     for tl in token_lists:
@@ -463,6 +450,7 @@ def infer_docs(
     if infer_epochs == 0:
         return vec
     obj = _make_objective(model, cfg)
+    alpha0 = cfg.alpha0
     alpha_min = alpha0 / 10_000.0
     total = infer_epochs * sum(len(t) for t in kept)
     processed = 0
@@ -481,8 +469,7 @@ def infer_doc(
     model: EmbeddingModel,
     tokens: Sequence[int] | np.ndarray,
     infer_epochs: int | None = None,
-    alpha0: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Infer a vector for a single token document (see infer_docs)."""
-    return infer_docs(model, [tokens], infer_epochs, alpha0, seed)
+    return infer_docs(model, [tokens], infer_epochs, seed)

@@ -34,7 +34,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainConfig, ARCHITECTURES, OBJECTIVES
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .sequences import _as_text
 from .tokenizer import MODES, TokenizerConfig, Vocabulary
 
@@ -59,9 +59,9 @@ def save_model(model: EmbeddingModel, stream: IO[bytes]) -> None:
     cfg = model.config
     tok = model.tokenizer
     if tok is None:
-        # infer from the vocabulary so the file is always self-contained
-        k = len(model.vocab.tokens[0]) if model.vocab.tokens else 1
-        tok = TokenizerConfig(k=k, mode="overlap")
+        raise ConfigError("model has no tokenizer settings; pass the corpus's "
+                          "TokenizerConfig to init_model so that inference "
+                          "splits queries as training did")
     doc_ids = model.doc_ids or [f"doc{i}" for i in range(model.n_docs)]
     if len(doc_ids) != model.n_docs:
         raise DataError("doc_ids length does not match the document matrix")

@@ -13,6 +13,11 @@ The vocabulary assigns dense integer ids in first-occurrence order,
 drops tokens rarer than ``min_count`` (removing their occurrences from
 the documents), and carries the cumulative count^0.75 table used to draw
 negative samples plus, on demand, a Huffman coding of the tokens.
+
+``Vocabulary.encode`` is the only kmer -> id rule, for corpora and for
+inference queries alike. ``build_corpus`` and ``read_corpus`` share one
+assembly (``_assemble``): count, build the vocabulary, encode, drop empty
+documents, and tag the surviving sequences densely.
 """
 
 from __future__ import annotations
@@ -138,6 +143,12 @@ class Vocabulary:
         """Per-token corpus frequency count/total."""
         return self.counts / self.total
 
+    def encode(self, kmers: Sequence[str]) -> np.ndarray:
+        """The int32 token ids of ``kmers``; kmers not in the vocabulary
+        are dropped."""
+        index = self.index
+        return np.array([index[km] for km in kmers if km in index], dtype=np.int32)
+
 
 def kmers_overlapping(residues: str, k: int) -> list[str]:
     """All kmers of ``residues`` at stride 1, in source order.
@@ -190,20 +201,38 @@ class Corpus:
         return iter((self.docs, self.vocab))
 
 
-def build_vocabulary(counts: Counter[str] | dict[str, int], min_count: int = 1,
-                     order: Sequence[str] | None = None) -> Vocabulary:
-    """Vocabulary over ``counts`` with tokens below ``min_count`` removed.
-
-    ``order`` fixes the id order (defaults to the dict's iteration order,
-    i.e. first-occurrence order when counts come from a corpus scan).
-    """
+def build_vocabulary(counts: Counter[str] | dict[str, int],
+                     min_count: int = 1) -> Vocabulary:
+    """Vocabulary over ``counts`` with tokens below ``min_count`` removed,
+    in the dict's iteration order (first-occurrence order when the counts
+    come from a corpus scan)."""
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    if order is None:
-        order = list(counts)
-    kept = [t for t in order if counts[t] >= min_count]
+    kept = [t for t in counts if counts[t] >= min_count]
     return Vocabulary(kept, np.array([counts[t] for t in kept], dtype=np.int64),
                       min_count=min_count)
+
+
+def _assemble(raw: Sequence[tuple[int, int, list[str]]], min_count: int
+              ) -> tuple[list[TokenizedDoc], Vocabulary, list[int]]:
+    """Documents, vocabulary and kept keys from ``(key, phase, kmers)``.
+
+    Kmers are counted in first-occurrence order and encoded against the
+    vocabulary built at ``min_count``; documents left empty are dropped.
+    The keys that keep a document get dense tags in ascending key order.
+    """
+    counts: Counter[str] = Counter()
+    for _, _, kmers in raw:
+        counts.update(kmers)
+    vocab = build_vocabulary(counts, min_count)
+    encoded = [(key, phase, vocab.encode(kmers)) for key, phase, kmers in raw]
+    encoded = [doc for doc in encoded if len(doc[2])]
+    if not encoded:
+        raise DataError("empty corpus: min_count filtering removed every token")
+    keys = sorted({key for key, _, _ in encoded})
+    tag_of = {key: tag for tag, key in enumerate(keys)}
+    docs = [TokenizedDoc(tag_of[key], phase, ids) for key, phase, ids in encoded]
+    return docs, vocab, keys
 
 
 def build_corpus(
@@ -219,46 +248,14 @@ def build_corpus(
     that still own at least one document, preserving input order. Raises
     DataError if nothing survives.
     """
-    raw_docs: list[tuple[int, int, list[str]]] = []  # (seq_index, phase, kmers)
-    skipped: list[str] = []
-    counts: Counter[str] = Counter()
-    kept_records: list[SequenceRecord] = []
-
-    for rec in records:
-        if len(rec.residues) < cfg.min_length():
-            skipped.append(rec.id)
-            continue
-        seq_index = len(kept_records)
-        kept_records.append(rec)
-        for phase, kmers in enumerate(cfg.phases(rec.residues)):
-            raw_docs.append((seq_index, phase, kmers))
-            counts.update(kmers)
-
-    if not raw_docs:
+    kept = [rec for rec in records if len(rec.residues) >= cfg.min_length()]
+    skipped = [rec.id for rec in records if len(rec.residues) < cfg.min_length()]
+    if not kept:
         raise DataError("empty corpus: no sequence satisfied the length requirement")
-
-    vocab = build_vocabulary(counts, min_count)
-    lookup = vocab.index
-
-    docs: list[TokenizedDoc] = []
-    populated: set[int] = set()
-    pending: list[tuple[int, int, np.ndarray]] = []
-    for seq_index, phase, kmers in raw_docs:
-        ids = np.array([lookup[km] for km in kmers if km in lookup], dtype=np.int32)
-        if len(ids) == 0:
-            continue
-        populated.add(seq_index)
-        pending.append((seq_index, phase, ids))
-
-    if not pending:
-        raise DataError("empty corpus: min_count filtering removed every token")
-
-    # Dense tags over sequences that kept at least one document.
-    tag_of = {s: t for t, s in enumerate(sorted(populated))}
-    for seq_index, phase, ids in pending:
-        docs.append(TokenizedDoc(tag_of[seq_index], phase, ids))
-    doc_ids = [kept_records[s].id for s in sorted(populated)]
-    return Corpus(docs, vocab, doc_ids, skipped)
+    raw = [(i, phase, kmers) for i, rec in enumerate(kept)
+           for phase, kmers in enumerate(cfg.phases(rec.residues))]
+    docs, vocab, keys = _assemble(raw, min_count)
+    return Corpus(docs, vocab, [kept[i].id for i in keys], skipped)
 
 
 def subsample_keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
@@ -357,12 +354,12 @@ def write_corpus(
 
 
 def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
-    """Load a tokenized corpus written by write_corpus (or by hand)."""
+    """Load a tokenized corpus written by write_corpus (or by hand).
+    Doc tags must be nonnegative; gaps between them are closed."""
     k = None
     mode = None
     id_of: dict[int, str] = {}
     raw: list[tuple[int, int, list[str]]] = []
-    counts: Counter[str] = Counter()
     max_phase = 0
     for lineno, line in enumerate(io.StringIO(_as_text(data)), start=1):
         line = line.rstrip("\r\n")
@@ -395,21 +392,15 @@ def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
             tag, phase = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise DataError(f"line {lineno}: bad doc_tag/phase in {line!r}") from exc
-        kmers = parts[2:]
-        raw.append((tag, phase, kmers))
-        counts.update(kmers)
+        if tag < 0:
+            raise DataError(f"line {lineno}: negative doc_tag in {line!r}")
+        raw.append((tag, phase, parts[2:]))
         max_phase = max(max_phase, phase)
     if not raw:
         raise DataError("empty corpus file")
 
-    vocab = build_vocabulary(counts, min_count=1)
-    lookup = vocab.index
-    docs = [
-        TokenizedDoc(tag, phase, np.array([lookup[km] for km in kmers], dtype=np.int32))
-        for tag, phase, kmers in raw
-    ]
-    n_docs = max(d.doc_tag for d in docs) + 1
-    doc_ids = [id_of.get(tag, f"doc{tag}") for tag in range(n_docs)]
+    docs, vocab, tags = _assemble(raw, min_count=1)
+    doc_ids = [id_of.get(tag, f"doc{tag}") for tag in tags]
     if k is None:
         k = len(vocab.tokens[0])
     if mode is None:

@@ -1,5 +1,7 @@
 """Tests for metrics, the Pegasos SVM, and the evaluation protocols."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,22 @@ class TestMulticlassProtocol:
         with pytest.warns(UserWarning, match="using all"):
             report = multiclass_protocol(vectors, labels, top_n_families=25, seed=0)
         assert report.accuracy.mean >= 0.9
+
+    def test_undefined_metric_warns_once_with_its_fold_count(self):
+        # B sits on top of A, so B is never predicted: precision is
+        # undefined for it in every fold
+        rng = np.random.default_rng(0)
+        vectors, labels = {}, {}
+        for fam, center in (("A", [5.0, 0.0]), ("B", [5.0, 0.0]), ("C", [0.0, 5.0])):
+            for i in range(8):
+                vectors[f"{fam}{i}"] = np.array(center) + 0.01 * rng.normal(size=2)
+                labels[f"{fam}{i}"] = fam
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            multiclass_protocol(vectors, labels, top_n_families=3, folds=4, seed=0)
+        assert [str(w.message) for w in caught] == [
+            "precision undefined for some classes in 4 of 4 folds"
+        ]
 
     def test_fewer_than_two_families_rejected(self):
         vectors = {f"s{i}": np.zeros(2) for i in range(20)}

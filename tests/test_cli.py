@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqvec.cli import main
+from seqvec.cli import _warnings_to_stderr, main
 from seqvec.model_io import load_model, read_vectors
 from seqvec.sequences import SequenceRecord, write_fasta
 from seqvec.synthetic import markov_family_corpus
@@ -186,6 +186,34 @@ class TestVectorsAndInfer:
         assert len(ids) == 16
         assert matrix.shape == (16, 16)
 
+    @pytest.mark.parametrize("arch", ["cbow", "sg"])
+    def test_vectors_rejects_architectures_without_sequence_vectors(
+            self, tiny_dataset, tmp_path, arch, capsys):
+        # cbow and sg never update D, so its rows are the untrained draw
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        model_path = _train(root, corpus, f"model_{arch}.bin", extra=("--arch", arch))
+        out = tmp_path / "vecs.txt"
+        rc = main(["vectors", "--model", str(model_path), "--output", str(out)])
+        assert rc == 2
+        assert f"architecture {arch!r} trains no sequence vectors" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_infer_reports_skipped_sequences_as_a_warning(self, tiny_dataset,
+                                                          tmp_path, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        model_path = _train(root, corpus)
+        queries = tmp_path / "q.fasta"
+        first_record = ">" + fasta.read_text().split(">")[1]
+        queries.write_text(first_record + ">tiny\nAC\n")
+        capsys.readouterr()
+        rc = main(["infer", "--model", str(model_path), "--input", str(queries),
+                   "--epochs", "2", "--output", str(tmp_path / "i.txt")])
+        assert rc == 0
+        assert capsys.readouterr().err == "seqvec: warning: skipped 1 sequences\n"
+
     def test_truncated_model_is_data_error(self, tiny_dataset, tmp_path, capsys):
         root, fasta, labels = tiny_dataset
         corpus = _tokenize(root, fasta)
@@ -268,6 +296,40 @@ class TestEvaluationCommands:
         for row in out[1:]:
             assert float(row.split("\t")[5]) >= 95.0  # Accuracy(%)
 
+    def test_library_warning_printed_in_the_cli_form_every_run(self, eval_files,
+                                                                capsys):
+        # --top-n 25 exceeds the 2 families, so multiclass_protocol warns
+        vectors, labels = eval_files
+        for _ in range(2):
+            rc = main(["svm-eval", "--vectors", str(vectors), "--labels",
+                       str(labels), "--mode", "multiclass", "--folds", "4",
+                       "--seed", "0"])
+            assert rc == 0
+            assert capsys.readouterr().err == (
+                "seqvec: warning: top_n_families=25 exceeds the 2 available "
+                "families; using all of them\n"
+            )
+
+    def test_own_warnings_share_the_form(self, eval_files, tmp_path, capsys):
+        vectors, labels = eval_files
+        dup_labels = tmp_path / "labels.tsv"
+        lines = labels.read_text().splitlines(keepends=True)
+        dup_labels.write_text("".join(lines[:-1] + lines[:1]))  # one dup, one unlabeled
+        rc = main(["knn-eval", "--vectors", str(vectors), "--labels", str(dup_labels),
+                   "--folds", "4", "--k", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "seqvec: warning: 1 duplicate label lines",
+            "seqvec: warning: 1 vectors have no family label",
+        ]
+
+    def test_each_distinct_warning_printed_once(self, capsys):
+        with _warnings_to_stderr():
+            for text in ("first", "second", "first"):
+                warnings.warn(text)
+        assert capsys.readouterr().err.splitlines() == [
+            "seqvec: warning: first", "seqvec: warning: second"
+        ]
 
     def test_non_integer_k_is_usage_error(self, eval_files, capsys):
         vectors, labels = eval_files

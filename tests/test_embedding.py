@@ -550,12 +550,10 @@ class TestTrain:
     def test_loss_lower_after_fifty_epochs_than_after_one(self):
         vocab = _vocab(6)
         docs = [_doc(0, [0, 1, 0, 1])]
-        base = TrainConfig(architecture="dm", dim=8, objective="ns", negative=2,
-                           alpha0=0.05, seed=3)
-        one = train(init_model(vocab, 1, base), docs,
-                    TrainConfig(**{**base.__dict__, "epochs": 1}))
-        fifty = train(init_model(vocab, 1, base), docs,
-                      TrainConfig(**{**base.__dict__, "epochs": 50}))
+        base = dict(architecture="dm", dim=8, objective="ns", negative=2,
+                    alpha0=0.05, seed=3)
+        one = train(init_model(vocab, 1, TrainConfig(**base, epochs=1)), docs)
+        fifty = train(init_model(vocab, 1, TrainConfig(**base, epochs=50)), docs)
         l_one = loss_estimate(one, docs, probe_seed=9)
         l_fifty = loss_estimate(fifty, docs, probe_seed=9)
         assert l_fifty < l_one

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqvec.embedding import TrainConfig, init_model, train
-from seqvec.errors import DataError
+from seqvec.errors import ConfigError, DataError
 from seqvec.model_io import (
     _CONFIG,
     ModelFormatError,
@@ -51,6 +51,14 @@ class TestModelRoundTrip:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert np.array_equal(loaded.vocab.counts, model.vocab.counts)
         assert loaded.vocab.min_count == model.vocab.min_count
+
+    def test_save_requires_tokenizer_settings(self):
+        # guessing them (overlap mode, k from the token length) would split
+        # queries of a non-overlapping model differently from training
+        model = _trained_model()
+        model.tokenizer = None
+        with pytest.raises(ConfigError, match="tokenizer"):
+            save_model(model, io.BytesIO())
 
     def test_save_is_deterministic(self):
         assert _bytes_of(_trained_model()) == _bytes_of(_trained_model())

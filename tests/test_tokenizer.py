@@ -195,6 +195,13 @@ class TestVocabulary:
         assert vocab.index == {"a": 0, "c": 1}
         assert vocab.total == 8
 
+    def test_encode_maps_kmers_to_ids_and_drops_unknown(self):
+        vocab = build_vocabulary({"a": 5, "b": 1, "c": 3}, min_count=2)
+        ids = vocab.encode(["c", "b", "zz", "a", "c"])
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [1, 0, 1]
+        assert vocab.encode(["b"]).tolist() == []
+
 
 class TestHuffman:
     def test_two_tokens_complementary_single_bits(self):
@@ -280,6 +287,32 @@ class TestCorpusRoundTrip:
             for d in loaded.docs
         ]
         assert original == reloaded
+
+    def test_min_count_corpus_reads_back_identically(self):
+        cfg = TokenizerConfig(3)
+        records = [_qwerty_record(), SequenceRecord("r2", "", "QWERTYQWERT"),
+                   SequenceRecord("r3", "", "MMMKKKLLLPPP")]
+        corpus = build_corpus(records, cfg, min_count=2)
+        buf = io.StringIO()
+        write_corpus(corpus, buf, cfg)
+        loaded, _ = read_corpus(buf.getvalue())
+        assert loaded.vocab.tokens == corpus.vocab.tokens
+        assert loaded.vocab.counts.tolist() == corpus.vocab.counts.tolist()
+        assert loaded.doc_ids == corpus.doc_ids == ["q1", "r2"]
+        assert [(d.doc_tag, d.phase, d.tokens.tolist()) for d in loaded.docs] == [
+            (d.doc_tag, d.phase, d.tokens.tolist()) for d in corpus.docs
+        ]
+
+    def test_tag_gaps_become_dense_rows(self):
+        text = "#doc 0 a\n#doc 1 b\n#doc 2 c\n0 0 ACG TTA\n2 0 CGT ACG\n"
+        corpus, _ = read_corpus(text)
+        assert corpus.doc_ids == ["a", "c"]
+        assert [d.doc_tag for d in corpus.docs] == [0, 1]
+        assert corpus.vocab.tokens == ["ACG", "TTA", "CGT"]
+
+    def test_negative_tag_rejected_with_its_line(self):
+        with pytest.raises(DataError, match="line 2: negative doc_tag"):
+            read_corpus("0 0 ACG\n-1 0 TTA\n")
 
     def test_read_without_metadata_infers_config(self):
         text = "0 0 ACG TTA\n0 1 CGT TAC\n"

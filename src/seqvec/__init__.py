@@ -32,7 +32,6 @@ from .classify import (
 from .embedding import (
     EmbeddingModel,
     TrainConfig,
-    infer_doc,
     infer_docs,
     init_model,
     loss_estimate,

@@ -14,6 +14,7 @@ warning rather than coerced to zero.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ __all__ = [
     "binary_eligible_families",
     "multiclass_protocol",
 ]
+
+#: Pegasos passes over the training examples per SVM fit.
+SVM_EPOCHS = 20
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,18 @@ def _summarize(values: list[float]) -> MetricSummary:
 
 def aggregate_metrics(per_fold: Sequence[MetricValues]) -> MetricsReport:
     """Mean +/- sample std per metric, skipping undefined folds (warns)."""
+    return _aggregate(per_fold, "")
+
+
+def _aggregate(per_fold: Sequence[MetricValues], scope: str) -> MetricsReport:
+    """aggregate_metrics, with ``scope`` prefixed to each warning."""
     out = {}
     for name in MetricValues._fields:
         values = [getattr(m, name) for m in per_fold]
         defined = [v for v in values if v is not None]
         if len(defined) < len(values):
             warnings.warn(
-                f"{name} undefined in {len(values) - len(defined)} of "
+                f"{scope}{name} undefined in {len(values) - len(defined)} of "
                 f"{len(values)} folds; excluded from the average"
             )
         out[name] = _summarize(defined) if defined else None
@@ -166,7 +175,7 @@ def train_linear_svm(
     X: np.ndarray,
     y: Sequence[int] | np.ndarray,
     C: float = 1.0,
-    epochs: int = 20,
+    *,
     seed=0,
 ) -> SvmModel:
     """Pegasos-style SGD on the primal hinge loss; deterministic per seed.
@@ -179,20 +188,20 @@ def train_linear_svm(
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise ConfigError("X must be (n, d) with one label per row")
-    if C <= 0:
-        raise ConfigError("C must be positive")
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be finite and positive, got {C}")
     if set(np.unique(y).tolist()) != {-1, 1}:
         raise DataError("need both classes present, labels in {-1, +1}")
 
     n, d = X.shape
     lam = 1.0 / (n * C)
+    if lam == 0.0:  # n * C overflowed
+        raise ConfigError(f"C={C} is too large for {n} examples")
     w = np.zeros(d)
     b = 0.0
     t = 0
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for _ in range(SVM_EPOCHS):
         for i in rng.permutation(n):
             t += 1
             eta = 1.0 / (lam * t)
@@ -220,7 +229,7 @@ def one_vs_rest(
     X: np.ndarray,
     y: Sequence[str],
     C: float = 1.0,
-    epochs: int = 20,
+    *,
     seed=0,
 ) -> OneVsRestModel:
     """One binary model per class (class vs all others).
@@ -234,7 +243,7 @@ def one_vs_rest(
         raise DataError("one-vs-rest needs at least 2 classes")
     y = np.asarray(y)
     models = [
-        train_linear_svm(X, np.where(y == cls, 1, -1), C, epochs, seed)
+        train_linear_svm(X, np.where(y == cls, 1, -1), C, seed=seed)
         for cls in classes
     ]
     return OneVsRestModel(classes, models)
@@ -299,7 +308,6 @@ def binary_family_protocol(
     folds: int = 10,
     seed: int = 0,
     C: float = 1.0,
-    epochs: int = 20,
 ) -> MetricsReport:
     """Family-vs-rest evaluation with an equal-size random negative class.
 
@@ -332,9 +340,9 @@ def binary_family_protocol(
     per_fold = []
     for f in range(folds):
         test = fold_of == f
-        model = train_linear_svm(X[~test], y[~test], C, epochs, seed=[seed, 2, f])
+        model = train_linear_svm(X[~test], y[~test], C, seed=[seed, 2, f])
         per_fold.append(metrics_from_counts(_confusion(model.predict(X[test]), y[test])))
-    return aggregate_metrics(per_fold)
+    return _aggregate(per_fold, f"family {family}: ")
 
 
 def multiclass_protocol(
@@ -344,13 +352,14 @@ def multiclass_protocol(
     folds: int = 10,
     seed: int = 0,
     C: float = 1.0,
-    epochs: int = 20,
 ) -> MetricsReport:
     """One-vs-rest classification restricted to the largest families.
 
     Per fold, each class contributes a one-vs-rest confusion; the report
     macro-averages the metrics over classes, then summarizes over folds.
     """
+    if top_n_families < 1:
+        raise ConfigError(f"top_n_families must be >= 1, got {top_n_families}")
     ids = sorted(i for i in vectors if i in labels)
     sizes = Counter(labels[i] for i in ids)
     if top_n_families > len(sizes):
@@ -368,7 +377,7 @@ def multiclass_protocol(
     undefined = Counter()  # metric -> folds where some class leaves it undefined
     for f in range(folds):
         test = fold_of == f
-        ovr = one_vs_rest(X[~test], y[~test], C, epochs, seed=[seed, 2, f])
+        ovr = one_vs_rest(X[~test], y[~test], C, seed=[seed, 2, f])
         pred = np.array(ovr.predict(X[test]))
         truth = y[test]
         per_class = [

@@ -198,6 +198,8 @@ def cmd_knn_eval(args) -> int:
 
 
 def cmd_svm_eval(args) -> int:
+    if args.top_n < 1:
+        raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     ids, matrix, labels = _load_labeled_vectors(args.vectors, args.labels)
     vectors = {rid: matrix[i] for i, rid in enumerate(ids)}
     if args.mode == "multiclass":
@@ -211,9 +213,7 @@ def cmd_svm_eval(args) -> int:
             f"{_fmt(report.accuracy)}",
         ]
     else:
-        eligible = binary_eligible_families(vectors, labels, args.folds)
-        if args.top_n:
-            eligible = eligible[: args.top_n]
+        eligible = binary_eligible_families(vectors, labels, args.folds)[: args.top_n]
         if not eligible:
             raise DataError("no family has enough members for the binary protocol")
         lines = ["Family\tSpecificity(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd"]
@@ -334,8 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in vars(args):
+            if args.seed is None:
+                args.seed = _default_seed()
+            if args.seed < 0:
+                raise ConfigError(f"seed must be a nonnegative integer, got {args.seed}")
         with _warnings_to_stderr():
             return args.func(args)
     except ConfigError as exc:

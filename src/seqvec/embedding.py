@@ -28,17 +28,20 @@ g_r * h and h by sum_r g_r * o_r. The objectives differ only in the rows:
 SGD applies the analytic gradients: output rows get their own gradient
 terms; each row contributing to h receives grad_h scaled by
 1/(number of contributors), the exact chain-rule share of the mean. The
-learning rate decays linearly from alpha0 toward alpha_min over the total
-scheduled token count (document granularity).
+learning rate decays linearly from alpha0 toward alpha_min = alpha0 / 10000
+over the total scheduled token count (document granularity).
 
-Training, ``loss_estimate`` and ``infer_docs`` share one position walk
-(``_walk``), which draws the window widths and assembles each hidden
-vector. Training runs on a single thread and is bit-deterministic for a
-fixed seed; ``workers`` must be 1.
+``loss_estimate`` and the training step ``_train_doc`` share one position
+walk (``_walk``), which draws the window widths and assembles each hidden
+vector. Inference is that training step on a frozen model: ``infer_docs``
+runs ``_train_doc`` on a fresh one-row D with W and O left unwritten, on
+the same learning-rate schedule. Training runs on a single thread and is
+bit-deterministic for a fixed seed; ``workers`` must be 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +66,6 @@ __all__ = [
     "train",
     "objective_gradient",
     "loss_estimate",
-    "infer_doc",
     "infer_docs",
 ]
 
@@ -86,7 +88,6 @@ class TrainConfig:
     subsample_t: float = 0.0
     epochs: int = 20
     alpha0: float = 0.025
-    alpha_min: float | None = None
     seed: int = 1
     workers: int = 1
 
@@ -101,20 +102,21 @@ class TrainConfig:
             raise ConfigError("window must be positive")
         if self.objective == "ns" and self.negative < 1:
             raise ConfigError("negative sample count must be >= 1")
-        if self.subsample_t < 0:
-            raise ConfigError("subsample_t must be nonnegative")
+        if not 0 <= self.subsample_t < math.inf:
+            raise ConfigError("subsample_t must be finite and nonnegative")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
         if not 0 < self.alpha0 <= 1.0:
             raise ConfigError("alpha0 must be in (0, 1]")
-        if self.alpha_min is None:
-            object.__setattr__(self, "alpha_min", self.alpha0 / 10_000.0)
-        if not 0 <= self.alpha_min < self.alpha0:
-            raise ConfigError("alpha_min must satisfy 0 <= alpha_min < alpha0")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.workers != 1:
             raise ConfigError("workers must be 1 (training is single-threaded)")
+
+    @property
+    def alpha_min(self) -> float:
+        """The learning rate that training and inference decay toward."""
+        return self.alpha0 / 10_000.0
 
 
 @dataclass
@@ -161,11 +163,16 @@ def init_model(
     if n_docs < 1:
         raise DataError("need at least one document")
     rng = np.random.default_rng(cfg.seed)
-    bound = 0.5 / cfg.dim
-    D = rng.uniform(-bound, bound, (n_docs, cfg.dim)).astype(np.float32)
-    W = rng.uniform(-bound, bound, (V, cfg.dim)).astype(np.float32)
+    D = _uniform_rows(rng, n_docs, cfg.dim)
+    W = _uniform_rows(rng, V, cfg.dim)
     O = np.zeros((V if cfg.objective == "ns" else V - 1, cfg.dim), dtype=np.float32)
     return EmbeddingModel(D, W, O, vocab, cfg, doc_ids, tokenizer)
+
+
+def _uniform_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n float32 rows uniform in [-0.5/dim, 0.5/dim)."""
+    bound = 0.5 / dim
+    return rng.uniform(-bound, bound, (n, dim)).astype(np.float32)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -291,16 +298,21 @@ def _walk(arch, W, doc, toks, window, rng):
             yield W[ctx].sum(axis=0) / n, toks[pos], ctx, n
 
 
-def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng):
-    """One pass over one document's positions. Mutates the matrices."""
+def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng, learn=True):
+    """One pass over one document's positions, updating the row D[tag].
+
+    W and the objective's O are updated too when ``learn`` is true and
+    left unwritten when it is false (inference on a frozen model).
+    """
     doc = D[tag]
     for h, target, rows, n in _walk(arch, W, doc, toks, window, rng):
-        e = obj.apply(h, target, alpha, rng)
+        e = obj.apply(h, target, alpha, rng, learn)
         if rows is None:  # h is a view of its only contributing row
-            h += e
+            if learn or arch == "dbow":  # the sg row is a word row
+                h += e
             continue
         share = e / n
-        if len(rows):
+        if learn and len(rows):
             np.add.at(W, rows, share)
         if arch == "dm":
             doc += share
@@ -417,10 +429,10 @@ def infer_docs(
 ) -> np.ndarray:
     """Learn one new document vector from the given token documents.
 
-    W and O stay frozen; a freshly initialized vector receives the
-    document-side updates of the model's architecture for ``infer_epochs``
-    passes (default: twice the training epochs) at a learning rate
-    decaying linearly from the training alpha0.
+    The vector is a fresh document row trained by the training step
+    (``_train_doc``) with W and O frozen, for ``infer_epochs`` passes
+    (default: twice the training epochs) at the training learning-rate
+    schedule, alpha0 decaying toward alpha_min.
     Token ids outside the vocabulary are dropped; multiple documents (the
     phase readings of one sequence) share the single inferred vector.
     Only document architectures (dm, dbow) support inference.
@@ -445,31 +457,14 @@ def infer_docs(
         raise DataError("no in-vocabulary tokens to infer from")
 
     rng = np.random.default_rng([seed, 3])
-    bound = 0.5 / cfg.dim
-    vec = rng.uniform(-bound, bound, cfg.dim).astype(np.float32)
-    if infer_epochs == 0:
-        return vec
+    D = _uniform_rows(rng, 1, cfg.dim)
     obj = _make_objective(model, cfg)
-    alpha0 = cfg.alpha0
-    alpha_min = alpha0 / 10_000.0
     total = infer_epochs * sum(len(t) for t in kept)
     processed = 0
     for _ in range(infer_epochs):
         for toks in kept:
-            alpha = alpha0 + (alpha_min - alpha0) * (processed / total)
+            alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * (processed / total)
             processed += len(toks)
-            for h, target, rows, n in _walk(cfg.architecture, model.W, vec, toks,
-                                            cfg.window, rng):
-                e = obj.apply(h, target, alpha, rng, learn_hidden=False)
-                vec += e if rows is None else e / n
-    return vec
-
-
-def infer_doc(
-    model: EmbeddingModel,
-    tokens: Sequence[int] | np.ndarray,
-    infer_epochs: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Infer a vector for a single token document (see infer_docs)."""
-    return infer_docs(model, [tokens], infer_epochs, seed)
+            _train_doc(cfg.architecture, D, model.W, obj, toks, 0, alpha, cfg.window,
+                       rng, learn=False)
+    return D[0]

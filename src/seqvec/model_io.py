@@ -17,10 +17,12 @@ Model file layout (all integers little-endian):
         row-major
 
 The sampling table and Huffman coding are derived data and are rebuilt
-on load. Every read checks remaining bytes first, so a truncated file is
-rejected with the offending byte offset instead of producing a partial
-model. The text vector format is a "N d" header line followed by one
-"id v1 ... vd" line per vector.
+on load. So is the alpha_min slot: it holds alpha0 / 10000, which
+save_model writes and load_model ignores, so a file with another value
+there loads with the derived one. Every read checks remaining bytes
+first, so a truncated file is rejected with the offending byte offset
+instead of producing a partial model. The text vector format is a
+"N d" header line followed by one "id v1 ... vd" line per vector.
 
 Tokenizer settings ride inside the model on purpose: inference must
 split query sequences exactly as the training corpus was split.
@@ -146,7 +148,7 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
         raise ModelFormatError(f"unsupported model version {version} at byte 4")
 
     (arch, dim, window, objective, negative, subsample_t, epochs, alpha0,
-     alpha_min, seed, k, mode, min_count) = r.unpack(_CONFIG, "config block")
+     _alpha_min, seed, k, mode, min_count) = r.unpack(_CONFIG, "config block")
     try:
         cfg = TrainConfig(
             architecture=ARCHITECTURES[arch],
@@ -157,7 +159,6 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
             subsample_t=subsample_t,
             epochs=epochs,
             alpha0=alpha0,
-            alpha_min=alpha_min,
             seed=seed,
         )
         tok = TokenizerConfig(k=k, mode=MODES[mode])

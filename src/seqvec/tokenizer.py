@@ -369,8 +369,14 @@ def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
             for fieldspec in line.split()[1:]:
                 key, _, value = fieldspec.partition("=")
                 if key == "k":
+                    if not value.isdecimal() or int(value) < 1:
+                        raise DataError(f"line {lineno}: kmer length must be a "
+                                        f"positive integer, got {value!r}")
                     k = int(value)
                 elif key == "mode":
+                    if value not in MODES:
+                        raise DataError(f"line {lineno}: mode must be one of "
+                                        f"{MODES}, got {value!r}")
                     mode = value
             continue
         if line.startswith("#doc"):

@@ -1,5 +1,6 @@
 """Tests for metrics, the Pegasos SVM, and the evaluation protocols."""
 
+import math
 import warnings
 
 import numpy as np
@@ -142,6 +143,12 @@ class TestLinearSvm:
 
         model = train_linear_svm(X, y, C=1.0, seed=0)
         assert np.mean(model.predict(X) == y) <= 0.75
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.inf, math.nan])
+    def test_non_positive_or_non_finite_C_rejected(self, C):
+        X = np.array([[-1.0], [1.0]])
+        with pytest.raises(ConfigError, match="C must be finite and positive"):
+            train_linear_svm(X, [-1, 1], C=C)
 
     def test_single_class_rejected(self):
         X = np.zeros((3, 2))
@@ -310,6 +317,15 @@ class TestMulticlassProtocol:
         labels = {f"s{i}": "ONLY" for i in range(20)}
         with pytest.raises(DataError):
             multiclass_protocol(vectors, labels, top_n_families=1)
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, top_n):
+        centers = 30.0 * np.eye(3)
+        X, y = _clusters(centers, 15, 0.2, seed=3, prefix="FAM")
+        vectors = {f"s{i}": X[i] for i in range(len(X))}
+        labels = {f"s{i}": y[i] for i in range(len(X))}
+        with pytest.raises(ConfigError, match="top_n_families"):
+            multiclass_protocol(vectors, labels, top_n_families=top_n)
 
     def test_deterministic_for_seed(self):
         centers = 30.0 * np.eye(3)

@@ -116,6 +116,25 @@ class TestTrain:
                    "--output", str(root / "bad.bin")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_subsample_is_usage_error(self, tiny_dataset, tmp_path, value, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        rc = main(["train", "--corpus", str(corpus), "--subsample", value,
+                   "--output", str(tmp_path / "bad.bin")])
+        assert rc == 2
+        assert "seqvec: usage error: subsample_t" in capsys.readouterr().err
+        assert not (tmp_path / "bad.bin").exists()
+
+    @pytest.mark.parametrize("meta", ["k=x", "k=0", "mode=weird"])
+    def test_bad_corpus_metadata_is_data_error(self, tmp_path, meta, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"#meta {meta}\n0 0 ACG TTA\n")
+        rc = main(["train", "--corpus", str(corpus), "--dim", "4",
+                   "--output", str(tmp_path / "bad.bin")])
+        assert rc == 1
+        assert "seqvec: error: line 1: " in capsys.readouterr().err
+
     def test_workers_other_than_one_is_usage_error(self, tiny_dataset, capsys):
         root, fasta, labels = tiny_dataset
         corpus = _tokenize(root, fasta)
@@ -295,6 +314,39 @@ class TestEvaluationCommands:
         assert len(out) == 3  # one row per family
         for row in out[1:]:
             assert float(row.split("\t")[5]) >= 95.0  # Accuracy(%)
+
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    @pytest.mark.parametrize("flag, value", [("--top-n", "-1"), ("--top-n", "0"),
+                                             ("--C", "inf"), ("--C", "nan"),
+                                             ("--C", "1e308"), ("--seed", "-1")])
+    def test_bad_svm_values_are_usage_errors(self, eval_files, mode, flag, value,
+                                             capsys):
+        vectors, labels = eval_files
+        rc = main(["svm-eval", "--vectors", str(vectors), "--labels", str(labels),
+                   "--mode", mode, "--folds", "4", "--seed", "0", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seqvec: usage error: " in captured.err
+        assert captured.out == ""
+
+    def test_binary_warnings_name_their_family(self, tmp_path, capsys):
+        # identical all-zero vectors: both families train the same fold
+        # models, which predict no positives in 3 of the 4 folds
+        ids = [f"F{fam}_{i}" for fam in "AB" for i in range(12)]
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text("24 2\n" + "".join(f"{rid} 0.0 0.0\n" for rid in ids))
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{rid}\t{rid[:2]}\n" for rid in ids))
+        rc = main(["svm-eval", "--vectors", str(vectors), "--labels", str(labels),
+                   "--mode", "binary", "--folds", "4", "--seed", "0"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"seqvec: warning: family {fam}: precision undefined in 3 of 4 folds; "
+            "excluded from the average" for fam in ("FA", "FB")
+        ]
+        assert [row.split("\t")[0] for row in captured.out.splitlines()] == [
+            "Family", "FA", "FB"]
 
     def test_library_warning_printed_in_the_cli_form_every_run(self, eval_files,
                                                                 capsys):

@@ -16,7 +16,6 @@ from seqvec.embedding import (
     _make_objective,
     _train_doc,
     draw_negatives,
-    infer_doc,
     infer_docs,
     init_model,
     loss_estimate,
@@ -47,9 +46,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="alpha0"):
             TrainConfig(alpha0=5.0)
 
-    def test_alpha_min_defaults_to_fraction_of_alpha0(self):
+    def test_alpha_min_is_a_fixed_fraction_of_alpha0(self):
         cfg = TrainConfig(alpha0=0.05)
         assert cfg.alpha_min == pytest.approx(0.05 / 10_000)
+        with pytest.raises(TypeError):
+            TrainConfig(alpha0=0.2, alpha_min=0.001)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -60,8 +61,9 @@ class TestTrainConfig:
             TrainConfig(window=0)
         with pytest.raises(ConfigError):
             TrainConfig(objective="ns", negative=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(alpha_min=0.5, alpha0=0.2)
+        for subsample_t in (-0.1, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="subsample_t"):
+                TrainConfig(subsample_t=subsample_t)
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
 
@@ -391,6 +393,19 @@ class TestUpdateDistribution:
         assert np.allclose(D[0], 3 * e)
         assert not W.any()
 
+    @pytest.mark.parametrize("arch, doc_share", [("dm", 1), ("dbow", 2), ("cbow", 0),
+                                                 ("sg", 0)])
+    def test_frozen_step_writes_the_document_row_only(self, arch, doc_share):
+        d = 3
+        D = np.zeros((1, d), dtype=np.float32)
+        W = np.zeros((2, d), dtype=np.float32)
+        e = np.full(d, 0.5, dtype=np.float32)
+        toks = np.array([0, 1], dtype=np.int32)
+        _train_doc(arch, D, W, _StubObjective(e), toks, 0, 0.025, 1,
+                   np.random.default_rng(0), learn=False)
+        assert np.allclose(D[0], doc_share * e)
+        assert not W.any()
+
 
 # Reference: one position loop per architecture for training, scoring and
 # inference, as the library ran them before they were folded into one walk.
@@ -670,20 +685,20 @@ class TestLossEstimate:
 
 
 class TestInference:
-    def _trained(self):
+    def _trained(self, architecture="dm", objective="ns"):
         vocab = _vocab(8)
         docs = []
         rng = np.random.default_rng(1)
         for tag in range(6):
             pool = [0, 1, 2, 3] if tag < 3 else [4, 5, 6, 7]
             docs.append(_doc(tag, rng.choice(pool, 40)))
-        cfg = TrainConfig(architecture="dm", dim=10, epochs=30, alpha0=0.05,
-                          window=3, seed=4)
+        cfg = TrainConfig(architecture=architecture, dim=10, objective=objective,
+                          epochs=30, alpha0=0.05, window=3, seed=4)
         return train(init_model(vocab, 6, cfg), docs), docs
 
     def test_inferred_vector_lands_near_its_training_document(self):
         model, docs = self._trained()
-        vec = infer_doc(model, docs[0].tokens, seed=8)
+        vec = infer_docs(model, [docs[0].tokens], seed=8)
 
         def cos(u, v):
             return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -692,23 +707,23 @@ class TestInference:
 
     def test_zero_epochs_returns_the_random_initialization(self):
         model, docs = self._trained()
-        a = infer_doc(model, docs[0].tokens, infer_epochs=0, seed=3)
-        b = infer_doc(model, docs[1].tokens, infer_epochs=0, seed=3)
+        a = infer_docs(model, [docs[0].tokens], infer_epochs=0, seed=3)
+        b = infer_docs(model, [docs[1].tokens], infer_epochs=0, seed=3)
         assert np.array_equal(a, b)  # tokens unused when nothing is updated
         assert np.all(np.abs(a) <= 0.5 / model.dim)
 
     def test_deterministic_for_seed(self):
         model, docs = self._trained()
-        a = infer_doc(model, docs[2].tokens, seed=5)
-        b = infer_doc(model, docs[2].tokens, seed=5)
+        a = infer_docs(model, [docs[2].tokens], seed=5)
+        b = infer_docs(model, [docs[2].tokens], seed=5)
         assert np.array_equal(a, b)
 
     def test_unknown_tokens_dropped_and_all_unknown_rejected(self):
         model, docs = self._trained()
         mixed = np.array([0, 1, 500, 2], dtype=np.int32)
-        assert np.isfinite(infer_doc(model, mixed, seed=0)).all()
+        assert np.isfinite(infer_docs(model, [mixed], seed=0)).all()
         with pytest.raises(DataError, match="no in-vocabulary"):
-            infer_doc(model, [500, 700], seed=0)
+            infer_docs(model, [[500, 700]], seed=0)
 
     def test_multi_document_inference_shares_one_vector(self):
         model, docs = self._trained()
@@ -720,12 +735,16 @@ class TestInference:
         cfg = TrainConfig(architecture="cbow", dim=4, epochs=2, seed=0)
         model = train(init_model(vocab, 1, cfg), [_doc(0, [0, 1, 2])])
         with pytest.raises(ConfigError, match="document pathway"):
-            infer_doc(model, [0, 1], seed=0)
+            infer_docs(model, [[0, 1]], seed=0)
 
-    def test_frozen_matrices_untouched_by_inference(self):
-        model, docs = self._trained()
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("architecture", ["dm", "dbow"])
+    def test_frozen_matrices_untouched_by_inference(self, architecture, objective):
+        model, docs = self._trained(architecture, objective)
+        d_before = model.D.copy()
         w_before = model.W.copy()
         o_before = model.O.copy()
-        infer_doc(model, docs[0].tokens, seed=1)
+        infer_docs(model, [docs[0].tokens, docs[4].tokens], seed=1)
+        assert np.array_equal(model.D, d_before)
         assert np.array_equal(model.W, w_before)
         assert np.array_equal(model.O, o_before)

@@ -1,6 +1,7 @@
 """Tests for binary model files and the text vector format."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestModelRoundTrip:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert np.array_equal(loaded.vocab.counts, model.vocab.counts)
         assert loaded.vocab.min_count == model.vocab.min_count
+
+    @pytest.mark.parametrize("slot", [0.0, 0.5, float("nan")])
+    def test_alpha_min_slot_is_ignored_on_load(self, slot):
+        # alpha_min is derived from alpha0; save writes the derived value
+        blob = _bytes_of(_trained_model())
+        at = 8 + struct.calcsize("<IIIIIdId")  # magic, version, then the config
+        edited = blob[:at] + struct.pack("<d", slot) + blob[at + 8 :]
+        loaded = load_model(edited)
+        assert loaded.config == _trained_model().config
+        assert _bytes_of(loaded) == blob
 
     def test_save_requires_tokenizer_settings(self):
         # guessing them (overlap mode, k from the token length) would split

@@ -314,6 +314,13 @@ class TestCorpusRoundTrip:
         with pytest.raises(DataError, match="line 2: negative doc_tag"):
             read_corpus("0 0 ACG\n-1 0 TTA\n")
 
+    @pytest.mark.parametrize("meta, what", [("k=x", "kmer length"), ("k=0", "kmer length"),
+                                            ("k=-3", "kmer length"),
+                                            ("mode=weird", "mode")])
+    def test_bad_metadata_rejected_with_its_line(self, meta, what):
+        with pytest.raises(DataError, match=f"line 2: {what}"):
+            read_corpus(f"#doc 0 a\n#meta {meta}\n0 0 ACG\n")
+
     def test_read_without_metadata_infers_config(self):
         text = "0 0 ACG TTA\n0 1 CGT TAC\n"
         corpus, cfg = read_corpus(text)

@@ -143,16 +143,20 @@ def cmd_vectors(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.epochs is not None and args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     with open(args.model, "rb") as fh:
         model = model_io.load_model(fh)
     with open(args.input, "rb") as fh:
         records = parse_fasta(fh, PROTEIN, "replace")
     tok = model.tokenizer
     ids, rows = [], []
-    skipped = 0
+    skipped = kmers = kept = 0
     for rec in records:
         phases = tok.phases(rec.residues) if len(rec.residues) >= tok.min_length() else []
         token_lists = [tl for tl in map(model.vocab.encode, phases) if len(tl)]
+        kmers += sum(map(len, phases))
+        kept += sum(map(len, token_lists))
         if not token_lists:  # too short, or no kmer in the vocabulary
             skipped += 1
             continue
@@ -160,6 +164,9 @@ def cmd_infer(args) -> int:
         rows.append(
             infer_docs(model, token_lists, infer_epochs=args.epochs, seed=args.seed)
         )
+    if kept < kmers:
+        warnings.warn(f"dropped {kmers - kept} of {kmers} kmers not in the model's "
+                      "vocabulary")
     if not ids:
         raise DataError("no sequence could be inferred (all too short or unknown)")
     with _output(args.output) as out:

@@ -31,19 +31,27 @@ terms; each row contributing to h receives grad_h scaled by
 learning rate decays linearly from alpha0 toward alpha_min = alpha0 / 10000
 over the total scheduled token count (document granularity).
 
-``loss_estimate`` and the training step ``_train_doc`` share one position
-walk (``_walk``), which draws the window widths and assembles each hidden
-vector. Inference is that training step on a frozen model: ``infer_docs``
+``loss_estimate`` and the training step ``_train_doc`` share one plan per
+pass over a document (``_plan``): the window widths and each step's
+context, contributor count and scored rows, drawn in bulk before the
+position loop from the same random stream, in the same order, as a loop
+that drew at each step (draws that hit the target are replayed one at a
+time). Inference is that training step on a frozen model: ``infer_docs``
 runs ``_train_doc`` on a fresh one-row D with W and O left unwritten, on
-the same learning-rate schedule. Training runs on a single thread and is
-bit-deterministic for a fixed seed; ``workers`` must be 1.
+the same learning-rate schedule. With W and O frozen, there and in
+``loss_estimate``, every step's context sum and output rows are gathered
+before the loop, which then carries only the document row. The results
+are bit for bit those of the per-position loop. Training runs on a
+single thread and is bit-deterministic for a fixed seed; ``workers``
+must be 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +84,16 @@ OBJECTIVES = ("ns", "hs")
 
 #: Sigmoid inputs are clamped here; s(30) is 1 within float32 resolution.
 _MAX_EXP = 30.0
+# The step's float32 constants, as (read-only) arrays: numpy takes those
+# fastest.
+_CLIP_LO, _CLIP_HI, _ONE = (np.array(v, dtype=np.float32)
+                            for v in (-_MAX_EXP, _MAX_EXP, 1.0))
+for _const in (_CLIP_LO, _CLIP_HI, _ONE):
+    _const.setflags(write=False)
+
+#: Floats a frozen pass gathers at once (context rows and output rows of a
+#: chunk of steps); bounds the transient memory for long documents.
+_GATHER_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -175,10 +193,6 @@ def _uniform_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return rng.uniform(-bound, bound, (n, dim)).astype(np.float32)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_MAX_EXP, _MAX_EXP)))
-
-
 def draw_negatives(
     rng: np.random.Generator, table: np.ndarray, target: int, n: int
 ) -> np.ndarray:
@@ -199,6 +213,14 @@ def draw_negatives(
         if j != target:
             out.append(j)
     return np.array(out, dtype=idx.dtype)
+
+
+def _add_rows(M: np.ndarray, ids: np.ndarray, v: np.ndarray, distinct: bool) -> None:
+    """M[ids] += v, summing over repeated ids unless ``distinct`` rules them out."""
+    if distinct:
+        M[ids] = M.take(ids, axis=0) + v
+    else:
+        np.add.at(M, ids, v)
 
 
 class _Objective:
@@ -234,19 +256,87 @@ class _Objective:
         rows[1:] = negatives
         return rows, self.ns_labels[: len(rows)]
 
+    def scored_steps(self, targets, rng):
+        """``scored`` for each of ``targets`` in turn, drawn in bulk.
+
+        Returns ``(rows, labels, bounds)``: step s scores
+        ``rows[bounds[s]:bounds[s + 1]]`` with the labels alike. ``rng`` is
+        consumed exactly as per-step ``draw_negatives`` calls consume it:
+        n draws per step, read in order from one buffer. If a draw hits its
+        step's target, the steps are replayed one at a time, the redraws
+        taken from the buffer, which is topped up from ``rng`` only when it
+        runs out, so the generator ends in the same state.
+        """
+        S = len(targets)
+        if not S:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float32), [0]
+        if self.hs:
+            paths = [self.paths[t] for t in targets]
+            bounds = [0, *itertools.accumulate(map(len, paths))]
+            labels = np.concatenate([self.path_labels[t] for t in targets])
+            return np.concatenate(paths).astype(np.intp), labels, bounds
+        n, table = self.n, self.table
+        negs = np.searchsorted(table, rng.random(n * S), side="right").reshape(S, n)
+        if (negs == targets[:, None]).any():
+            return self._replayed_steps(targets, negs.ravel().tolist(), rng)
+        rows = np.empty((S, 1 + n), dtype=np.intp)
+        rows[:, 0] = targets
+        rows[:, 1:] = negs
+        labels = np.zeros((S, 1 + n), dtype=np.float32)
+        labels[:, 0] = 1.0
+        return rows.ravel(), labels.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
+
+    def _replayed_steps(self, targets, buf, rng):
+        """``scored_steps`` one step at a time from the draws ``buf``, a list."""
+        n, table = self.n, self.table
+        rows, bounds, at = [], [0], 0
+        for t in targets.tolist():
+            if at + n > len(buf):  # redraws used up the buffer's tail
+                u = rng.random(at + n - len(buf))
+                buf += np.searchsorted(table, u, side="right").tolist()
+            draws, at = buf[at : at + n], at + n
+            rows.append(t)
+            for j in draws:  # as draw_negatives
+                attempts = 0
+                while j == t and attempts < 16:
+                    if at == len(buf):
+                        buf.append(int(np.searchsorted(table, rng.random(),
+                                                       side="right")))
+                    j, at, attempts = buf[at], at + 1, attempts + 1
+                if j != t:
+                    rows.append(j)
+            bounds.append(len(rows))
+        labels = np.zeros(len(rows), dtype=np.float32)
+        labels[bounds[:-1]] = 1.0  # each step's first row is its target
+        return np.array(rows, dtype=np.intp), labels, bounds
+
+    @staticmethod
+    def gradient(h, vecs, labels, alpha):
+        """``(g, e)`` at h over the scored rows ``vecs``.
+
+        g = (labels - s(vecs @ h)) * alpha and e = g @ vecs = -alpha * grad_h,
+        with s(x) = 1 / (1 + exp(-clip(x, -30, 30))) in float32, computed
+        in place on the scores. ``alpha`` is a float32 array of shape ().
+        """
+        g = vecs.dot(h)
+        np.maximum(g, _CLIP_LO, out=g)
+        np.minimum(g, _CLIP_HI, out=g)
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        g += _ONE
+        np.reciprocal(g, out=g)  # 1 / x, correctly rounded
+        np.subtract(labels, g, out=g)
+        g *= alpha
+        return g, g.dot(vecs)
+
     def apply(self, h, target, alpha, rng, learn_hidden=True):
-        """SGD step at (h, target); returns the h-update -alpha * grad_h."""
-        O = self.O
+        """SGD step at (h, target) with its own draws; returns the h-update
+        -alpha * grad_h. ``_train_doc`` takes the same steps from a plan."""
         rows, labels = self.scored(target, rng)
-        vecs = O[rows]
-        g = labels - _sigmoid(vecs @ h)
-        g *= np.float32(alpha)
-        e = g @ vecs
+        vecs = self.O[rows]
+        g, e = self.gradient(h, vecs, labels, np.array(alpha, dtype=np.float32))
         if learn_hidden:
-            if self.hs:
-                O[rows] += g[:, None] * h  # path nodes are distinct
-            else:
-                np.add.at(O, rows, g[:, None] * h)  # negatives may repeat
+            _add_rows(self.O, rows, g[:, None] * h, self.hs)  # path nodes are distinct
         return e
 
     def loss(self, h, target, rng):
@@ -255,67 +345,167 @@ class _Objective:
         return _loss(x, labels)
 
 
+def _loss_terms(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-log s(+-x) per row: +x where the label is 1, -x where it is 0."""
+    return np.logaddexp(0.0, (1.0 - 2.0 * labels) * x)
+
+
 def _loss(x: np.ndarray, labels: np.ndarray) -> float:
-    """-sum log s(+-x): +x where the label is 1, -x where it is 0."""
-    return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * x).sum())
+    return float(_loss_terms(x, labels).sum())
 
 
 def _make_objective(model: EmbeddingModel, cfg: TrainConfig) -> _Objective:
     return _Objective(model.O, model.vocab, cfg)
 
 
-def _walk(arch, W, doc, toks, window, rng):
-    """Yield ``(h, target, rows, n)`` for each update of one pass over ``toks``.
+class _Plan(NamedTuple):
+    """One pass over one document, drawn before it runs (see ``_plan``).
 
-    ``h`` is assembled from W and the document row ``doc`` as they stand
-    when the step is reached, so updates a caller makes between steps are
-    seen by later ones. For sg and dbow, ``h`` is a view of its only
-    contributing row (the current word row, the document row), which takes
-    the whole h-update; ``rows`` and ``n`` are then None. For dm and cbow,
-    ``rows`` are the context word rows and ``n`` (float32) counts the
-    contributors, ``doc`` included for dm; each takes 1/n of the h-update.
-    Window widths are drawn from ``rng`` once per document (not for dbow).
+    Step s scores the output rows ``rows[bounds[s]:bounds[s + 1]]`` with
+    the labels alike, at a hidden vector h made from its contributing rows:
+    the document row (dbow), the word row ``words[s]`` (sg), or the mean of
+    the context word rows ``ctx[s][valid[s]]`` (cbow) and of those and the
+    document row (dm), ``n[s]`` (float32) rows in all.
     """
-    n_toks = len(toks)
-    if arch == "dbow":
-        for pos in range(n_toks):
-            yield doc, toks[pos], None, None
-        return
-    cs = rng.integers(1, window + 1, size=n_toks)
-    for pos in range(n_toks):
-        lo, hi = max(0, pos - cs[pos]), pos + 1 + cs[pos]
+
+    words: np.ndarray | None
+    ctx: np.ndarray | None
+    valid: np.ndarray | None
+    n: np.ndarray | None
+    rows: np.ndarray
+    labels: np.ndarray
+    bounds: list[int]
+
+
+def _plan(arch, toks, window, obj, rng):
+    """Draw one pass over ``toks``: the window widths, then every step's rows.
+
+    ``rng`` is consumed as a position loop that drew at each step would
+    consume it: the widths first (not for dbow), then each step's negative
+    samples (``_Objective.scored_steps``). Positions with no context are
+    no cbow step; sg has one step per (position, context position) pair.
+    """
+    P = len(toks)
+    words = ctx = valid = n = None
+    targets = toks = toks.astype(np.intp)  # the index type gathers take fastest
+    if arch != "dbow":
+        cs = rng.integers(1, window + 1, size=P)
+        w = min(window, P - 1)  # wider offsets never land in the document
+        offs = np.concatenate((np.arange(-w, 0), np.arange(1, w + 1)))
+        at = np.arange(P)[:, None] + offs
+        valid = (np.abs(offs) <= cs[:, None]) & (at >= 0) & (at < P)
+        ctx = toks.take(at, mode="clip")
         if arch == "sg":
-            for j in range(lo, min(n_toks, hi)):
-                if j != pos:
-                    yield W[toks[pos]], toks[j], None, None
-            continue
-        ctx = np.concatenate((toks[lo:pos], toks[pos + 1 : hi]))
-        if arch == "dm":
-            n = np.float32(len(ctx) + 1)
-            yield (W[ctx].sum(axis=0) + doc) / n, toks[pos], ctx, n
-        elif len(ctx):  # cbow skips positions with no context
-            n = np.float32(len(ctx))
-            yield W[ctx].sum(axis=0) / n, toks[pos], ctx, n
+            pos, slot = np.nonzero(valid)
+            words, targets, ctx, valid = toks[pos], ctx[pos, slot], None, None
+        else:
+            count = valid.sum(axis=1)
+            if arch == "cbow":  # positions with no context are skipped
+                has = count > 0
+                ctx, valid, count, targets = ctx[has], valid[has], count[has], toks[has]
+            n = (count + (arch == "dm")).astype(np.float32)
+    return _Plan(words, ctx, valid, n, *obj.scored_steps(targets, rng))
+
+
+def _context_sums(W, ctx, valid):
+    """``W[c[v]].sum(axis=0)`` for each row c, v of ``ctx``, ``valid``, bit for bit.
+
+    The gathered rows are summed in order with -0.0 in the invalid slots,
+    which changes no sum, and an empty context sums to +0.0.
+    """
+    if W.shape[1] == 1:  # numpy sums 8 or more one-element rows pairwise
+        return np.array([W[c[v]].sum(axis=0) for c, v in zip(ctx, valid)],
+                        dtype=W.dtype).reshape(len(ctx), 1)
+    G = W.take(ctx, axis=0)
+    G[~valid] = -0.0
+    sums = G.sum(axis=1)
+    sums[~valid.any(axis=1)] = 0.0
+    return sums
+
+
+def _frozen_gathers(p, W, O):
+    """Yield ``(s0, s1, sums, vecs)`` for chunks of the plan's steps.
+
+    ``sums`` are the context sums of steps s0..s1-1 (None without context)
+    and ``vecs`` the O rows they score, read once for the chunk, which is
+    only right while W and O are not written. A chunk gathers about
+    ``_GATHER_CELLS`` floats.
+    """
+    S = len(p.bounds) - 1
+    width = (0 if p.ctx is None else p.ctx.shape[1]) + len(p.rows) // max(S, 1) + 1
+    chunk = max(1, _GATHER_CELLS // (width * W.shape[1]))
+    for s0 in range(0, S, chunk):
+        s1 = min(S, s0 + chunk)
+        sums = None if p.ctx is None else _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+        yield s0, s1, sums, O.take(p.rows[p.bounds[s0] : p.bounds[s1]], axis=0)
+
+
+def _repeat_free(ids):
+    """Per row of the 2-D ``ids``, whether it holds no id twice."""
+    ids = np.sort(ids, axis=1)
+    return (ids[:, 1:] != ids[:, :-1]).all(axis=1).tolist()
 
 
 def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng, learn=True):
     """One pass over one document's positions, updating the row D[tag].
 
-    W and the objective's O are updated too when ``learn`` is true and
-    left unwritten when it is false (inference on a frozen model).
+    W and the objective's O are updated too when ``learn`` is true, and
+    each step reads them as they stand when it is reached. When ``learn``
+    is false they are frozen (inference): the context sums and output rows
+    of all steps are read ahead, a chunk at a time, and the loop only
+    carries the document row.
     """
-    doc = D[tag]
-    for h, target, rows, n in _walk(arch, W, doc, toks, window, rng):
-        e = obj.apply(h, target, alpha, rng, learn)
-        if rows is None:  # h is a view of its only contributing row
-            if learn or arch == "dbow":  # the sg row is a word row
-                h += e
-            continue
-        share = e / n
-        if learn and len(rows):
-            np.add.at(W, rows, share)
-        if arch == "dm":
-            doc += share
+    p = _plan(arch, toks, window, obj, rng)
+    doc, O, gradient = D[tag], obj.O, obj.gradient
+    alpha = np.array(alpha, dtype=np.float32)
+    rows, labels, bounds, words, n = p.rows, p.labels, p.bounds, p.words, p.n
+    S = len(bounds) - 1
+    if learn:
+        chunks = [(0, S, None, None)]
+        if obj.hs:  # path nodes are distinct
+            rows_free = [True] * S
+        elif len(rows) == S * (1 + obj.n):
+            rows_free = _repeat_free(rows.reshape(S, 1 + obj.n))
+        else:  # a step lost a draw; np.add.at is right for any rows
+            rows_free = [False] * S
+        if p.ctx is not None:
+            ctx_ids = p.ctx[p.valid]
+            ctx_bounds = [0] + np.cumsum(p.valid.sum(axis=1)).tolist()
+            pads = -1 - np.arange(p.ctx.shape[1])  # distinct, and no token id
+            ctx_free = _repeat_free(np.where(p.valid, p.ctx, pads))
+    else:
+        chunks = _frozen_gathers(p, W, O)
+    for s0, s1, sums, vecs in chunks:
+        base = bounds[s0]
+        for s in range(s0, s1):
+            b0, b1 = bounds[s], bounds[s + 1]
+            if learn:
+                r = rows[b0:b1]
+                v = O.take(r, axis=0)
+            else:
+                v = vecs[b0 - base : b1 - base]
+            if p.ctx is None:  # h is its only contributing row: D[tag] or W[word]
+                h = doc if words is None else W[words[s]]
+                g, e = gradient(h, v, labels[b0:b1], alpha)
+                if learn:
+                    _add_rows(O, r, g[:, None] * h, rows_free[s])
+                if learn or words is None:  # the sg row is a word row
+                    h += e
+                continue
+            if learn:
+                ids = ctx_ids[ctx_bounds[s] : ctx_bounds[s + 1]]
+                h = np.add.reduce(W.take(ids, axis=0), axis=0)  # .sum(axis=0), unwrapped
+            else:
+                h = sums[s - s0]
+            h = (h + doc) / n[s] if arch == "dm" else h / n[s]
+            g, e = gradient(h, v, labels[b0:b1], alpha)
+            share = e / n[s]
+            if learn:
+                _add_rows(O, r, g[:, None] * h, rows_free[s])
+                if len(ids):
+                    _add_rows(W, ids, share, ctx_free[s])
+            if arch == "dm":
+                doc += share
 
 
 def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
@@ -412,10 +602,25 @@ def loss_estimate(
     total = 0.0
     count = 0
     for doc in docs:
-        for h, target, _, _ in _walk(cfg.architecture, model.W, model.D[doc.doc_tag],
-                                     doc.tokens, cfg.window, rng):
-            total += obj.loss(h, target, rng)
-            count += 1
+        p = _plan(cfg.architecture, doc.tokens, cfg.window, obj, rng)
+        count += len(p.bounds) - 1
+        d = model.D[doc.doc_tag]
+        for s0, s1, sums, vecs in _frozen_gathers(p, model.W, model.O):
+            if p.ctx is not None:
+                n = p.n[s0:s1, None]
+                h = (sums + d) / n if cfg.architecture == "dm" else sums / n
+            elif p.words is not None:
+                h = model.W[p.words[s0:s1]]
+            else:
+                h = np.broadcast_to(d, (s1 - s0, len(d)))
+            h, vecs = h.astype(np.float64), vecs.astype(np.float64)
+            b = [i - p.bounds[s0] for i in p.bounds[s0 : s1 + 1]]
+            x = np.empty(b[-1])
+            for i in range(s1 - s0):
+                np.matmul(vecs[b[i] : b[i + 1]], h[i], out=x[b[i] : b[i + 1]])
+            terms = _loss_terms(x, p.labels[p.bounds[s0] : p.bounds[s1]])
+            for i in range(s1 - s0):
+                total += float(terms[b[i] : b[i + 1]].sum())
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
     return total / count

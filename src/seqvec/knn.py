@@ -15,6 +15,7 @@ counts resolve by summed score and then by label.
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -158,6 +159,8 @@ def knn_cross_validate(
     """Stratified cross-validated kNN accuracy for each k.
 
     Families with fewer members than folds are dropped (with a warning).
+    A k larger than a training fold votes over the whole fold (one warning
+    names such k and the smallest fold).
     Each test vector is classified by majority vote over its nearest
     training-fold neighbors; the report maps k to accuracy mean +/-
     sample std over folds.
@@ -177,6 +180,11 @@ def knn_cross_validate(
 
     fold_of = stratified_folds(labels, folds, np.random.default_rng([seed]))
     maxk = max(k_values)
+    smallest = len(labels) - int(np.bincount(fold_of, minlength=folds).max())
+    if maxk > smallest:
+        over = ",".join(str(k) for k in k_values if k > smallest)
+        warnings.warn(f"k={over} exceeds the smallest training fold "
+                      f"({smallest} vectors); there the vote is over the whole fold")
     acc: dict[int, list[float]] = {k: [] for k in k_values}
     for f in range(folds):
         test = np.flatnonzero(fold_of == f)

@@ -233,6 +233,57 @@ class TestVectorsAndInfer:
         assert rc == 0
         assert capsys.readouterr().err == "seqvec: warning: skipped 1 sequences\n"
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_infer_epochs_below_one_is_usage_error(self, tiny_dataset, tmp_path,
+                                                   epochs, capsys):
+        # zero passes would write the seeded random draw as every vector
+        root, fasta, labels = tiny_dataset
+        model_path = _train(root, _tokenize(root, fasta))
+        out = tmp_path / "i.txt"
+        capsys.readouterr()
+        rc = main(["infer", "--model", str(model_path), "--input", str(fasta),
+                   "--epochs", epochs, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"seqvec: usage error: --epochs must be >= 1, got {epochs}\n")
+        assert not out.exists()
+
+    def test_infer_counts_out_of_vocabulary_kmers_in_one_warning(self, tiny_dataset,
+                                                                 tmp_path, capsys):
+        root, fasta, labels = tiny_dataset
+        model_path = _train(root, _tokenize(root, fasta))
+        model = load_model(model_path.read_bytes())
+        known = model.vocab.index
+        letters = "ACDEFGHIKLMNPQRSTVWY"
+        unknown = next(a + b + c for a in letters for b in letters for c in letters
+                       if a + b + c not in known)
+        first = fasta.read_text().split(">")[1]
+        residues = first.split("\n", 1)[1].replace("\n", "")
+        alone, mixed = tmp_path / "alone.fasta", tmp_path / "mixed.fasta"
+        alone.write_text(">" + first)
+        mixed.write_text(">" + first + f">odd\n{residues}{unknown * 3}\n")
+        phases = [ph for seq in (residues, residues + unknown * 3)
+                  for ph in model.tokenizer.phases(seq)]
+        dropped = sum(km not in known for ph in phases for km in ph)
+        assert dropped >= 3
+        outputs = []
+        for queries in (alone, mixed):
+            outputs.append(tmp_path / f"{queries.stem}.txt")
+            capsys.readouterr()
+            rc = main(["infer", "--model", str(model_path), "--input", str(queries),
+                       "--epochs", "2", "--output", str(outputs[-1])])
+            assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"seqvec: warning: dropped {dropped} of {sum(map(len, phases))} kmers "
+            "not in the model's vocabulary\n")
+        assert captured.out == ""
+        # one vector per sequence, each as if inferred alone
+        (ids, alone_rows), (mixed_ids, mixed_rows) = (
+            read_vectors(out.read_text()) for out in outputs)
+        assert mixed_ids == [*ids, "odd"]
+        assert np.array_equal(mixed_rows[:1], alone_rows)
+
     def test_truncated_model_is_data_error(self, tiny_dataset, tmp_path, capsys):
         root, fasta, labels = tiny_dataset
         corpus = _tokenize(root, fasta)
@@ -293,6 +344,20 @@ class TestEvaluationCommands:
         assert out[0] == "k\tAccuracy(%)\tStd(%)"
         assert out[1].startswith("1\t100.00")
         assert out[2].startswith("3\t100.00")
+
+    def test_knn_eval_warns_of_k_above_the_training_fold(self, eval_files, capsys):
+        # 4 folds of 6 leave 18 training vectors; the report itself is unchanged
+        vectors, labels = eval_files
+        rc = main(["knn-eval", "--vectors", str(vectors), "--labels",
+                   str(labels), "--folds", "4", "--k", "1,18,100", "--seed", "0"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "seqvec: warning: k=100 exceeds the smallest training fold (18 vectors); "
+            "there the vote is over the whole fold\n")
+        rows = captured.out.splitlines()
+        assert rows[0] == "k\tAccuracy(%)\tStd(%)" and len(rows) == 4
+        assert rows[3].split("\t")[1:] == rows[2].split("\t")[1:]
 
     def test_svm_eval_multiclass_report(self, eval_files, capsys):
         vectors, labels = eval_files

@@ -14,6 +14,8 @@ import pytest
 from seqvec.embedding import (
     TrainConfig,
     _make_objective,
+    _Objective,
+    _context_sums,
     _train_doc,
     draw_negatives,
     infer_docs,
@@ -333,14 +335,20 @@ class TestArchitectureGradients:
                 )
 
 
-class _StubObjective:
-    """Returns a fixed h-update so distribution shares can be read exactly."""
+class _StubObjective(_Objective):
+    """Returns a fixed h-update so distribution shares can be read exactly.
+
+    It scores the one inner node of a two-token Huffman tree (no draws)
+    and leaves that output row unchanged.
+    """
 
     def __init__(self, e):
+        super().__init__(np.zeros((1, len(e)), dtype=np.float32), _vocab(2),
+                         TrainConfig(dim=len(e), objective="hs"))
         self.e = e
 
-    def apply(self, h, target, alpha, rng, learn_hidden=True):
-        return self.e.copy()
+    def gradient(self, h, vecs, labels, alpha):
+        return np.zeros(len(vecs), dtype=np.float32), self.e.copy()
 
 
 class TestUpdateDistribution:
@@ -531,6 +539,27 @@ def _ref_infer_docs(model, token_lists, infer_epochs, seed):
     return vec
 
 
+# Vocabulary counts, document lengths and config overrides of the cases
+# that stress the planned walk; documents draw their tokens uniformly.
+_PLAN_CASES = {
+    # one token holds ~99.9% of the count^0.75 mass: draws keep hitting
+    # the target, most such steps use up all 16 redraws, noise rows repeat
+    "skewed": ([100_000, 3, 2, 2, 1, 1], [1, 2, 9, 30, 14], {}),
+    "negative=1": ([5 + i for i in range(10)], [1, 2, 5, 9, 14], {"negative": 1}),
+    "negative=9": ([5 + i for i in range(10)], [1, 2, 5, 9, 14], {"negative": 9}),
+    "window wider than every document": ([5, 6, 7, 8, 9], [1, 2, 5, 9], {"window": 40}),
+    "length-1 documents": ([5, 6, 7, 8, 9], [1, 1, 1, 1], {}),
+}
+
+
+def _last_rng(monkeypatch):
+    """Record every generator numpy.random.default_rng makes, last one last."""
+    made, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: made.append(make(seed)) or made[-1])
+    return made
+
+
 class TestWalkerMatchesReference:
     @pytest.mark.parametrize("subsample_t", [0.0, 0.05])
     @pytest.mark.parametrize("objective", ["ns", "hs"])
@@ -555,6 +584,57 @@ class TestWalkerMatchesReference:
             lists = [docs[3].tokens, docs[0].tokens, docs[4].tokens]
             assert np.array_equal(infer_docs(lib, lists, infer_epochs=4, seed=6),
                                   _ref_infer_docs(ref, lists, 4, 6))
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    @pytest.mark.parametrize("case", list(_PLAN_CASES))
+    def test_train_loss_inference_and_generator_state_match(self, case, arch,
+                                                            objective, monkeypatch):
+        counts, lengths, extra = _PLAN_CASES[case]
+        vocab = build_vocabulary({f"t{i}": c for i, c in enumerate(counts)})
+        rng = np.random.default_rng(8)
+        docs = [_doc(tag % 3, rng.integers(0, len(counts), n))
+                for tag, n in enumerate(lengths)]
+        cfg = TrainConfig(**{**dict(architecture=arch, dim=5, window=3,
+                                    objective=objective, negative=3, epochs=3,
+                                    alpha0=0.1, seed=13), **extra})
+        made = _last_rng(monkeypatch)
+        lib = train(init_model(vocab, 3, cfg), docs)
+        lib_rng = made[-1]
+        ref = _ref_train(init_model(vocab, 3, cfg), docs)
+        assert lib_rng.random() == made[-1].random()
+        assert np.array_equal(lib.D, ref.D)
+        assert np.array_equal(lib.W, ref.W)
+        assert np.array_equal(lib.O, ref.O)
+        if arch in ("cbow", "sg") and max(lengths) == 1:  # nothing to score
+            with pytest.raises(DataError, match="no scoreable positions"):
+                loss_estimate(lib, docs, probe_seed=4)
+        else:
+            expected = _ref_loss_estimate(ref, docs, 4)
+            assert loss_estimate(lib, docs, probe_seed=4) == expected
+        if arch in ("dm", "dbow"):
+            lists = [d.tokens for d in docs[::-1]]
+            vec = infer_docs(lib, lists, infer_epochs=3, seed=6)
+            lib_rng = made[-1]
+            assert np.array_equal(vec, _ref_infer_docs(ref, lists, 3, 6))
+            assert lib_rng.random() == made[-1].random()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_frozen_context_sums_match_numpy_sums(self, dim):
+        rng = np.random.default_rng(dim)
+        # mixed magnitudes show any change of summation order in the bits
+        # (dim 1 gathers of 8+ rows, which numpy sums pairwise, included);
+        # signed zeros and empty contexts check the zero signs
+        W = (rng.normal(size=(7, dim)) * 10.0 ** rng.integers(-6, 6, (7, dim))
+             ).astype(np.float32)
+        W[0], W[1, 0], W[2, 0] = -0.0, 0.0, -0.0
+        ctx = rng.integers(0, 7, (300, 12))
+        valid = rng.random((300, 12)) < 0.6
+        valid[:20] = False  # empty contexts sum to +0.0
+        ctx[20:40] = rng.choice([0, 2], (20, 12))  # sums of -0.0 in column 0
+        sums = _context_sums(W, ctx, valid)
+        for c, v, s in zip(ctx, valid, sums):
+            assert s.tobytes() == W[c[v]].sum(axis=0).tobytes()
 
 
 def _repetitive_docs(n_docs=2):

@@ -1,5 +1,7 @@
 """Tests for exact neighbor search, voting, and cross-validated kNN."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,20 @@ class TestKnnCrossValidate:
         assert dropped[0] == dropped[1] == [
             "dropped 2 families with fewer than 2 members: C, D"
         ]
+
+    def test_k_above_a_training_fold_warns_once(self):
+        index = _two_cluster_index(per_class=6)  # 3 folds of 4: training folds of 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitting = knn_cross_validate(index, folds=3, k_values=[1, 8], seed=0)
+        with pytest.warns(UserWarning) as warned:
+            report = knn_cross_validate(index, folds=3, k_values=[1, 8, 9, 20], seed=0)
+        assert [str(w.message) for w in warned] == [
+            "k=9,20 exceeds the smallest training fold (8 vectors); "
+            "there the vote is over the whole fold"
+        ]
+        assert report[1] == fitting[1] and report[8] == fitting[8]
+        assert report[9] == report[20] == fitting[8]
 
     def test_folds_partition_the_data(self):
         # every usable vector lands in exactly one test fold

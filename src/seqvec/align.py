@@ -84,7 +84,7 @@ Z -1  0  0  1 -3  3  4 -2  0 -3 -3  1 -1 -3 -1  0 -1 -3 -2 -2  1  4
 def _parse_matrix_text(text: str) -> np.ndarray:
     table = np.zeros((26, 26), dtype=np.int32)
     header: list[int] | None = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,7 +103,11 @@ def _parse_matrix_text(text: str) -> np.ndarray:
         r = ord(row) - 65
         for col, value in zip(header, parts[1:]):
             if col >= 0:
-                table[r, col] = int(value)
+                try:
+                    table[r, col] = int(value)
+                except (ValueError, OverflowError):
+                    raise DataError(f"line {lineno}: score {value!r} is not a "
+                                    "32-bit integer") from None
     if header is None:
         raise DataError("substitution matrix text has no header row")
     return table
@@ -157,7 +161,9 @@ class AlignParams:
         object.__setattr__(self, "substitution", sub)
 
 
-def blosum62_params(gap_open: int = -11, gap_extend: int = -1) -> AlignParams:
+def blosum62_params(
+    gap_open: int = AlignParams.gap_open, gap_extend: int = AlignParams.gap_extend
+) -> AlignParams:
     """BLOSUM62 with the BLAST protein defaults (open -11, extend -1)."""
     return AlignParams(BLOSUM62, gap_open, gap_extend)
 

@@ -291,14 +291,24 @@ def _binary_min_members(folds: int) -> int:
     return max(10, folds)
 
 
+def _check_top_n(top_n_families: int | None) -> None:
+    if top_n_families is not None and top_n_families < 1:
+        raise ConfigError(f"top_n_families must be >= 1, got {top_n_families}")
+
+
 def binary_eligible_families(
-    vectors: Mapping[str, np.ndarray], labels: Mapping[str, str], folds: int = 10
+    vectors: Mapping[str, np.ndarray],
+    labels: Mapping[str, str],
+    folds: int = 10,
+    top_n_families: int | None = None,
 ) -> list[str]:
-    """Families that binary_family_protocol accepts at ``folds`` (at least
-    max(10, folds) members), largest first with ties broken by name."""
+    """The ``top_n_families`` (all when None) families that
+    binary_family_protocol accepts at ``folds`` (at least max(10, folds)
+    members), largest first with ties broken by name."""
+    _check_top_n(top_n_families)
     sizes = Counter(labels[i] for i in vectors if i in labels)
     need = _binary_min_members(folds)
-    return [fam for fam in _ranked_families(sizes) if sizes[fam] >= need]
+    return [fam for fam in _ranked_families(sizes) if sizes[fam] >= need][:top_n_families]
 
 
 def binary_family_protocol(
@@ -358,8 +368,7 @@ def multiclass_protocol(
     Per fold, each class contributes a one-vs-rest confusion; the report
     macro-averages the metrics over classes, then summarizes over folds.
     """
-    if top_n_families < 1:
-        raise ConfigError(f"top_n_families must be >= 1, got {top_n_families}")
+    _check_top_n(top_n_families)
     ids = sorted(i for i in vectors if i in labels)
     sizes = Counter(labels[i] for i in ids)
     if top_n_families > len(sizes):

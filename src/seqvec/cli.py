@@ -6,11 +6,16 @@ stderr; reports go to stdout unless an --output path is given. Warnings,
 the library's included, print once per distinct message as
 ``seqvec: warning: <message>``.
 The environment variable SEQVEC_SEED provides the default --seed.
+
+The CLI parses and forwards: the library owns every default, choice and
+bound (the parser reads its constants, dataclass fields and signatures),
+and decodes every input file, which the CLI opens in binary, as UTF-8.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import warnings
@@ -19,14 +24,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import model_io
-from .align import AlignParams, align_classify, blosum62_params, load_substitution_matrix
+from .align import BLOSUM62, AlignParams, align_classify, load_substitution_matrix
 from .classify import binary_eligible_families, binary_family_protocol, multiclass_protocol
-from .embedding import DOC_ARCHITECTURES, TrainConfig, infer_docs, init_model
-from .embedding import loss_estimate, train
+from .embedding import ARCHITECTURES, DOC_ARCHITECTURES, TrainConfig, infer_docs
+from .embedding import init_model, loss_estimate, train
 from .errors import ConfigError, DataError
-from .knn import VectorIndex, knn_cross_validate
-from .sequences import DNA, PROTEIN, load_family_labels, parse_fasta
-from .tokenizer import TokenizerConfig, build_corpus, read_corpus, write_corpus
+from .knn import METRICS, VectorIndex, knn_cross_validate
+from .sequences import ALPHABETS, POLICIES, PROTEIN, load_family_labels, parse_fasta
+from .tokenizer import MODES, TokenizerConfig, build_corpus, read_corpus, write_corpus
 
 
 def _integer(name: str, text: str) -> int:
@@ -40,8 +45,9 @@ def _default_seed() -> int:
     return _integer("SEQVEC_SEED", os.environ.get("SEQVEC_SEED", "1"))
 
 
-def _alphabet(name: str):
-    return PROTEIN if name == "protein" else DNA
+def _default(func, name: str):
+    """The default value of ``func``'s parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
 
 
 @contextmanager
@@ -54,7 +60,7 @@ def _output(path: str | None):
     if not path:
         yield sys.stdout
         return
-    with open(path, "w") as out:
+    with open(path, "w", encoding="utf-8") as out:
         yield out
 
 
@@ -83,10 +89,10 @@ def _fmt(summary) -> str:
 
 def cmd_tokenize(args) -> int:
     with open(args.input, "rb") as fh:
-        records = parse_fasta(fh, _alphabet(args.alphabet), args.policy)
+        records = parse_fasta(fh, ALPHABETS[args.alphabet], args.policy)
     cfg = TokenizerConfig(k=args.k, mode=args.mode)
     corpus = build_corpus(records, cfg, min_count=args.min_count)
-    with open(args.output, "w") as out:
+    with open(args.output, "w", encoding="utf-8") as out:
         write_corpus(corpus, out, cfg)
     print(
         f"vocabulary {len(corpus.vocab)} tokens, {len(corpus.docs)} documents "
@@ -97,30 +103,18 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.objective.startswith("ns"):
-        objective, _, n = args.objective.partition(":")
-        negative = _integer("the N of --objective ns:N", n) if n else 5
-    elif args.objective == "hs":
-        objective, negative = "hs", 5
-    else:
-        raise ConfigError(f"objective must be 'ns[:N]' or 'hs', got {args.objective!r}")
+    objective, colon, n = args.objective.partition(":")
+    if colon and objective != "ns":
+        raise ConfigError(f"only ns takes a sample count ':N', got {args.objective!r}")
+    negative = _integer("the N of --objective ns:N", n) if n else TrainConfig.negative
     cfg = TrainConfig(
-        architecture=args.arch,
-        dim=args.dim,
-        window=args.window,
-        objective=objective,
-        negative=negative,
-        subsample_t=args.subsample,
-        epochs=args.epochs,
-        alpha0=args.alpha,
-        seed=args.seed,
-        workers=args.workers,
+        architecture=args.arch, dim=args.dim, window=args.window, objective=objective,
+        negative=negative, subsample_t=args.subsample, epochs=args.epochs,
+        alpha0=args.alpha, seed=args.seed, workers=args.workers,
     )
     with open(args.corpus, "rb") as fh:
         corpus, tok_cfg = read_corpus(fh)
-    model = init_model(
-        corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids, tok_cfg
-    )
+    model = init_model(corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids, tok_cfg)
     initial = loss_estimate(model, corpus.docs, probe_seed=cfg.seed)
     train(model, corpus.docs)
     final = loss_estimate(model, corpus.docs, probe_seed=cfg.seed)
@@ -143,8 +137,6 @@ def cmd_vectors(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    if args.epochs is not None and args.epochs < 1:
-        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     with open(args.model, "rb") as fh:
         model = model_io.load_model(fh)
     with open(args.input, "rb") as fh:
@@ -177,7 +169,7 @@ def cmd_infer(args) -> int:
 
 
 def _load_labeled_vectors(vec_path: str, labels_path: str):
-    with open(vec_path) as fh:
+    with open(vec_path, "rb") as fh:
         ids, matrix = model_io.read_vectors(fh)
     with open(labels_path, "rb") as fh:
         labels, dups = load_family_labels(fh)
@@ -196,7 +188,7 @@ def cmd_knn_eval(args) -> int:
     k_values = [_integer("each --k value", k) for k in args.k.split(",") if k]
     ids, matrix, labels = _load_labeled_vectors(args.vectors, args.labels)
     index = VectorIndex(matrix, ids, [labels[i] for i in ids], metric=args.metric)
-    report = knn_cross_validate(index, args.folds, k_values, seed=args.seed)
+    report = knn_cross_validate(index, k_values, args.folds, seed=args.seed)
     with _output(args.output) as out:
         out.write("k\tAccuracy(%)\tStd(%)\n")
         for k in k_values:
@@ -205,8 +197,6 @@ def cmd_knn_eval(args) -> int:
 
 
 def cmd_svm_eval(args) -> int:
-    if args.top_n < 1:
-        raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     ids, matrix, labels = _load_labeled_vectors(args.vectors, args.labels)
     vectors = {rid: matrix[i] for i, rid in enumerate(ids)}
     if args.mode == "multiclass":
@@ -220,7 +210,7 @@ def cmd_svm_eval(args) -> int:
             f"{_fmt(report.accuracy)}",
         ]
     else:
-        eligible = binary_eligible_families(vectors, labels, args.folds)[: args.top_n]
+        eligible = binary_eligible_families(vectors, labels, args.folds, args.top_n)
         if not eligible:
             raise DataError("no family has enough members for the binary protocol")
         lines = ["Family\tSpecificity(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd"]
@@ -245,12 +235,11 @@ def cmd_align_knn(args) -> int:
     with open(args.query, "rb") as fh:
         queries = parse_fasta(fh, PROTEIN, "replace")
     if args.matrix == "blosum62":
-        params = blosum62_params(args.gap_open, args.gap_extend)
+        matrix = BLOSUM62
     else:
-        with open(args.matrix) as fh:
-            params = AlignParams(
-                load_substitution_matrix(fh.read()), args.gap_open, args.gap_extend
-            )
+        with open(args.matrix, "rb") as fh:
+            matrix = load_substitution_matrix(fh)
+    params = AlignParams(matrix, args.gap_open, args.gap_extend)
     predicted = [align_classify(db, q, args.k, params, labels) for q in queries]
     with _output(args.output) as out:
         out.write("query\tpredicted_family\n")
@@ -268,25 +257,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenize", help="FASTA to tokenized corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--alphabet", choices=("protein", "dna"), default="protein")
+    p.add_argument("--alphabet", choices=ALPHABETS,
+                   default=_default(parse_fasta, "alphabet").name)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("overlap", "nonoverlap"), default="nonoverlap")
-    p.add_argument("--min-count", type=int, default=1, dest="min_count")
-    p.add_argument("--policy", choices=("strict", "replace"), default="strict")
+    p.add_argument("--mode", choices=MODES, default=TokenizerConfig.mode)
+    p.add_argument("--min-count", type=int, default=_default(build_corpus, "min_count"),
+                   dest="min_count")
+    p.add_argument("--policy", choices=POLICIES, default=_default(parse_fasta, "policy"))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("train", help="train document vectors over a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--arch", choices=("dm", "dbow", "cbow", "sg"), default="dm")
-    p.add_argument("--dim", type=int, default=250)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--objective", default="ns:5")
-    p.add_argument("--subsample", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.025)
+    p.add_argument("--arch", choices=ARCHITECTURES, default=TrainConfig.architecture)
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--window", type=int, default=TrainConfig.window)
+    p.add_argument("--objective", default=TrainConfig.objective)
+    p.add_argument("--subsample", type=float, default=TrainConfig.subsample_t)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=TrainConfig.workers)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="infer vectors for new sequences")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=_default(infer_docs, "infer_epochs"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_infer)
@@ -306,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn-eval", help="cross-validated kNN accuracy")
     p.add_argument("--vectors", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=_default(knn_cross_validate, "folds"))
     p.add_argument("--k", default="1,3,5,10")
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--metric", choices=METRICS, default=VectorIndex.metric)
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_knn_eval)
@@ -317,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--mode", choices=("binary", "multiclass"), default="multiclass")
-    p.add_argument("--top-n", type=int, default=25, dest="top_n")
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--top-n", type=int, dest="top_n",
+                   default=_default(multiclass_protocol, "top_n_families"))
+    p.add_argument("--C", type=float, default=_default(multiclass_protocol, "C"))
+    p.add_argument("--folds", type=int, default=_default(multiclass_protocol, "folds"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
     p.set_defaults(func=cmd_svm_eval)
@@ -330,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--matrix", default="blosum62")
-    p.add_argument("--gap-open", type=int, default=-11, dest="gap_open")
-    p.add_argument("--gap-extend", type=int, default=-1, dest="gap_extend")
+    p.add_argument("--gap-open", type=int, default=AlignParams.gap_open, dest="gap_open")
+    p.add_argument("--gap-extend", type=int, default=AlignParams.gap_extend,
+                   dest="gap_extend")
     p.add_argument("--output")
     p.set_defaults(func=cmd_align_knn)
 

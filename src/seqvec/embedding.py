@@ -649,8 +649,8 @@ def infer_docs(
         )
     if infer_epochs is None:
         infer_epochs = 2 * cfg.epochs
-    if infer_epochs < 0:
-        raise ConfigError("infer_epochs must be >= 0")
+    if infer_epochs < 1:
+        raise ConfigError(f"infer_epochs must be >= 1, got {infer_epochs}")
     V = len(model.vocab)
     kept = []
     for tl in token_lists:

@@ -152,8 +152,8 @@ def majority_vote(
 
 def knn_cross_validate(
     index: VectorIndex,
-    folds: int,
     k_values: Sequence[int],
+    folds: int = 10,
     seed: int = 0,
 ) -> dict[int, MetricSummary]:
     """Stratified cross-validated kNN accuracy for each k.

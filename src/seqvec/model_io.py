@@ -218,12 +218,15 @@ def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:
     n, d = int(head[0]), int(head[1])
     if len(lines) - 1 != n:
         raise DataError(f"header declares {n} vectors but file has {len(lines) - 1}")
-    ids = []
+    ids, seen = [], set()
     matrix = np.empty((n, d))
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d + 1:
             raise DataError(f"line {i}: expected id plus {d} values, got {len(parts) - 1}")
+        if parts[0] in seen:
+            raise DataError(f"line {i}: duplicate vector id {parts[0]!r}")
+        seen.add(parts[0])
         ids.append(parts[0])
         try:
             matrix[i - 2] = [float(v) for v in parts[1:]]

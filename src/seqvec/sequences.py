@@ -19,6 +19,8 @@ __all__ = [
     "Alphabet",
     "PROTEIN",
     "DNA",
+    "ALPHABETS",
+    "POLICIES",
     "SequenceRecord",
     "FastaParseError",
     "parse_fasta",
@@ -68,6 +70,12 @@ PROTEIN = Alphabet("protein", "ABCDEFGHIJKLMNOPQRSTUVWXYZ", unknown="X")
 #: The four nucleotides. No replacement letter: anything else is an error.
 DNA = Alphabet("dna", "ACGT")
 
+#: The built-in alphabets by name.
+ALPHABETS = {a.name: a for a in (PROTEIN, DNA)}
+
+#: parse_fasta's policies for out-of-alphabet characters.
+POLICIES = ("strict", "replace")
+
 
 @dataclass(frozen=True)
 class SequenceRecord:
@@ -84,10 +92,19 @@ class FastaParseError(DataError):
 
 
 def _as_text(data: bytes | str | IO) -> str:
-    """The text of ``data``: UTF-8 bytes, a string, or a text or binary stream."""
-    if not isinstance(data, (bytes, str)):
-        data = data.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    """The text of ``data``: UTF-8 bytes, a string, or a text or binary stream.
+
+    Every input file is decoded here. Invalid UTF-8 is a DataError naming
+    its byte offset in the data read.
+    """
+    try:
+        if not isinstance(data, (bytes, str)):
+            data = data.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.object[exc.start:exc.end]!r}"
+        ) from None
 
 
 def parse_fasta(
@@ -106,8 +123,8 @@ def parse_fasta(
     bodies, duplicate ids, and (under "strict") the first out-of-alphabet
     character, naming its line and column.
     """
-    if policy not in ("strict", "replace"):
-        raise ConfigError(f"unknown parse policy {policy!r}")
+    if policy not in POLICIES:
+        raise ConfigError(f"parse policy must be one of {POLICIES}, got {policy!r}")
     replace = policy == "replace" and alphabet.unknown is not None
 
     lines = io.StringIO(_as_text(data))  # split at '\n' only

@@ -77,7 +77,7 @@ def knn_report(trained, family_records):
     corpus, model, _ = trained
     _, labels = family_records
     index = VectorIndex(model.D, corpus.doc_ids, [labels[i] for i in corpus.doc_ids])
-    return knn_cross_validate(index, 10, [1, 3, 5, 10], seed=EVAL_SEED)
+    return knn_cross_validate(index, [1, 3, 5, 10], folds=10, seed=EVAL_SEED)
 
 
 def test_criterion_1_tokenizer_golden():
@@ -251,7 +251,7 @@ def test_criterion_5_nonoverlap_at_least_overlap(trained, knn_report, family_rec
     index_o = VectorIndex(
         model_o.D, corpus_o.doc_ids, [labels[i] for i in corpus_o.doc_ids]
     )
-    report_o = knn_cross_validate(index_o, 10, [1, 3, 5, 10], seed=EVAL_SEED)
+    report_o = knn_cross_validate(index_o, [1, 3, 5, 10], folds=10, seed=EVAL_SEED)
     gaps = {k: knn_report[k].mean - report_o[k].mean for k in (1, 3, 5, 10)}
     ok = all(gap >= -0.02 for gap in gaps.values())
     check(5, "non-overlapping at least overlapping",

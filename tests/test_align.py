@@ -253,6 +253,11 @@ class TestMatrixLoader:
         with pytest.raises(DataError, match="header"):
             load_substitution_matrix("")
 
+    @pytest.mark.parametrize("cell", ["x", "#2", "4.0", "3000000000"])
+    def test_non_integer_score_rejected_with_its_line(self, cell):
+        with pytest.raises(DataError, match=f"line 3: score '{cell}' is not a 32-bit"):
+            load_substitution_matrix(f"# comment\n   A  C\nA  {cell} -1\nC -1  9\n")
+
 
 def _db():
     return [

@@ -1,14 +1,26 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import argparse
+import inspect
+import io
+import shlex
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from seqvec.cli import _warnings_to_stderr, main
+from seqvec.align import AlignParams
+from seqvec.classify import binary_family_protocol, multiclass_protocol
+from seqvec.cli import _warnings_to_stderr, build_parser, main
+from seqvec.embedding import ARCHITECTURES, TrainConfig
+from seqvec.knn import METRICS, VectorIndex, knn_cross_validate
 from seqvec.model_io import load_model, read_vectors
-from seqvec.sequences import SequenceRecord, write_fasta
+from seqvec.sequences import ALPHABETS, POLICIES, SequenceRecord, parse_fasta, write_fasta
 from seqvec.synthetic import markov_family_corpus
+from seqvec.tokenizer import MODES, build_corpus
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +257,7 @@ class TestVectorsAndInfer:
                    "--epochs", epochs, "--output", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"seqvec: usage error: --epochs must be >= 1, got {epochs}\n")
+            f"seqvec: usage error: infer_epochs must be >= 1, got {epochs}\n")
         assert not out.exists()
 
     def test_infer_counts_out_of_vocabulary_kmers_in_one_warning(self, tiny_dataset,
@@ -469,6 +481,24 @@ class TestEvaluationCommands:
         assert rc == 1
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
+    def test_duplicate_vector_id_is_data_error(self, eval_files, tmp_path, command,
+                                               capsys):
+        # knn-eval once said "ids must be unique"; svm-eval kept the last row
+        vectors, labels = eval_files
+        lines = vectors.read_text().splitlines()
+        first_id = lines[1].split()[0]
+        lines[5] = first_id + " " + lines[5].split(" ", 1)[1]
+        broken = tmp_path / "dup.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.tsv"
+        rc = main([command, "--vectors", str(broken), "--labels", str(labels),
+                   "--folds", "4", "--seed", "0", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"seqvec: error: line 6: duplicate vector id {first_id!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["binary", "multiclass"])
     def test_svm_eval_failure_leaves_no_output_file(self, eval_files, tmp_path, mode,
                                                     capsys):
@@ -525,6 +555,20 @@ class TestAlignKnn:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1] == "q\tFA"
 
+    @pytest.mark.parametrize("cell", ["x", "#2", "1.5", "99999999999"])
+    def test_bad_matrix_cell_is_data_error(self, tmp_path, cell, capsys):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(f"   A  C\nA  2 -1\nC {cell}  2\n")
+        db = tmp_path / "db.fasta"
+        db.write_text(">d1\nAAAA\n>d2\nCCCC\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("d1\tFA\nd2\tFC\n")
+        rc = main(["align-knn", "--db", str(db), "--labels", str(labels),
+                   "--query", str(db), "--k", "1", "--matrix", str(matrix)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"seqvec: error: line 3: score {cell!r} is not a 32-bit integer\n")
+
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
         # q1 classifies; q2's top hit d2 has no label, so the vote fails
         db = tmp_path / "db.fasta"
@@ -539,3 +583,159 @@ class TestAlignKnn:
         assert rc == 1
         assert "no family label" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _options(command):
+    """{dest: action} of one subcommand's arguments."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+class TestParserReadsTheLibrary:
+    def test_choices_are_the_library_constants(self):
+        assert _options("tokenize")["alphabet"].choices is ALPHABETS
+        assert _options("tokenize")["mode"].choices is MODES
+        assert _options("tokenize")["policy"].choices is POLICIES
+        assert _options("train")["arch"].choices is ARCHITECTURES
+        assert _options("knn-eval")["metric"].choices is METRICS
+
+    def test_defaults_are_the_library_defaults(self):
+        tokenize, knn, svm, align = map(_options, ("tokenize", "knn-eval", "svm-eval",
+                                                   "align-knn"))
+        assert ALPHABETS[tokenize["alphabet"].default] is _defaults(parse_fasta)["alphabet"]
+        assert tokenize["policy"].default == _defaults(parse_fasta)["policy"]
+        assert tokenize["min_count"].default == _defaults(build_corpus)["min_count"]
+        assert knn["folds"].default == _defaults(knn_cross_validate)["folds"]
+        assert knn["metric"].default == VectorIndex.metric
+        for protocol in (multiclass_protocol, binary_family_protocol):
+            assert svm["folds"].default == _defaults(protocol)["folds"]
+            assert svm["C"].default == _defaults(protocol)["C"]
+        assert svm["top_n"].default == _defaults(multiclass_protocol)["top_n_families"]
+        assert (align["gap_open"].default, align["gap_extend"].default) == (
+            AlignParams.gap_open, AlignParams.gap_extend)
+
+    def test_train_without_optional_flags_uses_the_default_config(
+            self, tiny_dataset, tmp_path, monkeypatch):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        monkeypatch.setenv("SEQVEC_SEED", "3")
+        model = tmp_path / "model.bin"
+        assert main(["train", "--corpus", str(corpus), "--output", str(model)]) == 0
+        assert load_model(model.read_bytes()).config == TrainConfig(seed=3)
+
+    @pytest.mark.parametrize("objective", ["hs:3", "ns3", "softmax"])
+    def test_unknown_objective_is_usage_error(self, tiny_dataset, tmp_path, objective,
+                                              capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--objective", objective,
+                   "--output", str(tmp_path / "bad.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("seqvec: usage error: ")
+        assert not (tmp_path / "bad.bin").exists()
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        commands = [line[1:] for line in lines if line[:1] == ["seqvec"]]
+        assert [argv[0] for argv in commands] == [
+            "tokenize", "train", "vectors", "infer", "knn-eval", "svm-eval", "align-knn"]
+        for argv in commands:
+            build_parser().parse_args(argv)  # exits 2 on a flag it does not know
+
+
+@pytest.fixture(scope="module")
+def every_input(tiny_dataset, tmp_path_factory):
+    """One valid file of each kind, and the argv that reads each of them."""
+    root, fasta, labels = tiny_dataset
+    corpus = _tokenize(root, fasta)
+    model = _train(root, corpus, "model_inputs.bin")
+    vectors = root / "vectors_inputs.txt"
+    assert main(["vectors", "--model", str(model), "--output", str(vectors)]) == 0
+    matrix = root / "matrix.txt"
+    matrix.write_text("   A  C  D\nA  2 -1  0\nC -1  2 -3\nD  0 -3  5\n")
+    files = {"fasta": fasta, "corpus": corpus, "labels": labels, "vectors": vectors,
+             "matrix": matrix}
+    out = tmp_path_factory.mktemp("outputs")
+
+    def argv(command, kind, path):
+        paths = {**files, kind: path}
+        evaluate = ["--vectors", str(paths["vectors"]), "--labels", str(paths["labels"]),
+                    "--folds", "2", "--seed", "0", "--output", str(out / "report.tsv")]
+        return {
+            "tokenize": ["tokenize", "--input", str(paths["fasta"]), "--k", "3",
+                         "--output", str(out / "corpus.txt")],
+            "train": ["train", "--corpus", str(paths["corpus"]), "--dim", "4",
+                      "--epochs", "1", "--output", str(out / "model.bin")],
+            "infer": ["infer", "--model", str(model), "--input", str(paths["fasta"]),
+                      "--epochs", "1", "--output", str(out / "inferred.txt")],
+            "knn-eval": ["knn-eval", *evaluate, "--k", "1,3"],
+            "svm-eval": ["svm-eval", *evaluate, "--top-n", "2"],
+            "align-knn": ["align-knn", "--db", str(paths["fasta"]), "--labels",
+                          str(paths["labels"]), "--query", str(paths["fasta"]),
+                          "--k", "1", "--matrix", str(paths["matrix"]),
+                          "--output", str(out / "predicted.tsv")],
+        }[command]
+
+    return files, argv, out
+
+
+# Each command with each kind of input file it reads.
+_READS = [("tokenize", "fasta"), ("infer", "fasta"), ("train", "corpus"),
+          ("knn-eval", "vectors"), ("knn-eval", "labels"), ("svm-eval", "vectors"),
+          ("svm-eval", "labels"), ("align-knn", "fasta"), ("align-knn", "labels"),
+          ("align-knn", "matrix")]
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command, kind", _READS)
+    def test_valid_inputs_run(self, every_input, command, kind):
+        files, argv, _ = every_input
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv(command, kind, files[kind])) == 0
+
+    @pytest.mark.parametrize("command, kind", _READS)
+    def test_invalid_utf8_is_data_error_at_its_byte(self, every_input, tmp_path,
+                                                    command, kind, capsys):
+        files, argv, _ = every_input
+        blob = files[kind].read_bytes()
+        at = blob.index(b"\n") + 2  # inside the second line
+        broken = tmp_path / files[kind].name
+        broken.write_bytes(blob[:at] + b"\xff" + blob[at:])
+        rc = main(argv(command, kind, broken))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"seqvec: error: invalid UTF-8 at byte {at}: b'\\xff'")
+
+    @pytest.mark.parametrize("command, kind", _READS)
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_inputs_exit_cleanly(self, every_input, command, kind, data):
+        # any bytes in, an exit code out: 0 if the edit kept the file
+        # valid, else 1 or 2 with one diagnostic, never an exception
+        files, argv, out = every_input
+        blob = files[kind].read_bytes()
+        pieces = st.sampled_from([b"", b"\xff", b"\xc3", b"\n", b"\t", b" ", b">",
+                                  b"#", b"x", b"0", b"-1", b"nan", b"1e999", b"*"])
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(blob)))
+            j = data.draw(st.integers(i, min(len(blob), i + 8)))
+            blob = blob[:i] + data.draw(pieces | st.binary(max_size=4)) + blob[j:]
+        mutated = out / f"mutated.{kind}"
+        mutated.write_bytes(blob)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = main(argv(command, kind, mutated))
+        assert rc in (0, 1, 2)
+        if rc:
+            assert err.getvalue().splitlines()[-1].startswith(
+                ("seqvec: error: ", "seqvec: usage error: "))

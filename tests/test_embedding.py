@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from seqvec import embedding
 from seqvec.embedding import (
     TrainConfig,
     _make_objective,
@@ -552,6 +553,19 @@ _PLAN_CASES = {
 }
 
 
+def _plan_case(case, arch, objective):
+    """The vocabulary, documents and config of one ``_PLAN_CASES`` entry."""
+    counts, lengths, extra = _PLAN_CASES[case]
+    vocab = build_vocabulary({f"t{i}": c for i, c in enumerate(counts)})
+    rng = np.random.default_rng(8)
+    docs = [_doc(tag % 3, rng.integers(0, len(counts), n))
+            for tag, n in enumerate(lengths)]
+    cfg = TrainConfig(**{**dict(architecture=arch, dim=5, window=3,
+                                objective=objective, negative=3, epochs=3,
+                                alpha0=0.1, seed=13), **extra})
+    return vocab, docs, cfg
+
+
 def _last_rng(monkeypatch):
     """Record every generator numpy.random.default_rng makes, last one last."""
     made, make = [], np.random.default_rng
@@ -590,14 +604,8 @@ class TestWalkerMatchesReference:
     @pytest.mark.parametrize("case", list(_PLAN_CASES))
     def test_train_loss_inference_and_generator_state_match(self, case, arch,
                                                             objective, monkeypatch):
-        counts, lengths, extra = _PLAN_CASES[case]
-        vocab = build_vocabulary({f"t{i}": c for i, c in enumerate(counts)})
-        rng = np.random.default_rng(8)
-        docs = [_doc(tag % 3, rng.integers(0, len(counts), n))
-                for tag, n in enumerate(lengths)]
-        cfg = TrainConfig(**{**dict(architecture=arch, dim=5, window=3,
-                                    objective=objective, negative=3, epochs=3,
-                                    alpha0=0.1, seed=13), **extra})
+        vocab, docs, cfg = _plan_case(case, arch, objective)
+        lengths = [len(d.tokens) for d in docs]
         made = _last_rng(monkeypatch)
         lib = train(init_model(vocab, 3, cfg), docs)
         lib_rng = made[-1]
@@ -618,6 +626,25 @@ class TestWalkerMatchesReference:
             lib_rng = made[-1]
             assert np.array_equal(vec, _ref_infer_docs(ref, lists, 3, 6))
             assert lib_rng.random() == made[-1].random()
+
+    @pytest.mark.parametrize("cells", [1, 7, 150])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    @pytest.mark.parametrize("case", list(_PLAN_CASES))
+    def test_frozen_passes_split_into_chunks_match(self, case, arch, objective, cells,
+                                                   monkeypatch):
+        # budgets this small gather one step, or a few, per chunk
+        monkeypatch.setattr(embedding, "_GATHER_CELLS", cells)
+        vocab, docs, cfg = _plan_case(case, arch, objective)
+        model = train(init_model(vocab, 3, cfg), docs)
+        if arch in ("cbow", "sg") and max(len(d.tokens) for d in docs) == 1:
+            return  # nothing to score or infer
+        assert loss_estimate(model, docs, probe_seed=4) == \
+            _ref_loss_estimate(model, docs, 4)
+        if arch in ("dm", "dbow"):
+            lists = [d.tokens for d in docs[::-1]]
+            assert np.array_equal(infer_docs(model, lists, infer_epochs=3, seed=6),
+                                  _ref_infer_docs(model, lists, 3, 6))
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_frozen_context_sums_match_numpy_sums(self, dim):
@@ -785,12 +812,12 @@ class TestInference:
 
         assert cos(vec, model.D[0]) > cos(vec, model.D[5])
 
-    def test_zero_epochs_returns_the_random_initialization(self):
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        # zero passes would return the seeded random draw for every input
         model, docs = self._trained()
-        a = infer_docs(model, [docs[0].tokens], infer_epochs=0, seed=3)
-        b = infer_docs(model, [docs[1].tokens], infer_epochs=0, seed=3)
-        assert np.array_equal(a, b)  # tokens unused when nothing is updated
-        assert np.all(np.abs(a) <= 0.5 / model.dim)
+        with pytest.raises(ConfigError, match=f"infer_epochs must be >= 1, got {epochs}"):
+            infer_docs(model, [docs[0].tokens], infer_epochs=epochs, seed=3)
 
     def test_deterministic_for_seed(self):
         model, docs = self._trained()

@@ -311,5 +311,5 @@ class TestKnnCrossValidate:
             index = VectorIndex(M, ids, labels, metric=metric)
             folds = int(rng.integers(2, min(per, 5) + 1))
             k_values = [1, 2, 5, 9]
-            assert knn_cross_validate(index, folds, k_values, seed=trial) == \
+            assert knn_cross_validate(index, k_values, folds, seed=trial) == \
                 fold_loop_cv(index, folds, k_values, seed=trial)

@@ -167,3 +167,7 @@ class TestVectorText:
     def test_non_integer_header_rejected(self, header):
         with pytest.raises(DataError, match="line 1"):
             read_vectors(f"{header}\na 1 2\n")
+
+    def test_duplicate_id_rejected_with_its_line(self):
+        with pytest.raises(DataError, match="line 4: duplicate vector id 'a'"):
+            read_vectors("3 2\na 1 2\nb 3 4\na 5 6\n")

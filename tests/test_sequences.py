@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from seqvec.errors import DataError
+from seqvec.errors import ConfigError, DataError
 from seqvec.sequences import (
     DNA,
     PROTEIN,
@@ -84,8 +84,21 @@ class TestParseTotality:
     def test_arbitrary_bytes_never_crash_unexpectedly(self, blob):
         try:
             parse_fasta(blob, DNA)
-        except (FastaParseError, UnicodeDecodeError):
+        except FastaParseError:
             pass
+        except DataError as exc:
+            assert "invalid UTF-8 at byte" in str(exc)
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO,
+                                      lambda b: io.TextIOWrapper(io.BytesIO(b), "utf-8")])
+    def test_invalid_utf8_names_its_byte_offset(self, wrap):
+        # bytes, a binary stream and a text stream fail alike
+        with pytest.raises(DataError, match=r"invalid UTF-8 at byte 6: b'\\xff'"):
+            parse_fasta(wrap(b">s1\nAC\xffGT\n"), DNA)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="parse policy must be one of"):
+            parse_fasta(">s1\nACGT\n", DNA, "lenient")
 
 
 @st.composite

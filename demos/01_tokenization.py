@@ -11,7 +11,6 @@ from seqvec import (
     SequenceRecord,
     TokenizerConfig,
     build_corpus,
-    build_huffman,
     kmers_nonoverlapping,
     kmers_overlapping,
     subsample_filter,
@@ -34,15 +33,19 @@ records = [
     SequenceRecord("seq1", "", "QWERTYQWERTY"),
     SequenceRecord("seq2", "", "QWERTYQWERTYQW"),
 ]
-docs, vocab = build_corpus(records, TokenizerConfig(k=3, mode="nonoverlap"))
+corpus = build_corpus(records, TokenizerConfig(k=3, mode="nonoverlap"))
+docs, vocab = corpus.docs, corpus.vocab
 
 print(f"\ncorpus: {len(docs)} documents over {len(records)} sequences "
       f"(each sequence's 3 phase documents share one tag)")
+# the corpus keeps the settings that split it; the model file stores them
+# so that queries are split the same way
+print("tokenizer:", corpus.tokenizer)
 print("vocabulary:", {t: int(c) for t, c in zip(vocab.tokens, vocab.counts)})
 
 # tokens below a count threshold can be dropped at build time
-docs2, vocab2 = build_corpus(records, TokenizerConfig(3), min_count=2)
-print("with min_count=2:", vocab2.tokens)
+rare_dropped = build_corpus(records, TokenizerConfig(3), min_count=2)
+print("with min_count=2:", rare_dropped.vocab.tokens)
 
 # --- frequency machinery used by training --------------------------------
 
@@ -56,7 +59,7 @@ print("subsample t=1e-2 keeps:",
       subsample_filter(tokens, vocab, 1e-2, rng).tolist(), "of", tokens.tolist())
 
 # Huffman codes over token counts drive the hierarchical-softmax objective
-huffman = build_huffman(vocab)
+# (built on first use and kept on the vocabulary)
 print("\nHuffman codes (frequent tokens get short codes):")
-for tok, code in zip(vocab.tokens, huffman.codes):
+for tok, code in zip(vocab.tokens, vocab.huffman.codes):
     print(f"  {tok}: {''.join(map(str, code.tolist()))}")

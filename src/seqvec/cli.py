@@ -90,10 +90,9 @@ def _fmt(summary) -> str:
 def cmd_tokenize(args) -> int:
     with open(args.input, "rb") as fh:
         records = parse_fasta(fh, ALPHABETS[args.alphabet], args.policy)
-    cfg = TokenizerConfig(k=args.k, mode=args.mode)
-    corpus = build_corpus(records, cfg, min_count=args.min_count)
+    corpus = build_corpus(records, TokenizerConfig(args.k, args.mode), args.min_count)
     with open(args.output, "w", encoding="utf-8") as out:
-        write_corpus(corpus, out, cfg)
+        write_corpus(corpus, out)
     print(
         f"vocabulary {len(corpus.vocab)} tokens, {len(corpus.docs)} documents "
         f"over {len(corpus.doc_ids)} sequences, {len(corpus.skipped)} sequences dropped",
@@ -113,8 +112,9 @@ def cmd_train(args) -> int:
         alpha0=args.alpha, seed=args.seed, workers=args.workers,
     )
     with open(args.corpus, "rb") as fh:
-        corpus, tok_cfg = read_corpus(fh)
-    model = init_model(corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids, tok_cfg)
+        corpus = read_corpus(fh)
+    model = init_model(corpus.vocab, len(corpus.doc_ids), cfg, corpus.doc_ids,
+                       corpus.tokenizer)
     initial = loss_estimate(model, corpus.docs, probe_seed=cfg.seed)
     train(model, corpus.docs)
     final = loss_estimate(model, corpus.docs, probe_seed=cfg.seed)

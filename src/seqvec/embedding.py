@@ -60,7 +60,6 @@ from .tokenizer import (
     TokenizedDoc,
     TokenizerConfig,
     Vocabulary,
-    ensure_huffman,
     subsample_keep_probs,
 )
 
@@ -90,6 +89,9 @@ _CLIP_LO, _CLIP_HI, _ONE = (np.array(v, dtype=np.float32)
                             for v in (-_MAX_EXP, _MAX_EXP, 1.0))
 for _const in (_CLIP_LO, _CLIP_HI, _ONE):
     _const.setflags(write=False)
+
+#: The largest integer settings a model file holds (u32 counts, a u64 seed).
+_U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
 
 #: Floats a frozen pass gathers at once (context rows and output rows of a
 #: chunk of steps); bounds the transient memory for long documents.
@@ -128,6 +130,12 @@ class TrainConfig:
             raise ConfigError("alpha0 must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
+        for name in ("dim", "window", "negative", "epochs"):
+            if getattr(self, name) > _U32_MAX:
+                raise ConfigError(f"{name} must be at most {_U32_MAX}, the model "
+                                  "file's limit")
+        if self.seed > _U64_MAX:
+            raise ConfigError(f"seed must be at most {_U64_MAX}, the model file's limit")
         if self.workers != 1:
             raise ConfigError("workers must be 1 (training is single-threaded)")
 
@@ -230,7 +238,7 @@ class _Objective:
         self.O = O
         self.hs = cfg.objective == "hs"
         if self.hs:
-            huffman = ensure_huffman(vocab)
+            huffman = vocab.huffman
             self.paths, self.path_labels = huffman.paths, huffman.targets
         else:
             self.table, self.n = vocab.sampling_table, cfg.negative

@@ -26,6 +26,10 @@ instead of producing a partial model. The text vector format is a
 
 Tokenizer settings ride inside the model on purpose: inference must
 split query sequences exactly as the training corpus was split.
+``TrainConfig`` keeps its integer settings within their u32/u64 fields,
+and ``read_corpus`` its kmers and sequence ids within the u16 length
+field (``tokenizer.MAX_TEXT_BYTES``), so a model trained from a corpus
+file always saves.
 """
 
 from __future__ import annotations

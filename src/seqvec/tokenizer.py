@@ -12,7 +12,7 @@ A sequence becomes one or more token documents:
 The vocabulary assigns dense integer ids in first-occurrence order,
 drops tokens rarer than ``min_count`` (removing their occurrences from
 the documents), and carries the cumulative count^0.75 table used to draw
-negative samples plus, on demand, a Huffman coding of the tokens.
+negative samples plus, built on first use, a Huffman coding of the tokens.
 
 ``Vocabulary.encode`` is the only kmer -> id rule, for corpora and for
 inference queries alike. ``build_corpus`` and ``read_corpus`` share one
@@ -26,6 +26,7 @@ import heapq
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 MODES = ("nonoverlap", "overlap")
+
+#: Longest kmer or sequence id, in UTF-8 bytes, that a model file can hold.
+MAX_TEXT_BYTES = 0xFFFF
 
 #: Exponent flattening the unigram distribution for negative sampling.
 NEGATIVE_EXPONENT = 0.75
@@ -120,7 +124,6 @@ class Vocabulary:
     total: int = field(init=False)
     index: dict[str, int] = field(init=False, repr=False)
     sampling_table: np.ndarray = field(init=False, repr=False)
-    huffman: HuffmanCoding | None = None
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -148,6 +151,11 @@ class Vocabulary:
         are dropped."""
         index = self.index
         return np.array([index[km] for km in kmers if km in index], dtype=np.int32)
+
+    @cached_property
+    def huffman(self) -> HuffmanCoding:
+        """The Huffman coding of the tokens, built on first use."""
+        return build_huffman(self)
 
 
 def kmers_overlapping(residues: str, k: int) -> list[str]:
@@ -188,17 +196,15 @@ def kmers_nonoverlapping(residues: str, k: int) -> list[list[str]]:
 
 @dataclass
 class Corpus:
-    """Result of build_corpus; unpacks as ``docs, vocab = build_corpus(...)``
-    while also carrying the kept sequence ids (aligned with doc tags) and
-    the ids skipped for being too short."""
+    """Token documents and their vocabulary, the settings that split them,
+    the kept sequence ids (aligned with doc tags) and the ids skipped for
+    being too short."""
 
     docs: list[TokenizedDoc]
     vocab: Vocabulary
+    tokenizer: TokenizerConfig
     doc_ids: list[str]
     skipped: list[str]
-
-    def __iter__(self):
-        return iter((self.docs, self.vocab))
 
 
 def build_vocabulary(counts: Counter[str] | dict[str, int],
@@ -255,7 +261,7 @@ def build_corpus(
     raw = [(i, phase, kmers) for i, rec in enumerate(kept)
            for phase, kmers in enumerate(cfg.phases(rec.residues))]
     docs, vocab, keys = _assemble(raw, min_count)
-    return Corpus(docs, vocab, [kept[i].id for i in keys], skipped)
+    return Corpus(docs, vocab, cfg, [kept[i].id for i in keys], skipped)
 
 
 def subsample_keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
@@ -324,27 +330,19 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
     return HuffmanCoding(codes, paths, n_inner=len(children))
 
 
-def ensure_huffman(vocab: Vocabulary) -> HuffmanCoding:
-    """Build (once) and cache the Huffman coding on the vocabulary."""
-    if vocab.huffman is None:
-        vocab.huffman = build_huffman(vocab)
-    return vocab.huffman
-
-
 # --- corpus text format -------------------------------------------------
 #
 # One document per line: "doc_tag<SP>phase<SP>kmer kmer ...". Lines
 # starting with '#' are metadata: "#meta k=3 mode=nonoverlap" and one
-# "#doc <tag> <sequence id>" per kept sequence. Files without metadata
-# still load; k is then inferred from the kmer length and the mode from
-# the phase fields.
+# "#doc <tag> <sequence id>" per kept sequence. Every kmer is k letters
+# long, and no kmer or sequence id is longer than MAX_TEXT_BYTES of UTF-8.
+# Files without metadata still load; k is then the length of the first
+# kmer and the mode is inferred from the phase fields.
 
 
-def write_corpus(
-    corpus: Corpus, stream: IO, cfg: TokenizerConfig | None = None
-) -> None:
-    if cfg is not None:
-        stream.write(f"#meta k={cfg.k} mode={cfg.mode}\n")
+def write_corpus(corpus: Corpus, stream: IO) -> None:
+    tok = corpus.tokenizer
+    stream.write(f"#meta k={tok.k} mode={tok.mode}\n")
     for tag, rid in enumerate(corpus.doc_ids):
         stream.write(f"#doc {tag} {rid}\n")
     tokens = corpus.vocab.tokens
@@ -353,14 +351,25 @@ def write_corpus(
         stream.write(f"{doc.doc_tag} {doc.phase} {kmers}\n")
 
 
-def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
+def _fitting(text: str, lineno: int, what: str) -> str:
+    """``text``, or a DataError if a model file could not hold it."""
+    if len(text.encode("utf-8")) > MAX_TEXT_BYTES:
+        raise DataError(f"line {lineno}: {what} is longer than {MAX_TEXT_BYTES} "
+                        "UTF-8 bytes")
+    return text
+
+
+def read_corpus(data: bytes | str | IO) -> Corpus:
     """Load a tokenized corpus written by write_corpus (or by hand).
-    Doc tags must be nonnegative; gaps between them are closed."""
-    k = None
-    mode = None
+
+    The settings come from the ``#meta`` line wherever it sits, or are
+    inferred as above; every kmer must be k letters long. Doc tags must
+    be nonnegative; gaps between them are closed.
+    """
+    k = mode = None
     id_of: dict[int, str] = {}
     raw: list[tuple[int, int, list[str]]] = []
-    max_phase = 0
+    linenos: list[int] = []  # the line of each document in raw
     for lineno, line in enumerate(io.StringIO(_as_text(data)), start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
@@ -383,9 +392,10 @@ def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
             parts = line.split(None, 2)
             if len(parts) == 3:
                 try:
-                    id_of[int(parts[1])] = parts[2]
+                    tag = int(parts[1])
                 except ValueError as exc:
                     raise DataError(f"line {lineno}: bad doc tag in {line!r}") from exc
+                id_of[tag] = _fitting(parts[2], lineno, "sequence id")
             continue
         if line.startswith("#"):
             continue
@@ -401,14 +411,20 @@ def read_corpus(data: bytes | str | IO) -> tuple[Corpus, TokenizerConfig]:
         if tag < 0:
             raise DataError(f"line {lineno}: negative doc_tag in {line!r}")
         raw.append((tag, phase, parts[2:]))
-        max_phase = max(max_phase, phase)
+        linenos.append(lineno)
     if not raw:
         raise DataError("empty corpus file")
 
+    if k is None:
+        k = len(raw[0][2][0])
+    for lineno, (_, _, kmers) in zip(linenos, raw):
+        for i, kmer in enumerate(kmers, start=1):
+            if len(kmer) != k or len(kmer.encode("utf-8")) > MAX_TEXT_BYTES:
+                _fitting(kmer, lineno, f"kmer {i}")  # raises if too long
+                raise DataError(f"line {lineno}: kmer {i} is {len(kmer)} letters "
+                                f"long, not k={k}")
+    if mode is None:
+        mode = "nonoverlap" if max(phase for _, phase, _ in raw) > 0 else "overlap"
     docs, vocab, tags = _assemble(raw, min_count=1)
     doc_ids = [id_of.get(tag, f"doc{tag}") for tag in tags]
-    if k is None:
-        k = len(vocab.tokens[0])
-    if mode is None:
-        mode = "nonoverlap" if max_phase > 0 else "overlap"
-    return Corpus(docs, vocab, doc_ids, []), TokenizerConfig(k=k, mode=mode)
+    return Corpus(docs, vocab, TokenizerConfig(k=k, mode=mode), doc_ids, [])

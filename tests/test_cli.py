@@ -20,7 +20,7 @@ from seqvec.knn import METRICS, VectorIndex, knn_cross_validate
 from seqvec.model_io import load_model, read_vectors
 from seqvec.sequences import ALPHABETS, POLICIES, SequenceRecord, parse_fasta, write_fasta
 from seqvec.synthetic import markov_family_corpus
-from seqvec.tokenizer import MODES, build_corpus
+from seqvec.tokenizer import MODES, TokenizerConfig, build_corpus
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,45 @@ class TestTrain:
                    "--output", str(tmp_path / "bad.bin")])
         assert rc == 1
         assert "seqvec: error: line 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("#meta k=3 mode=nonoverlap\n0 0 ACDE\n",
+         "line 2: kmer 1 is 4 letters long, not k=3"),
+        ("#meta k=99999999999 mode=nonoverlap\n0 0 ACG TTA\n",
+         "line 2: kmer 1 is 3 letters long, not k=99999999999"),
+        ("#doc 0 " + "x" * 70000 + "\n0 0 ACG TTA\n",
+         "line 1: sequence id is longer than 65535 UTF-8 bytes"),
+    ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16"])
+    def test_corpus_no_model_can_serve_is_data_error(self, tmp_path, text, message,
+                                                      capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        rc = main(["train", "--corpus", str(corpus), "--dim", "4", "--epochs", "1",
+                   "--output", str(tmp_path / "bad.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"seqvec: error: {message}\n"
+        assert not (tmp_path / "bad.bin").exists()
+
+    def test_corpus_without_metadata_trains_with_inferred_settings(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("0 0 ACG TTA\n0 1 CGT TAC\n1 0 ACG CGT\n1 1 TTA ACG\n")
+        model = _train(tmp_path, corpus)
+        assert load_model(model.read_bytes()).tokenizer == TokenizerConfig(3, "nonoverlap")
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--window", str(2**32), "window"), ("--seed", str(2**64), "seed")])
+    def test_setting_no_model_file_can_hold_is_usage_error(self, tiny_dataset, tmp_path,
+                                                          flag, value, name, capsys):
+        root, fasta, labels = tiny_dataset
+        corpus = _tokenize(root, fasta)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--dim", "4", "--epochs", "1",
+                   flag, value, "--output", str(tmp_path / "bad.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"seqvec: usage error: {name} must be at most ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "bad.bin").exists()
 
     def test_workers_other_than_one_is_usage_error(self, tiny_dataset, capsys):
         root, fasta, labels = tiny_dataset

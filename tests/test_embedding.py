@@ -29,7 +29,6 @@ from seqvec.errors import ConfigError, DataError
 from seqvec.tokenizer import (
     TokenizedDoc,
     build_vocabulary,
-    ensure_huffman,
     subsample_keep_probs,
 )
 
@@ -69,6 +68,17 @@ class TestTrainConfig:
                 TrainConfig(subsample_t=subsample_t)
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["dim", "window", "negative", "epochs"])
+    def test_counts_above_the_model_file_u32_rejected(self, name):
+        TrainConfig(**{name: 2**32 - 1})
+        with pytest.raises(ConfigError, match=f"{name} must be at most 4294967295"):
+            TrainConfig(**{name: 2**32})
+
+    def test_seed_above_the_model_file_u64_rejected(self):
+        TrainConfig(seed=2**64 - 1)
+        with pytest.raises(ConfigError, match="seed must be at most"):
+            TrainConfig(seed=2**64)
 
 
 class TestInitModel:
@@ -784,7 +794,7 @@ class TestLossEstimate:
         # infer_docs and loss_estimate bind a fresh objective on every call
         cfg = TrainConfig(architecture="dm", dim=4, objective="hs", seed=0)
         model = init_model(_vocab(6), 2, cfg)
-        huffman = ensure_huffman(model.vocab)
+        huffman = model.vocab.huffman
         for obj in (_make_objective(model, cfg), _make_objective(model, cfg)):
             rows, labels = obj.scored(3, None)
             assert rows is huffman.paths[3]

@@ -63,6 +63,21 @@ class TestModelRoundTrip:
         assert loaded.config == _trained_model().config
         assert _bytes_of(loaded) == blob
 
+    def test_largest_settings_and_names_round_trip(self):
+        # the largest values TrainConfig and read_corpus let through
+        top = 2**32 - 1
+        cfg = TrainConfig(dim=2, window=top, negative=top, epochs=top, seed=2**64 - 1)
+        vocab = build_vocabulary({"A" * 65535: 2, "C" * 65535: 1})
+        model = init_model(vocab, 1, cfg, doc_ids=["\u00e9" * 32767 + "x"],
+                           tokenizer=TokenizerConfig(65535, "overlap"))
+        blob = _bytes_of(model)
+        loaded = load_model(blob)
+        assert loaded.config == cfg
+        assert loaded.doc_ids == model.doc_ids
+        assert loaded.vocab.tokens == vocab.tokens
+        assert loaded.tokenizer == model.tokenizer
+        assert _bytes_of(loaded) == blob
+
     def test_save_requires_tokenizer_settings(self):
         # guessing them (overlap mode, k from the token length) would split
         # queries of a non-overlapping model differently from training

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from seqvec.errors import DataError
 from seqvec.sequences import SequenceRecord
 from seqvec.tokenizer import (
+    Corpus,
     TokenizerConfig,
+    Vocabulary,
     build_corpus,
     build_huffman,
     build_vocabulary,
@@ -91,7 +93,9 @@ class TestBuildCorpus:
     def test_phase_documents_share_tag_and_counts(self):
         # phase lists enumerated by hand: QWE RTY QWE RTY / WER TYQ WER /
         # ERT YQW ERT -> counts QWE:2 RTY:2 WER:2 TYQ:1 ERT:2 YQW:1
-        docs, vocab = build_corpus([_qwerty_record()], TokenizerConfig(3), 1)
+        corpus = build_corpus([_qwerty_record()], TokenizerConfig(3), 1)
+        docs, vocab = corpus.docs, corpus.vocab
+        assert corpus.tokenizer == TokenizerConfig(3)
         assert len(docs) == 3
         assert {d.doc_tag for d in docs} == {0}
         assert [d.phase for d in docs] == [0, 1, 2]
@@ -101,7 +105,8 @@ class TestBuildCorpus:
         assert got == expected
 
     def test_min_count_drops_tokens_and_occurrences(self):
-        docs, vocab = build_corpus([_qwerty_record()], TokenizerConfig(3), 2)
+        corpus = build_corpus([_qwerty_record()], TokenizerConfig(3), 2)
+        docs, vocab = corpus.docs, corpus.vocab
         assert set(vocab.tokens) == {"QWE", "RTY", "WER", "ERT"}
         strings = [[vocab.tokens[t] for t in d.tokens] for d in docs]
         assert strings == [["QWE", "RTY", "QWE", "RTY"], ["WER", "WER"], ["ERT", "ERT"]]
@@ -120,11 +125,11 @@ class TestBuildCorpus:
         assert corpus.doc_ids == ["ok"]
 
     def test_overlap_mode_one_doc_per_sequence(self):
-        docs, vocab = build_corpus(
+        docs = build_corpus(
             [SequenceRecord("a", "", "ACGTTA"), SequenceRecord("b", "", "ACGTAC")],
             TokenizerConfig(3, "overlap"),
             1,
-        )
+        ).docs
         assert [d.doc_tag for d in docs] == [0, 1]
         assert all(d.phase == 0 for d in docs)
 
@@ -133,7 +138,8 @@ class TestBuildCorpus:
             SequenceRecord(f"s{i}", "", "QWERTYQWERTYQW"[: 12 + (i % 3)])
             for i in range(7)
         ]
-        docs, vocab = build_corpus(records, TokenizerConfig(3), 1)
+        corpus = build_corpus(records, TokenizerConfig(3), 1)
+        docs, vocab = corpus.docs, corpus.vocab
         tags = sorted({d.doc_tag for d in docs})
         assert tags == list(range(len(tags)))
         for d in docs:
@@ -204,6 +210,15 @@ class TestVocabulary:
 
 
 class TestHuffman:
+    def test_vocabulary_builds_its_coding_once_on_first_use(self):
+        vocab = build_vocabulary({"a": 4, "b": 1, "c": 1})
+        assert "huffman" not in vars(vocab)
+        coding = vocab.huffman
+        assert coding is vocab.huffman
+        assert all(map(np.array_equal, coding.codes, build_huffman(vocab).codes))
+        with pytest.raises(TypeError):
+            Vocabulary(["a"], [1], min_count=1, huffman=coding)
+
     def test_two_tokens_complementary_single_bits(self):
         vocab = build_vocabulary({"a": 1, "b": 1})
         h = build_huffman(vocab)
@@ -274,9 +289,10 @@ class TestCorpusRoundTrip:
             [_qwerty_record(), SequenceRecord("r2", "", "QWERTYQWERT")], cfg, 1
         )
         buf = io.StringIO()
-        write_corpus(corpus, buf, cfg)
-        loaded, cfg2 = read_corpus(buf.getvalue())
-        assert cfg2 == cfg
+        write_corpus(corpus, buf)
+        assert buf.getvalue().startswith("#meta k=3 mode=nonoverlap\n")
+        loaded = read_corpus(buf.getvalue())
+        assert loaded.tokenizer == cfg
         assert loaded.doc_ids == corpus.doc_ids
         original = [
             (d.doc_tag, d.phase, [corpus.vocab.tokens[t] for t in d.tokens])
@@ -294,8 +310,8 @@ class TestCorpusRoundTrip:
                    SequenceRecord("r3", "", "MMMKKKLLLPPP")]
         corpus = build_corpus(records, cfg, min_count=2)
         buf = io.StringIO()
-        write_corpus(corpus, buf, cfg)
-        loaded, _ = read_corpus(buf.getvalue())
+        write_corpus(corpus, buf)
+        loaded = read_corpus(buf.getvalue())
         assert loaded.vocab.tokens == corpus.vocab.tokens
         assert loaded.vocab.counts.tolist() == corpus.vocab.counts.tolist()
         assert loaded.doc_ids == corpus.doc_ids == ["q1", "r2"]
@@ -305,7 +321,7 @@ class TestCorpusRoundTrip:
 
     def test_tag_gaps_become_dense_rows(self):
         text = "#doc 0 a\n#doc 1 b\n#doc 2 c\n0 0 ACG TTA\n2 0 CGT ACG\n"
-        corpus, _ = read_corpus(text)
+        corpus = read_corpus(text)
         assert corpus.doc_ids == ["a", "c"]
         assert [d.doc_tag for d in corpus.docs] == [0, 1]
         assert corpus.vocab.tokens == ["ACG", "TTA", "CGT"]
@@ -323,11 +339,66 @@ class TestCorpusRoundTrip:
 
     def test_read_without_metadata_infers_config(self):
         text = "0 0 ACG TTA\n0 1 CGT TAC\n"
-        corpus, cfg = read_corpus(text)
-        assert cfg.k == 3
-        assert cfg.mode == "nonoverlap"
+        corpus = read_corpus(text)
+        assert corpus.tokenizer == TokenizerConfig(3, "nonoverlap")
         assert corpus.doc_ids == ["doc0"]
 
     def test_malformed_line_positioned(self):
         with pytest.raises(DataError, match="line 1"):
             read_corpus("0 ACG\n")
+
+    def test_read_without_metadata_infers_overlap_from_phase_zero(self):
+        corpus = read_corpus("0 0 ACGT CGTA\n1 0 GTAC\n")
+        assert corpus.tokenizer == TokenizerConfig(4, "overlap")
+
+    @pytest.mark.parametrize("text, lineno, i, length, k", [
+        ("#meta k=3 mode=nonoverlap\n0 0 ACD\n0 1 CDE ACDE\n", 3, 2, 4, 3),
+        ("0 0 ACDE\n0 1 CDEF\n#meta k=3 mode=nonoverlap\n", 1, 1, 4, 3),
+        ("0 0 ACG\n#meta k=99999999999 mode=nonoverlap\n", 1, 1, 3, 99999999999),
+        ("0 0 ACG CGT\n0 1 CG\n", 2, 1, 2, 3),  # no #meta: the first kmer's k
+    ], ids=["meta-first", "meta-last", "k-beyond-u32", "no-meta"])
+    def test_kmers_of_another_length_rejected_with_their_line(self, text, lineno, i,
+                                                               length, k):
+        with pytest.raises(DataError, match=f"^line {lineno}: kmer {i} is {length} "
+                                            f"letters long, not k={k}$"):
+            read_corpus(text)
+
+    @pytest.mark.parametrize("kmer", ["A" * 65536, "\u00e9" * 32768],
+                             ids=["one-byte-letters", "two-byte-letters"])
+    def test_kmer_a_model_file_cannot_hold_rejected_with_its_line(self, kmer):
+        with pytest.raises(DataError, match="^line 2: kmer 1 is longer than 65535 "
+                                            "UTF-8 bytes$"):
+            read_corpus(f"#doc 0 a\n0 0 {kmer}\n")
+
+    def test_sequence_id_a_model_file_cannot_hold_rejected_with_its_line(self):
+        with pytest.raises(DataError, match="^line 1: sequence id is longer than "
+                                            "65535 UTF-8 bytes$"):
+            read_corpus("#doc 0 " + "x" * 65536 + "\n0 0 ACG\n")
+
+    def test_longest_kmer_and_id_a_model_file_holds_load(self):
+        rid, kmer = "\u00e9" * 32767 + "x", "A" * 65535
+        corpus = read_corpus(f"#doc 0 {rid}\n0 0 {kmer}\n")
+        assert corpus.doc_ids == [rid]
+        assert corpus.tokenizer.k == 65535
+
+
+class TestCorpusApi:
+    def test_corpus_does_not_unpack(self):
+        corpus = build_corpus([_qwerty_record()], TokenizerConfig(3), 1)
+        assert not hasattr(Corpus, "__iter__")
+        with pytest.raises(TypeError):
+            docs, vocab = corpus
+
+    @pytest.mark.parametrize("cfg", [TokenizerConfig(3), TokenizerConfig(2, "overlap")])
+    def test_settings_travel_from_build_through_the_file(self, cfg):
+        corpus = build_corpus([_qwerty_record()], cfg, 1)
+        assert corpus.tokenizer == cfg
+        buf = io.StringIO()
+        write_corpus(corpus, buf)
+        assert buf.getvalue().splitlines()[0] == f"#meta k={cfg.k} mode={cfg.mode}"
+        assert read_corpus(buf.getvalue()).tokenizer == cfg
+
+    def test_write_corpus_takes_no_settings_of_its_own(self):
+        corpus = build_corpus([_qwerty_record()], TokenizerConfig(3), 1)
+        with pytest.raises(TypeError):
+            write_corpus(corpus, io.StringIO(), TokenizerConfig(3))

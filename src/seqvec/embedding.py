@@ -21,7 +21,8 @@ g_r * h and h by sum_r g_r * o_r. The objectives differ only in the rows:
 
 * negative sampling: the target's row (label 1) and n noise rows (label
   0) drawn from the cumulative count^0.75 table (draws equal to the
-  target are redrawn up to 16 times, then skipped);
+  target are redrawn up to 16 times, then skipped; ``_negative_steps``
+  is that rule, for one step or many);
 * hierarchical softmax: the inner nodes of the target's Huffman path,
   each labelled 1 - its code bit.
 
@@ -41,9 +42,10 @@ runs ``_train_doc`` on a fresh one-row D with W and O left unwritten, on
 the same learning-rate schedule. With W and O frozen, there and in
 ``loss_estimate``, every step's context sum and output rows are gathered
 before the loop, which then carries only the document row. The results
-are bit for bit those of the per-position loop. Training runs on a
-single thread and is bit-deterministic for a fixed seed; ``workers``
-must be 1.
+are bit for bit those of a per-position loop that draws and steps one
+target at a time; the tests keep that loop as their reference. Training
+runs on a single thread and is bit-deterministic for a fixed seed;
+``workers`` must be 1.
 """
 
 from __future__ import annotations
@@ -206,21 +208,51 @@ def draw_negatives(
 ) -> np.ndarray:
     """n indices from the cumulative sampling table, avoiding ``target``.
 
-    A draw that hits the target is redrawn up to 16 times and skipped if
-    still colliding, so the result can be shorter than n.
+    The one-step case of ``_negative_steps``: a draw that hits the target
+    is redrawn up to 16 times and skipped if still colliding, so the
+    result can be shorter than n.
     """
-    idx = np.searchsorted(table, rng.random(n), side="right")
-    if not (idx == target).any():
-        return idx
-    out = []
-    for j in idx:
-        attempts = 0
-        while j == target and attempts < 16:
-            j = int(np.searchsorted(table, rng.random(), side="right"))
-            attempts += 1
-        if j != target:
-            out.append(j)
-    return np.array(out, dtype=idx.dtype)
+    return _negative_steps(table, n, np.array([target]), rng)[0][1:]
+
+
+def _negative_steps(table, n, targets, rng):
+    """The rows scored at each of ``targets`` under negative sampling.
+
+    Returns ``(rows, bounds)``: step s scores ``rows[bounds[s]:bounds[s + 1]]``,
+    its target and then n noise rows drawn from the cumulative ``table``. A
+    draw that hits the step's target is redrawn up to 16 times and skipped
+    if still colliding, so a step can score fewer rows. ``rng`` is consumed
+    as a loop that drew at each step would consume it: n draws per step,
+    then that step's redraws. All steps' draws are taken in one call; if one
+    hits its target, the steps are replayed one at a time, the redraws taken
+    from that buffer, which is topped up from ``rng`` only when it runs out,
+    so the generator ends in the same state.
+    """
+    S = len(targets)
+    negs = np.searchsorted(table, rng.random(n * S), side="right").reshape(S, n)
+    if not (negs == targets[:, None]).any():
+        rows = np.empty((S, 1 + n), dtype=np.intp)
+        rows[:, 0] = targets
+        rows[:, 1:] = negs
+        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
+    buf = negs.ravel().tolist()
+    rows, bounds, at = [], [0], 0
+    for t in targets.tolist():
+        if at + n > len(buf):  # redraws used up the buffer's tail
+            u = rng.random(at + n - len(buf))
+            buf += np.searchsorted(table, u, side="right").tolist()
+        draws, at = buf[at : at + n], at + n
+        rows.append(t)
+        for j in draws:
+            attempts = 0
+            while j == t and attempts < 16:
+                if at == len(buf):
+                    buf.append(int(np.searchsorted(table, rng.random(), side="right")))
+                j, at, attempts = buf[at], at + 1, attempts + 1
+            if j != t:
+                rows.append(j)
+        bounds.append(len(rows))
+    return np.array(rows, dtype=np.intp), bounds
 
 
 def _add_rows(M: np.ndarray, ids: np.ndarray, v: np.ndarray, distinct: bool) -> None:
@@ -242,38 +274,13 @@ class _Objective:
             self.paths, self.path_labels = huffman.paths, huffman.targets
         else:
             self.table, self.n = vocab.sampling_table, cfg.negative
-            self.ns_labels = np.zeros(1 + cfg.negative, dtype=np.float32)
-            self.ns_labels[0] = 1.0
-
-    def scored(self, target, rng, negatives=None):
-        """Output rows scored at ``target`` and their float32 labels.
-
-        Noise rows come from ``rng`` unless ``negatives`` are given.
-        """
-        if self.hs:
-            return self.paths[target], self.path_labels[target]
-        if negatives is None:
-            if rng is None:
-                raise ConfigError("negative sampling needs rng or pre-drawn negatives")
-            negatives = draw_negatives(rng, self.table, target, self.n)
-        elif len(negatives) >= len(self.ns_labels):  # more than cfg.negative
-            self.ns_labels = np.zeros(1 + len(negatives), dtype=np.float32)
-            self.ns_labels[0] = 1.0
-        rows = np.empty(1 + len(negatives), dtype=np.int64)
-        rows[0] = target
-        rows[1:] = negatives
-        return rows, self.ns_labels[: len(rows)]
 
     def scored_steps(self, targets, rng):
-        """``scored`` for each of ``targets`` in turn, drawn in bulk.
+        """The output rows scored at each of ``targets`` in turn, and their labels.
 
         Returns ``(rows, labels, bounds)``: step s scores
-        ``rows[bounds[s]:bounds[s + 1]]`` with the labels alike. ``rng`` is
-        consumed exactly as per-step ``draw_negatives`` calls consume it:
-        n draws per step, read in order from one buffer. If a draw hits its
-        step's target, the steps are replayed one at a time, the redraws
-        taken from the buffer, which is topped up from ``rng`` only when it
-        runs out, so the generator ends in the same state.
+        ``rows[bounds[s]:bounds[s + 1]]`` with the float32 labels alike.
+        Noise rows are drawn from ``rng`` by ``_negative_steps``.
         """
         S = len(targets)
         if not S:
@@ -283,40 +290,13 @@ class _Objective:
             bounds = [0, *itertools.accumulate(map(len, paths))]
             labels = np.concatenate([self.path_labels[t] for t in targets])
             return np.concatenate(paths).astype(np.intp), labels, bounds
-        n, table = self.n, self.table
-        negs = np.searchsorted(table, rng.random(n * S), side="right").reshape(S, n)
-        if (negs == targets[:, None]).any():
-            return self._replayed_steps(targets, negs.ravel().tolist(), rng)
-        rows = np.empty((S, 1 + n), dtype=np.intp)
-        rows[:, 0] = targets
-        rows[:, 1:] = negs
-        labels = np.zeros((S, 1 + n), dtype=np.float32)
-        labels[:, 0] = 1.0
-        return rows.ravel(), labels.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
-
-    def _replayed_steps(self, targets, buf, rng):
-        """``scored_steps`` one step at a time from the draws ``buf``, a list."""
-        n, table = self.n, self.table
-        rows, bounds, at = [], [0], 0
-        for t in targets.tolist():
-            if at + n > len(buf):  # redraws used up the buffer's tail
-                u = rng.random(at + n - len(buf))
-                buf += np.searchsorted(table, u, side="right").tolist()
-            draws, at = buf[at : at + n], at + n
-            rows.append(t)
-            for j in draws:  # as draw_negatives
-                attempts = 0
-                while j == t and attempts < 16:
-                    if at == len(buf):
-                        buf.append(int(np.searchsorted(table, rng.random(),
-                                                       side="right")))
-                    j, at, attempts = buf[at], at + 1, attempts + 1
-                if j != t:
-                    rows.append(j)
-            bounds.append(len(rows))
+        rows, bounds = _negative_steps(self.table, self.n, targets, rng)
         labels = np.zeros(len(rows), dtype=np.float32)
-        labels[bounds[:-1]] = 1.0  # each step's first row is its target
-        return np.array(rows, dtype=np.intp), labels, bounds
+        if len(rows) == S * (1 + self.n):  # no step lost a draw
+            labels[:: 1 + self.n] = 1.0
+        else:
+            labels[bounds[:-1]] = 1.0  # each step's first row is its target
+        return rows, labels, bounds
 
     @staticmethod
     def gradient(h, vecs, labels, alpha):
@@ -337,33 +317,10 @@ class _Objective:
         g *= alpha
         return g, g.dot(vecs)
 
-    def apply(self, h, target, alpha, rng, learn_hidden=True):
-        """SGD step at (h, target) with its own draws; returns the h-update
-        -alpha * grad_h. ``_train_doc`` takes the same steps from a plan."""
-        rows, labels = self.scored(target, rng)
-        vecs = self.O[rows]
-        g, e = self.gradient(h, vecs, labels, np.array(alpha, dtype=np.float32))
-        if learn_hidden:
-            _add_rows(self.O, rows, g[:, None] * h, self.hs)  # path nodes are distinct
-        return e
-
-    def loss(self, h, target, rng):
-        rows, labels = self.scored(target, rng)
-        x = self.O[rows].astype(np.float64) @ np.asarray(h, dtype=np.float64)
-        return _loss(x, labels)
-
 
 def _loss_terms(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """-log s(+-x) per row: +x where the label is 1, -x where it is 0."""
     return np.logaddexp(0.0, (1.0 - 2.0 * labels) * x)
-
-
-def _loss(x: np.ndarray, labels: np.ndarray) -> float:
-    return float(_loss_terms(x, labels).sum())
-
-
-def _make_objective(model: EmbeddingModel, cfg: TrainConfig) -> _Objective:
-    return _Objective(model.O, model.vocab, cfg)
 
 
 class _Plan(NamedTuple):
@@ -539,7 +496,7 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     cfg = model.config
     _check_docs(model, docs)
 
-    obj = _make_objective(model, cfg)
+    obj = _Objective(model.O, model.vocab, cfg)
     keep = (
         subsample_keep_probs(model.vocab, cfg.subsample_t)
         if cfg.subsample_t > 0
@@ -583,7 +540,17 @@ def objective_gradient(
     supplied pre-drawn; the result is pure given the generator state.
     """
     h = np.asarray(h, dtype=np.float64)
-    rows, labels = _make_objective(model, model.config).scored(target, rng, negatives)
+    vocab, cfg = model.vocab, model.config
+    if cfg.objective == "hs":
+        rows, labels = vocab.huffman.paths[target], vocab.huffman.targets[target]
+    else:
+        if negatives is None:
+            if rng is None:
+                raise ConfigError("negative sampling needs rng or pre-drawn negatives")
+            negatives = draw_negatives(rng, vocab.sampling_table, target, cfg.negative)
+        rows = np.append(target, negatives).astype(np.intp)
+        labels = np.zeros(len(rows))
+        labels[0] = 1.0
     vecs = model.O[rows].astype(np.float64)
     x = vecs @ h
     coeff = 1.0 / (1.0 + np.exp(-x)) - labels  # d loss / d x
@@ -591,7 +558,7 @@ def objective_gradient(
     for r, c in zip(rows.tolist(), coeff):
         grad = c * h
         row_grads[r] = row_grads[r] + grad if r in row_grads else grad
-    return _loss(x, labels), coeff @ vecs, row_grads
+    return float(_loss_terms(x, labels).sum()), coeff @ vecs, row_grads
 
 
 def loss_estimate(
@@ -605,7 +572,7 @@ def loss_estimate(
     """
     _check_docs(model, docs)
     cfg = model.config
-    obj = _make_objective(model, cfg)
+    obj = _Objective(model.O, model.vocab, cfg)
     rng = np.random.default_rng([probe_seed, 5])
     total = 0.0
     count = 0
@@ -671,7 +638,7 @@ def infer_docs(
 
     rng = np.random.default_rng([seed, 3])
     D = _uniform_rows(rng, 1, cfg.dim)
-    obj = _make_objective(model, cfg)
+    obj = _Objective(model.O, model.vocab, cfg)
     total = infer_epochs * sum(len(t) for t in kept)
     processed = 0
     for _ in range(infer_epochs):

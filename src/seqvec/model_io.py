@@ -29,7 +29,8 @@ split query sequences exactly as the training corpus was split.
 ``TrainConfig`` keeps its integer settings within their u32/u64 fields,
 and ``read_corpus`` its kmers and sequence ids within the u16 length
 field (``tokenizer.MAX_TEXT_BYTES``), so a model trained from a corpus
-file always saves.
+file always saves. A model built another way whose tokens or ids do not
+fit is rejected by ``save_model`` before it writes a byte.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .embedding import EmbeddingModel, TrainConfig, ARCHITECTURES, OBJECTIVES
 from .errors import ConfigError, DataError
 from .sequences import _as_text
-from .tokenizer import MODES, TokenizerConfig, Vocabulary
+from .tokenizer import MAX_TEXT_BYTES, MODES, TokenizerConfig, Vocabulary
 
 __all__ = [
     "ModelFormatError",
@@ -55,6 +56,9 @@ __all__ = [
 MAGIC = b"SQV1"
 VERSION = 1
 _CONFIG = struct.Struct("<IIIIIdIddQIII")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 class ModelFormatError(DataError):
@@ -62,6 +66,12 @@ class ModelFormatError(DataError):
 
 
 def save_model(model: EmbeddingModel, stream: IO[bytes]) -> None:
+    """Write ``model`` to ``stream``; nothing is written if a field cannot be held.
+
+    The header (everything before the matrices) is packed and checked in
+    memory first: a token or sequence id longer than a u16 length field
+    allows is a DataError naming it and its index.
+    """
     cfg = model.config
     tok = model.tokenizer
     if tok is None:
@@ -72,9 +82,9 @@ def save_model(model: EmbeddingModel, stream: IO[bytes]) -> None:
     if len(doc_ids) != model.n_docs:
         raise DataError("doc_ids length does not match the document matrix")
 
-    stream.write(MAGIC)
-    stream.write(struct.pack("<I", VERSION))
-    stream.write(
+    header = [
+        MAGIC,
+        _U32.pack(VERSION),
         _CONFIG.pack(
             ARCHITECTURES.index(cfg.architecture),
             cfg.dim,
@@ -89,21 +99,25 @@ def save_model(model: EmbeddingModel, stream: IO[bytes]) -> None:
             tok.k,
             MODES.index(tok.mode),
             model.vocab.min_count,
-        )
-    )
-    stream.write(struct.pack("<Q", len(model.vocab)))
-    for token, count in zip(model.vocab.tokens, model.vocab.counts):
-        raw = token.encode("utf-8")
-        stream.write(struct.pack("<H", len(raw)))
-        stream.write(raw)
-        stream.write(struct.pack("<Q", int(count)))
-    stream.write(struct.pack("<Q", len(doc_ids)))
-    for rid in doc_ids:
-        raw = rid.encode("utf-8")
-        stream.write(struct.pack("<H", len(raw)))
-        stream.write(raw)
+        ),
+        _U64.pack(len(model.vocab)),
+    ]
+    for i, (token, count) in enumerate(zip(model.vocab.tokens, model.vocab.counts)):
+        header += [_text(token, f"token {i}"), _U64.pack(int(count))]
+    header.append(_U64.pack(len(doc_ids)))
+    header += [_text(rid, f"doc id {i}") for i, rid in enumerate(doc_ids)]
+    stream.write(b"".join(header))
     for matrix in (model.D, model.W, model.O):
         stream.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+
+
+def _text(text: str, what: str) -> bytes:
+    """A u16 byte length, then the UTF-8 of ``text``, as ``_Reader.text`` reads it."""
+    raw = text.encode("utf-8")
+    if len(raw) > MAX_TEXT_BYTES:
+        raise DataError(f"{what} is {len(raw)} UTF-8 bytes long; a model file "
+                        f"holds at most {MAX_TEXT_BYTES}")
+    return _U16.pack(len(raw)) + raw
 
 
 class _Reader:
@@ -135,10 +149,6 @@ class _Reader:
                 f"{what} is not valid UTF-8 at byte {self.off - ln + exc.start}"
             ) from None
 
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:

@@ -336,6 +336,7 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
 # starting with '#' are metadata: "#meta k=3 mode=nonoverlap" and one
 # "#doc <tag> <sequence id>" per kept sequence. Every kmer is k letters
 # long, and no kmer or sequence id is longer than MAX_TEXT_BYTES of UTF-8.
+# The phase is 0 in overlap mode and in [0, k) in nonoverlap mode.
 # Files without metadata still load; k is then the length of the first
 # kmer and the mode is inferred from the phase fields.
 
@@ -363,8 +364,9 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
     """Load a tokenized corpus written by write_corpus (or by hand).
 
     The settings come from the ``#meta`` line wherever it sits, or are
-    inferred as above; every kmer must be k letters long. Doc tags must
-    be nonnegative; gaps between them are closed.
+    inferred as above; every kmer must be k letters long and every phase
+    one the mode has. Doc tags must be nonnegative; gaps between them are
+    closed.
     """
     k = mode = None
     id_of: dict[int, str] = {}
@@ -425,6 +427,11 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
                                 f"long, not k={k}")
     if mode is None:
         mode = "nonoverlap" if max(phase for _, phase, _ in raw) > 0 else "overlap"
+    phases = 1 if mode == "overlap" else k
+    for lineno, (_, phase, _) in zip(linenos, raw):
+        if not 0 <= phase < phases:
+            raise DataError(f"line {lineno}: phase {phase} is not in [0, {phases}), "
+                            f"the phases of mode={mode} with k={k}")
     docs, vocab, tags = _assemble(raw, min_count=1)
     doc_ids = [id_of.get(tag, f"doc{tag}") for tag in tags]
     return Corpus(docs, vocab, TokenizerConfig(k=k, mode=mode), doc_ids, [])

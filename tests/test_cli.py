@@ -154,7 +154,9 @@ class TestTrain:
          "line 2: kmer 1 is 3 letters long, not k=99999999999"),
         ("#doc 0 " + "x" * 70000 + "\n0 0 ACG TTA\n",
          "line 1: sequence id is longer than 65535 UTF-8 bytes"),
-    ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16"])
+        ("#meta k=3 mode=overlap\n0 1 ACG TTA\n0 2 CGT TAC\n",
+         "line 2: phase 1 is not in [0, 1), the phases of mode=overlap with k=3"),
+    ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16", "phase-not-in-mode"])
     def test_corpus_no_model_can_serve_is_data_error(self, tmp_path, text, message,
                                                       capsys):
         corpus = tmp_path / "corpus.txt"

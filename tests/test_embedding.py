@@ -14,7 +14,6 @@ import pytest
 from seqvec import embedding
 from seqvec.embedding import (
     TrainConfig,
-    _make_objective,
     _Objective,
     _context_sums,
     _train_doc,
@@ -206,13 +205,15 @@ class TestObjectiveGradient:
             objective_gradient(np.zeros(3), 0, model)
 
     @pytest.mark.parametrize("objective", ["ns", "hs"])
-    def test_apply_takes_the_checked_gradient_step(self, objective):
+    def test_training_step_takes_the_checked_gradient_step(self, objective):
         # 3 tokens and 6 noise draws: under ns the negatives must repeat
-        cfg = TrainConfig(dim=5, objective=objective, negative=6, seed=0)
+        cfg = TrainConfig(architecture="dbow", dim=5, objective=objective,
+                          negative=6, seed=0)
         model = init_model(_vocab(3), 1, cfg)
         rng = np.random.default_rng(8)
         model.O[:] = 0.5 * rng.normal(size=model.O.shape)
-        h = (0.5 * rng.normal(size=5)).astype(np.float32)
+        model.D[0] = 0.5 * rng.normal(size=5)
+        h = model.D[0].copy()
         alpha, target = 0.1, 1
         negs = draw_negatives(np.random.default_rng(5), model.vocab.sampling_table,
                               target, cfg.negative)
@@ -221,9 +222,11 @@ class TestObjectiveGradient:
         _, grad_h, row_grads = objective_gradient(h, target, model, negatives=negs)
 
         before = model.O.copy()
-        e = _make_objective(model, cfg).apply(h, target, alpha,
-                                              np.random.default_rng(5))
-        assert np.allclose(e, -alpha * grad_h, rtol=1e-5, atol=1e-7)
+        # a dbow pass over a one-token document is one step at h = D[0]
+        _train_doc("dbow", model.D, model.W, _Objective(model.O, model.vocab, cfg),
+                   np.array([target], dtype=np.int32), 0, alpha, cfg.window,
+                   np.random.default_rng(5))
+        assert np.allclose(model.D[0] - h, -alpha * grad_h, rtol=1e-5, atol=1e-7)
         expected = before.astype(np.float64)
         for row, grad in row_grads.items():
             expected[row] -= alpha * grad
@@ -427,8 +430,57 @@ class TestUpdateDistribution:
 
 
 # Reference: one position loop per architecture for training, scoring and
-# inference, as the library ran them before they were folded into one walk.
-# The library must reproduce these byte for byte.
+# inference, as the library ran them before they were folded into one walk,
+# each step drawing its own negatives one target at a time. The library
+# must reproduce these byte for byte. The reference shares the library's
+# gradient kernel and Huffman coding, but neither its draw rule
+# (draw_negatives, _negative_steps) nor its planner (scored_steps).
+
+
+def _ref_draw_negatives(rng, table, target, n):
+    """n draws at once, then each hit on the target redrawn alone up to 16
+    times and skipped if still a hit."""
+    out = []
+    for j in np.searchsorted(table, rng.random(n), side="right"):
+        attempts = 0
+        while j == target and attempts < 16:
+            j = np.searchsorted(table, rng.random(), side="right")
+            attempts += 1
+        if j != target:
+            out.append(j)
+    return np.array(out, dtype=np.intp)
+
+
+class _RefObjective:
+    """The objective at one target: its scored rows, SGD step and loss."""
+
+    def __init__(self, model):
+        cfg, vocab = model.config, model.vocab
+        self.O, self.hs, self.n = model.O, cfg.objective == "hs", cfg.negative
+        self.table = vocab.sampling_table
+        self.huffman = vocab.huffman if self.hs else None
+
+    def scored(self, target, rng):
+        if self.hs:
+            return self.huffman.paths[target], self.huffman.targets[target]
+        negs = _ref_draw_negatives(rng, self.table, target, self.n)
+        labels = np.zeros(1 + len(negs), dtype=np.float32)
+        labels[0] = 1.0
+        return np.concatenate(([target], negs)).astype(np.intp), labels
+
+    def apply(self, h, target, alpha, rng, learn_hidden=True):
+        """SGD step at (h, target); returns the h-update -alpha * grad_h."""
+        rows, labels = self.scored(target, rng)
+        g, e = _Objective.gradient(h, self.O[rows], labels,
+                                   np.array(alpha, dtype=np.float32))
+        if learn_hidden:
+            np.add.at(self.O, rows, g[:, None] * h)
+        return e
+
+    def loss(self, h, target, rng):
+        rows, labels = self.scored(target, rng)
+        x = self.O[rows].astype(np.float64) @ np.asarray(h, dtype=np.float64)
+        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * x).sum())
 
 
 def _ref_context(toks, pos, c):
@@ -465,7 +517,7 @@ def _ref_train_doc(arch, D, W, obj, toks, tag, alpha, window, rng):
 
 def _ref_train(model, docs):
     cfg = model.config
-    obj = _make_objective(model, cfg)
+    obj = _RefObjective(model)
     keep = subsample_keep_probs(model.vocab, cfg.subsample_t) if cfg.subsample_t else None
     total = cfg.epochs * sum(len(d.tokens) for d in docs)
     rng = np.random.default_rng([cfg.seed, 1])
@@ -487,7 +539,7 @@ def _ref_train(model, docs):
 
 def _ref_loss_estimate(model, docs, probe_seed):
     cfg = model.config
-    obj = _make_objective(model, cfg)
+    obj = _RefObjective(model)
     rng = np.random.default_rng([probe_seed, 5])
     D, W = model.D, model.W
     total = 0.0
@@ -525,7 +577,7 @@ def _ref_infer_docs(model, token_lists, infer_epochs, seed):
     rng = np.random.default_rng([seed, 3])
     bound = 0.5 / cfg.dim
     vec = rng.uniform(-bound, bound, cfg.dim).astype(np.float32)
-    obj = _make_objective(model, cfg)
+    obj = _RefObjective(model)
     W = model.W
     alpha0 = cfg.alpha0
     alpha_min = alpha0 / 10_000.0
@@ -674,6 +726,52 @@ class TestWalkerMatchesReference:
             assert s.tobytes() == W[c[v]].sum(axis=0).tobytes()
 
 
+class TestDrawRuleMatchesReference:
+    """``draw_negatives`` is the one-step case of the planner's draw rule."""
+
+    @staticmethod
+    def _skewed_vocab():
+        return build_vocabulary({f"t{i}": c for i, c in
+                                 enumerate(_PLAN_CASES["skewed"][0])})
+
+    @pytest.mark.parametrize("negative", [1, 3, 9])
+    @pytest.mark.parametrize("skewed", [True, False])
+    def test_draw_negatives_matches_the_per_draw_loop(self, skewed, negative):
+        vocab = self._skewed_vocab() if skewed else _vocab(3)
+        table, short = vocab.sampling_table, 0
+        for seed in range(60):
+            for target in range(len(vocab)):
+                lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = draw_negatives(lib_rng, table, target, negative)
+                want = _ref_draw_negatives(ref_rng, table, target, negative)
+                assert got.dtype == want.dtype == np.intp
+                assert got.tolist() == want.tolist()
+                assert lib_rng.random() == ref_rng.random()
+                short += len(got) < negative
+        if skewed:  # some draws used up all 16 redraws and were skipped
+            assert short > 0
+
+    @pytest.mark.parametrize("negative", [1, 3, 9])
+    def test_objective_gradient_draws_by_the_same_rule(self, negative):
+        vocab = self._skewed_vocab()
+        model = init_model(vocab, 1, TrainConfig(dim=4, negative=negative, seed=0))
+        model.O[:] = np.random.default_rng(1).normal(size=model.O.shape)
+        h = np.random.default_rng(2).normal(size=4)
+        for seed in range(10):
+            for target in range(len(vocab)):
+                negs = _ref_draw_negatives(np.random.default_rng(seed),
+                                           vocab.sampling_table, target, negative)
+                loss, grad_h, row_grads = objective_gradient(
+                    h, target, model, rng=np.random.default_rng(seed))
+                ref_loss, ref_grad_h, ref_row_grads = objective_gradient(
+                    h, target, model, negatives=negs)
+                assert loss == ref_loss
+                assert np.array_equal(grad_h, ref_grad_h)
+                assert sorted(row_grads) == sorted(ref_row_grads)
+                for row, grad in row_grads.items():
+                    assert np.array_equal(grad, ref_row_grads[row])
+
+
 def _repetitive_docs(n_docs=2):
     return [_doc(tag, [0, 1, 0, 1]) for tag in range(n_docs)]
 
@@ -795,10 +893,10 @@ class TestLossEstimate:
         cfg = TrainConfig(architecture="dm", dim=4, objective="hs", seed=0)
         model = init_model(_vocab(6), 2, cfg)
         huffman = model.vocab.huffman
-        for obj in (_make_objective(model, cfg), _make_objective(model, cfg)):
-            rows, labels = obj.scored(3, None)
-            assert rows is huffman.paths[3]
-            assert labels is huffman.targets[3]
+        for _ in range(2):
+            obj = _Objective(model.O, model.vocab, cfg)
+            assert obj.paths is huffman.paths
+            assert obj.path_labels is huffman.targets
 
 
 class TestInference:

@@ -16,7 +16,13 @@ from seqvec.model_io import (
     save_model,
     write_vectors,
 )
-from seqvec.tokenizer import TokenizedDoc, TokenizerConfig, build_vocabulary
+from seqvec.sequences import SequenceRecord
+from seqvec.tokenizer import (
+    TokenizedDoc,
+    TokenizerConfig,
+    build_corpus,
+    build_vocabulary,
+)
 
 
 def _trained_model(objective="ns"):
@@ -94,6 +100,37 @@ class TestModelRoundTrip:
         table = loaded.vocab.sampling_table
         assert np.all(np.diff(table) >= 0)
         assert table[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSaveChecksBeforeWriting:
+    def test_sequence_id_too_long_for_its_field_writes_nothing(self):
+        records = [SequenceRecord("A" * 70000, "", "ACDEFGHIKL"),
+                   SequenceRecord("short", "", "MNPQRSTVWY")]
+        corpus = build_corpus(records, TokenizerConfig(3, "nonoverlap"))
+        model = init_model(corpus.vocab, len(corpus.doc_ids), TrainConfig(dim=4),
+                           doc_ids=corpus.doc_ids, tokenizer=corpus.tokenizer)
+        stream = io.BytesIO()
+        with pytest.raises(DataError, match="^doc id 0 is 70000 UTF-8 bytes long; "
+                                            "a model file holds at most 65535$"):
+            save_model(model, stream)
+        assert stream.tell() == 0
+
+    def test_token_too_long_for_its_field_writes_nothing(self):
+        vocab = build_vocabulary({"AC": 3, "\u00e9" * 32768: 2})
+        model = init_model(vocab, 1, TrainConfig(dim=4),
+                           tokenizer=TokenizerConfig(2, "overlap"))
+        stream = io.BytesIO()
+        with pytest.raises(DataError, match="^token 1 is 65536 UTF-8 bytes long"):
+            save_model(model, stream)
+        assert stream.tell() == 0
+
+    def test_doc_id_count_mismatch_writes_nothing(self):
+        model = _trained_model()
+        model.doc_ids = model.doc_ids[:2]
+        stream = io.BytesIO()
+        with pytest.raises(DataError, match="doc_ids length"):
+            save_model(model, stream)
+        assert stream.tell() == 0
 
 
 class TestModelRejection:

@@ -1,6 +1,7 @@
 """Tests for kmer tokenization, vocabulary, subsampling, and Huffman codes."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,22 @@ class TestCorpusRoundTrip:
         with pytest.raises(DataError, match="^line 1: sequence id is longer than "
                                             "65535 UTF-8 bytes$"):
             read_corpus("#doc 0 " + "x" * 65536 + "\n0 0 ACG\n")
+
+    @pytest.mark.parametrize("text, lineno, phase, phases, mode", [
+        ("#meta k=3 mode=overlap\n0 1 ACD\n0 2 CDE\n", 2, 1, 1, "overlap"),
+        ("#meta k=3 mode=nonoverlap\n0 0 ACD\n0 5 CDE\n0 -1 DEF\n", 3, 5, 3,
+         "nonoverlap"),
+        ("0 0 ACD\n#meta mode=nonoverlap k=3\n1 -1 CDE\n", 3, -1, 3, "nonoverlap"),
+        ("0 0 ACD\n0 -1 CDE\n", 2, -1, 1, "overlap"),  # inferred
+        ("0 1 ACD\n0 3 CDE\n", 2, 3, 3, "nonoverlap"),  # inferred
+    ], ids=["overlap", "nonoverlap-above-k", "nonoverlap-negative",
+            "inferred-overlap", "inferred-nonoverlap"])
+    def test_phase_the_mode_lacks_rejected_with_its_line(self, text, lineno, phase,
+                                                         phases, mode):
+        with pytest.raises(DataError, match=re.escape(
+                f"line {lineno}: phase {phase} is not in [0, {phases}), the phases "
+                f"of mode={mode} with k=3") + "$"):
+            read_corpus(text)
 
     def test_longest_kmer_and_id_a_model_file_holds_load(self):
         rid, kmer = "\u00e9" * 32767 + "x", "A" * 65535

@@ -1,19 +1,30 @@
 """Synthetic protein-like corpora for evaluation and demos.
 
-Each family gets its own order-1 Markov chain over the 20 standard amino
-acids, with transition rows drawn from a Dirichlet distribution. Smaller
-concentration values make the rows spikier, which gives the families
-more distinctive kmer statistics (and more internally repeated motifs).
+``markov_family_corpus`` gives each family its own order-1 Markov chain
+over the 20 standard amino acids, with transition rows drawn from a
+Dirichlet distribution. Smaller concentration values make the rows
+spikier, which gives the families more distinctive kmer statistics (and
+more internally repeated motifs). Kmer counts hold those transition
+statistics in full, so a bag of kmers classifies these families as well
+as any trained model.
+
+``motif_order_corpus`` is the task a bag of kmers cannot solve: every
+family holds the same motifs, in its own order, between random gaps.
+Only the kmers that span a motif boundary differ between families, and
+with gaps of two residues or more no kmer of length 3 spans two motifs,
+so the family is in the order of the motifs, not in their counts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ConfigError
 from .sequences import SequenceRecord
 
-__all__ = ["markov_family_corpus", "STANDARD_AMINO_ACIDS"]
+__all__ = ["markov_family_corpus", "motif_order_corpus", "STANDARD_AMINO_ACIDS"]
 
 STANDARD_AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -63,6 +74,63 @@ def markov_family_corpus(
                     id=f"{fam}_{i:03d}",
                     description=f"synthetic member of {fam}",
                     residues=seq.tobytes().decode("ascii"),
+                    family=fam,
+                )
+            )
+    return records
+
+
+def motif_order_corpus(
+    n_families: int = 4,
+    per_family: int = 100,
+    n_motifs: int = 4,
+    motif_length: int = 8,
+    gaps: tuple[int, int] = (2, 5),
+    seed: int = 0,
+    alphabet: str = STANDARD_AMINO_ACIDS,
+) -> list[SequenceRecord]:
+    """Generate labeled sequences that share motifs and differ in their order.
+
+    ``n_motifs`` random motifs of ``motif_length`` letters are drawn once.
+    Each family gets its own order of them (distinct orders, so
+    ``n_families`` is at most n_motifs!). A member is a gap, then each motif
+    in its family's order followed by a gap; every gap length is uniform in
+    ``gaps`` (both ends included) and every gap letter uniform over
+    ``alphabet``. The defaults give about 49 letters a sequence. Family f
+    is named ``FAMf`` and its members ``FAMf_i``; the corpus is a pure
+    function of the arguments.
+    """
+    lo, hi = gaps
+    if n_families < 1 or per_family < 1 or n_motifs < 1 or motif_length < 1:
+        raise ConfigError("n_families, per_family, n_motifs and motif_length must "
+                          "be positive")
+    if not 0 <= lo <= hi:
+        raise ConfigError("gaps must be (lo, hi) with 0 <= lo <= hi")
+    if n_families > math.factorial(n_motifs):
+        raise ConfigError(f"{n_motifs} motifs have only {math.factorial(n_motifs)} "
+                          "orders, one per family")
+    rng = np.random.default_rng(seed)
+    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+    motifs = letters[rng.integers(0, len(letters), (n_motifs, motif_length))]
+    orders: list[tuple[int, ...]] = []
+    while len(orders) < n_families:
+        order = tuple(rng.permutation(n_motifs).tolist())
+        if order not in orders:
+            orders.append(order)
+
+    records = []
+    for f, order in enumerate(orders):
+        fam = f"FAM{f}"
+        for i in range(per_family):
+            widths = rng.integers(lo, hi + 1, n_motifs + 1)
+            parts = [letters[rng.integers(0, len(letters), widths[0])]]
+            for m, width in zip(order, widths[1:]):
+                parts += [motifs[m], letters[rng.integers(0, len(letters), width)]]
+            records.append(
+                SequenceRecord(
+                    id=f"{fam}_{i:03d}",
+                    description=f"synthetic member of {fam}",
+                    residues=np.concatenate(parts).tobytes().decode("ascii"),
                     family=fam,
                 )
             )

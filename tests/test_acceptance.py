@@ -27,7 +27,7 @@ from seqvec.embedding import (
 from seqvec.knn import VectorIndex, knn_cross_validate
 from seqvec.model_io import load_model, save_model, write_vectors
 from seqvec.sequences import write_fasta
-from seqvec.synthetic import markov_family_corpus
+from seqvec.synthetic import markov_family_corpus, motif_order_corpus
 from seqvec.tokenizer import (
     TokenizerConfig,
     build_corpus,
@@ -379,3 +379,41 @@ def test_criterion_10_binary_protocol_end_to_end(trained, family_records, tmp_pa
     worst = min(v for row in values.values() for v in row.values())
     check(10, "binary protocol end to end", ok,
           f"(5 families, worst metric {worst:.2f}%)")
+
+
+# Criterion 11 asks for more than a bag of kmers: on motif_order_corpus the
+# family is the order of shared motifs, so exact kmer counts and pooled
+# untrained word rows (a random projection of the counts) sit near chance
+# (0.25). Trained dm vectors must beat the better of the two by ORDER_MARGIN.
+ORDER_MARGIN = 0.10
+ORDER_CFG = dict(architecture="dm", dim=50, window=5, objective="ns", negative=5,
+                 epochs=40, alpha0=0.05, seed=TRAIN_SEED)
+
+
+def _order_knn(matrix, records):
+    index = VectorIndex(matrix, [r.id for r in records], [r.family for r in records],
+                        metric="cosine")
+    return knn_cross_validate(index, [10], folds=5, seed=EVAL_SEED)[10].mean
+
+
+def test_criterion_11_order_beats_a_bag_of_kmers():
+    records = motif_order_corpus(seed=CORPUS_SEED)
+    corpus = build_corpus(records, TokenizerConfig(3, "nonoverlap"), 1)
+    model = init_model(corpus.vocab, len(corpus.doc_ids), TrainConfig(**ORDER_CFG),
+                       corpus.doc_ids)
+    pooled = np.zeros_like(model.D)
+    for doc in corpus.docs:
+        pooled[doc.doc_tag] += model.W[doc.tokens].sum(axis=0)
+    kmers = {}
+    rows = [[kmers.setdefault(k, len(kmers)) for k in kmers_overlapping(r.residues, 3)]
+            for r in records]
+    counts = np.zeros((len(records), len(kmers)))
+    for i, row in enumerate(rows):
+        np.add.at(counts[i], row, 1.0)
+    t0 = time.perf_counter()
+    train(model, corpus.docs)
+    elapsed = time.perf_counter() - t0
+    trained, bag = _order_knn(model.D, records), max(_order_knn(counts, records),
+                                                      _order_knn(pooled, records))
+    check(11, "order beats a bag of kmers", trained >= bag + ORDER_MARGIN,
+          f"(kNN@10 trained {trained:.3f}, best bag {bag:.3f}, train {elapsed:.1f}s)")

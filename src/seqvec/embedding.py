@@ -95,6 +95,16 @@ for _const in (_CLIP_LO, _CLIP_HI, _ONE):
 #: The largest integer settings a model file holds (u32 counts, a u64 seed).
 _U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
 
+#: Steps ``_negative_steps`` checks at once for a draw that hits its target.
+_HIT_SCAN = 256
+
+#: Documents trained in lockstep (``_train_lanes``); 1 trains them one by one.
+_LANES = 64
+
+#: The fewest distinct rows ``_scatter`` adds in one gather, add and put;
+#: np.add.at adds fewer faster, row by row.
+_ROUND_ROWS = 8
+
 #: Floats a frozen pass gathers at once (context rows and output rows of a
 #: chunk of steps); bounds the transient memory for long documents.
 _GATHER_CELLS = 1 << 17
@@ -223,44 +233,50 @@ def _negative_steps(table, n, targets, rng):
     draw that hits the step's target is redrawn up to 16 times and skipped
     if still colliding, so a step can score fewer rows. ``rng`` is consumed
     as a loop that drew at each step would consume it: n draws per step,
-    then that step's redraws. All steps' draws are taken in one call; if one
-    hits its target, the steps are replayed one at a time, the redraws taken
-    from that buffer, which is topped up from ``rng`` only when it runs out,
-    so the generator ends in the same state.
+    then that step's redraws. All steps' draws are taken in one call and
+    kept in bulk up to the next step with a draw that hits its target. That
+    step alone is replayed, its redraws taken from the draws that follow,
+    which are topped up from ``rng`` only when they run out; the steps after
+    it take their draws shifted by as many. So the generator ends in the
+    same state.
     """
     S = len(targets)
-    negs = np.searchsorted(table, rng.random(n * S), side="right").reshape(S, n)
-    if not (negs == targets[:, None]).any():
-        rows = np.empty((S, 1 + n), dtype=np.intp)
-        rows[:, 0] = targets
-        rows[:, 1:] = negs
-        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
-    buf = negs.ravel().tolist()
-    rows, bounds, at = [], [0], 0
-    for t in targets.tolist():
-        if at + n > len(buf):  # redraws used up the buffer's tail
-            u = rng.random(at + n - len(buf))
-            buf += np.searchsorted(table, u, side="right").tolist()
-        draws, at = buf[at : at + n], at + n
-        rows.append(t)
+    buf = np.searchsorted(table, rng.random(n * S), side="right")
+    rows = np.empty((S, 1 + n), dtype=np.intp)
+    rows[:, 0] = targets
+    kept = None  # which of each step's rows are scored, once a step loses a draw
+    s = at = 0  # the next step, and where its draws start in buf
+    while s < S:
+        m = min(S - s, _HIT_SCAN)
+        if at + n * m > len(buf):  # redraws used up the buffer's tail
+            u = rng.random(at + n * m - len(buf))
+            buf = np.concatenate((buf, np.searchsorted(table, u, side="right")))
+        block = buf[at : at + n * m].reshape(m, n)
+        hit = (block == targets[s : s + m, None]).any(axis=1)
+        clear = int(hit.argmax()) if hit.any() else m
+        rows[s : s + clear, 1:] = block[:clear]
+        s, at = s + clear, at + n * clear
+        if clear == m:
+            continue
+        t, draws, at = int(targets[s]), buf[at : at + n].tolist(), at + n
+        noise = []
         for j in draws:
             attempts = 0
             while j == t and attempts < 16:
                 if at == len(buf):
-                    buf.append(int(np.searchsorted(table, rng.random(), side="right")))
-                j, at, attempts = buf[at], at + 1, attempts + 1
+                    buf = np.append(buf, np.searchsorted(table, rng.random(), side="right"))
+                j, at, attempts = int(buf[at]), at + 1, attempts + 1
             if j != t:
-                rows.append(j)
-        bounds.append(len(rows))
-    return np.array(rows, dtype=np.intp), bounds
-
-
-def _add_rows(M: np.ndarray, ids: np.ndarray, v: np.ndarray, distinct: bool) -> None:
-    """M[ids] += v, summing over repeated ids unless ``distinct`` rules them out."""
-    if distinct:
-        M[ids] = M.take(ids, axis=0) + v
-    else:
-        np.add.at(M, ids, v)
+                noise.append(j)
+        rows[s, 1 : 1 + len(noise)] = noise
+        if len(noise) < n:
+            if kept is None:
+                kept = np.ones((S, 1 + n), dtype=bool)
+            kept[s, 1 + len(noise) :] = False
+        s += 1
+    if kept is None:
+        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
+    return rows[kept], [0, *np.cumsum(kept.sum(axis=1)).tolist()]
 
 
 class _Objective:
@@ -304,9 +320,16 @@ class _Objective:
 
         g = (labels - s(vecs @ h)) * alpha and e = g @ vecs = -alpha * grad_h,
         with s(x) = 1 / (1 + exp(-clip(x, -30, 30))) in float32, computed
-        in place on the scores. ``alpha`` is a float32 array of shape ().
+        in place on the scores. One step has h of shape (d,), ``vecs`` (k, d),
+        labels (k,) and ``alpha`` a float32 array of shape (). Lanes stack A
+        steps that score k rows each: h (A, d), ``vecs`` (A, k, d), labels
+        (A, k) and alpha (A, 1). Each lane's products are those of its own
+        step, bit for bit (one BLAS gemv per lane either way).
         """
-        g = vecs.dot(h)
+        if vecs.ndim == 2:
+            g = vecs.dot(h)
+        else:
+            g = np.matmul(vecs, h[:, :, None])[:, :, 0]
         np.maximum(g, _CLIP_LO, out=g)
         np.minimum(g, _CLIP_HI, out=g)
         np.negative(g, out=g)
@@ -315,7 +338,9 @@ class _Objective:
         np.reciprocal(g, out=g)  # 1 / x, correctly rounded
         np.subtract(labels, g, out=g)
         g *= alpha
-        return g, g.dot(vecs)
+        if vecs.ndim == 2:
+            return g, g.dot(vecs)
+        return g, np.matmul(g[:, None, :], vecs)[:, 0, :]
 
 
 def _loss_terms(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -324,15 +349,18 @@ def _loss_terms(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """One pass over one document, drawn before it runs (see ``_plan``).
+    """One pass over some documents, drawn before it runs (see ``_plan``).
 
-    Step s scores the output rows ``rows[bounds[s]:bounds[s + 1]]`` with
-    the labels alike, at a hidden vector h made from its contributing rows:
-    the document row (dbow), the word row ``words[s]`` (sg), or the mean of
-    the context word rows ``ctx[s][valid[s]]`` (cbow) and of those and the
-    document row (dm), ``n[s]`` (float32) rows in all.
+    Step s belongs to document ``doc[s]`` and scores the output rows
+    ``rows[bounds[s]:bounds[s + 1]]`` with the labels alike, at a hidden
+    vector h made from its contributing rows: the document row (dbow), the
+    word row ``words[s]`` (sg), or the mean of the context word rows
+    ``ctx[s][valid[s]]`` (cbow) and of those and the document row (dm),
+    ``n[s]`` (float32) rows in all. The steps of each document are
+    consecutive and in order.
     """
 
+    doc: np.ndarray
     words: np.ndarray | None
     ctx: np.ndarray | None
     valid: np.ndarray | None
@@ -342,34 +370,42 @@ class _Plan(NamedTuple):
     bounds: list[int]
 
 
-def _plan(arch, toks, window, obj, rng):
-    """Draw one pass over ``toks``: the window widths, then every step's rows.
+def _plan(arch, docs, window, obj, rng):
+    """Draw one pass over each token array in ``docs``: the window widths,
+    then every step's rows.
 
-    ``rng`` is consumed as a position loop that drew at each step would
-    consume it: the widths first (not for dbow), then each step's negative
-    samples (``_Objective.scored_steps``). Positions with no context are
-    no cbow step; sg has one step per (position, context position) pair.
+    ``rng`` is consumed as a position loop over one document that drew at
+    each step would consume it: the widths first (not for dbow), then each
+    step's negative samples (``_Objective.scored_steps``). Several documents
+    take all their widths in one call, then all their steps' samples in
+    one, in document order. Positions with no context are no cbow step; sg
+    has one step per (position, context position) pair.
     """
-    P = len(toks)
+    lengths = [len(t) for t in docs]
+    # the index type gathers take fastest
+    toks = np.concatenate(docs).astype(np.intp, copy=False)
     words = ctx = valid = n = None
-    targets = toks = toks.astype(np.intp)  # the index type gathers take fastest
+    targets, doc = toks, np.repeat(np.arange(len(docs)), lengths)
     if arch != "dbow":
-        cs = rng.integers(1, window + 1, size=P)
-        w = min(window, P - 1)  # wider offsets never land in the document
+        cs = rng.integers(1, window + 1, size=len(toks))
+        w = min(window, max(lengths) - 1)  # wider offsets never land in a document
         offs = np.concatenate((np.arange(-w, 0), np.arange(1, w + 1)))
-        at = np.arange(P)[:, None] + offs
-        valid = (np.abs(offs) <= cs[:, None]) & (at >= 0) & (at < P)
+        start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
+        at = np.arange(len(toks))[:, None] + offs
+        valid = ((np.abs(offs) <= cs[:, None]) & (at >= start)
+                 & (at < start + np.asarray(lengths)[doc, None]))
         ctx = toks.take(at, mode="clip")
         if arch == "sg":
             pos, slot = np.nonzero(valid)
-            words, targets, ctx, valid = toks[pos], ctx[pos, slot], None, None
+            words, targets, ctx, valid, doc = toks[pos], ctx[pos, slot], None, None, doc[pos]
         else:
             count = valid.sum(axis=1)
             if arch == "cbow":  # positions with no context are skipped
                 has = count > 0
-                ctx, valid, count, targets = ctx[has], valid[has], count[has], toks[has]
+                ctx, valid, count, targets, doc = (ctx[has], valid[has], count[has],
+                                                   toks[has], doc[has])
             n = (count + (arch == "dm")).astype(np.float32)
-    return _Plan(words, ctx, valid, n, *obj.scored_steps(targets, rng))
+    return _Plan(doc, words, ctx, valid, n, *obj.scored_steps(targets, rng))
 
 
 def _context_sums(W, ctx, valid):
@@ -405,72 +441,192 @@ def _frozen_gathers(p, W, O):
         yield s0, s1, sums, O.take(p.rows[p.bounds[s0] : p.bounds[s1]], axis=0)
 
 
-def _repeat_free(ids):
-    """Per row of the 2-D ``ids``, whether it holds no id twice."""
-    ids = np.sort(ids, axis=1)
-    return (ids[:, 1:] != ids[:, :-1]).all(axis=1).tolist()
+def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
+    """One pass over one document's positions with W and O frozen
+    (inference), updating only the row D[tag].
 
-
-def _train_doc(arch, D, W, obj, toks, tag, alpha, window, rng, learn=True):
-    """One pass over one document's positions, updating the row D[tag].
-
-    W and the objective's O are updated too when ``learn`` is true, and
-    each step reads them as they stand when it is reached. When ``learn``
-    is false they are frozen (inference): the context sums and output rows
-    of all steps are read ahead, a chunk at a time, and the loop only
-    carries the document row.
+    The context sums and output rows of all steps are read ahead, a chunk
+    at a time, and the loop only carries the document row. Each step is
+    the training step of ``_train_lanes`` for one lane.
     """
-    p = _plan(arch, toks, window, obj, rng)
-    doc, O, gradient = D[tag], obj.O, obj.gradient
+    p = _plan(arch, [toks], window, obj, rng)
+    doc, gradient = D[tag], obj.gradient
     alpha = np.array(alpha, dtype=np.float32)
-    rows, labels, bounds, words, n = p.rows, p.labels, p.bounds, p.words, p.n
-    S = len(bounds) - 1
-    if learn:
-        chunks = [(0, S, None, None)]
-        if obj.hs:  # path nodes are distinct
-            rows_free = [True] * S
-        elif len(rows) == S * (1 + obj.n):
-            rows_free = _repeat_free(rows.reshape(S, 1 + obj.n))
-        else:  # a step lost a draw; np.add.at is right for any rows
-            rows_free = [False] * S
-        if p.ctx is not None:
-            ctx_ids = p.ctx[p.valid]
-            ctx_bounds = [0] + np.cumsum(p.valid.sum(axis=1)).tolist()
-            pads = -1 - np.arange(p.ctx.shape[1])  # distinct, and no token id
-            ctx_free = _repeat_free(np.where(p.valid, p.ctx, pads))
-    else:
-        chunks = _frozen_gathers(p, W, O)
-    for s0, s1, sums, vecs in chunks:
+    labels, bounds, words, n = p.labels, p.bounds, p.words, p.n
+    for s0, s1, sums, vecs in _frozen_gathers(p, W, obj.O):
         base = bounds[s0]
         for s in range(s0, s1):
             b0, b1 = bounds[s], bounds[s + 1]
-            if learn:
-                r = rows[b0:b1]
-                v = O.take(r, axis=0)
-            else:
-                v = vecs[b0 - base : b1 - base]
+            v = vecs[b0 - base : b1 - base]
             if p.ctx is None:  # h is its only contributing row: D[tag] or W[word]
-                h = doc if words is None else W[words[s]]
-                g, e = gradient(h, v, labels[b0:b1], alpha)
-                if learn:
-                    _add_rows(O, r, g[:, None] * h, rows_free[s])
-                if learn or words is None:  # the sg row is a word row
-                    h += e
+                if words is None:  # the sg row is a frozen word row
+                    doc += gradient(doc, v, labels[b0:b1], alpha)[1]
                 continue
-            if learn:
-                ids = ctx_ids[ctx_bounds[s] : ctx_bounds[s + 1]]
-                h = np.add.reduce(W.take(ids, axis=0), axis=0)  # .sum(axis=0), unwrapped
-            else:
-                h = sums[s - s0]
-            h = (h + doc) / n[s] if arch == "dm" else h / n[s]
-            g, e = gradient(h, v, labels[b0:b1], alpha)
-            share = e / n[s]
-            if learn:
-                _add_rows(O, r, g[:, None] * h, rows_free[s])
-                if len(ids):
-                    _add_rows(W, ids, share, ctx_free[s])
+            h = (sums[s - s0] + doc) / n[s] if arch == "dm" else sums[s - s0] / n[s]
             if arch == "dm":
-                doc += share
+                doc += gradient(h, v, labels[b0:b1], alpha)[1] / n[s]
+
+
+def _padded(p):
+    """The plan's rows and labels as (S, K) arrays, K the most rows a step
+    scores, and each step's row count; the counts are None when every step
+    scores K rows, and the padding rows are row 0 with label 0."""
+    S = len(p.bounds) - 1
+    counts = np.diff(p.bounds)
+    K = int(counts.max())
+    if len(p.rows) == S * K:
+        return p.rows.reshape(S, K), p.labels.reshape(S, K), None
+    step = np.repeat(np.arange(S), counts)
+    slot = np.arange(len(p.rows)) - np.repeat(p.bounds[:-1], counts)
+    rows = np.zeros((S, K), dtype=np.intp)
+    labels = np.zeros((S, K), dtype=np.float32)
+    rows[step, slot], labels[step, slot] = p.rows, p.labels
+    return rows, labels, counts
+
+
+def _scatter_plans(ids, bounds):
+    """For each step s, how ``_scatter`` adds values at ``ids[bounds[s]:bounds[s + 1]]``.
+
+    A step whose ids are distinct is one gather, add and put: its plan is
+    ``(ids, None, [])``. Otherwise its entries are ranked by how many
+    entries before them hold the same id, and the plan is ``(ids, perm,
+    rounds)``: ``perm`` orders the entries by rank (then position), ``ids``
+    are in that order, and each ``(a, b)`` of ``rounds`` is one rank, whose
+    ids are distinct. Ranks with fewer than ``_ROUND_ROWS`` entries, and
+    all after them, are left to one ``np.add.at``.
+    """
+    S = len(bounds) - 1
+    if not len(ids):
+        return [(ids, None, [])] * S
+    start = np.repeat(bounds[:-1], np.diff(bounds))
+    key = start * (int(ids.max()) + 1) + ids
+    order = np.argsort(key, kind="stable")
+    first = np.ones(len(ids), dtype=bool)
+    np.not_equal(key[order][1:], key[order][:-1], out=first[1:])
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[order] = np.arange(len(ids)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    R = int(rank.max()) + 1
+    if R == 1:
+        return [(ids[b0:b1], None, []) for b0, b1 in zip(bounds, bounds[1:])]
+    step = np.repeat(np.arange(S), np.diff(bounds))
+    perm = np.argsort(step * R + rank, kind="stable")  # by step, rank, position
+    ranked, perm = ids[perm], perm - start
+    sizes = np.bincount(step * R + rank, minlength=S * R).reshape(S, R)
+    plans = []
+    for b0, b1, row in zip(bounds, bounds[1:], sizes.tolist()):
+        if b1 - b0 <= row[0]:  # the step's ids are distinct
+            plans.append((ids[b0:b1], None, []))
+            continue
+        rounds, a = [], 0
+        for size in row:
+            if size < _ROUND_ROWS:
+                break
+            rounds.append((a, a + size))
+            a += size
+        plans.append((ranked[b0:b1], perm[b0:b1], rounds))
+    return plans
+
+
+def _scatter(M, plan, vals):
+    """M[ids] += vals for one step's ``_scatter_plans`` entry, repeated ids
+    summed in entry order, bit for bit as ``np.add.at`` sums them."""
+    ids, perm, rounds = plan
+    if perm is None:
+        M[ids] = M.take(ids, axis=0) + vals
+        return
+    vals = vals[perm]
+    for a, b in rounds:
+        M[ids[a:b]] = M.take(ids[a:b], axis=0) + vals[a:b]
+    rest = rounds[-1][1] if rounds else 0
+    if rest < len(ids):
+        np.add.at(M, ids[rest:], vals[rest:])
+
+
+def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
+    """One training pass over each token array in ``docs``, in lockstep.
+
+    Document i updates the row D[tags[i]] at learning rate ``alphas[i]``.
+    The passes are planned together (``_plan``). Each document is a lane;
+    lanes are sorted by step count, longest first (ties in the given
+    order), and step p runs the p-th step of every lane that has one. All
+    of step p's reads of D, W and O see them as step p - 1 left them. Its
+    writes are added after them, each row's in lane order and, within a
+    lane, in the order of the step's rows, as ``np.add.at`` sums them. One
+    lane is the sequential walk, step by step.
+    """
+    p = _plan(arch, docs, window, obj, rng)
+    if len(p.doc) == 0:
+        return
+    O, gradient, ctx, valid, n, words = obj.O, obj.gradient, p.ctx, p.valid, p.n, p.words
+    d = O.shape[1]
+    # step-major order: step 0 of every lane, then step 1 of those that have one, ...
+    counts = np.bincount(p.doc, minlength=len(docs))
+    lanes = np.argsort(-counts, kind="stable")
+    depth = np.arange(counts[lanes[0]])[:, None]
+    active = depth < counts[lanes]
+    order = ((np.cumsum(counts) - counts)[lanes] + depth)[active]
+    bounds = [0, *itertools.accumulate(active.sum(axis=1).tolist())]
+
+    rows, labels, k = _padded(p)
+    rows, labels = rows[order], labels[order]
+    tag = np.asarray(tags, dtype=np.intp)[p.doc[order]]
+    alpha = np.asarray(alphas, dtype=np.float32)[p.doc[order], None]
+    if k is None:
+        o_plans = _scatter_plans(rows.ravel(), [b * rows.shape[1] for b in bounds])
+    else:
+        k = k[order]
+        scored = np.arange(rows.shape[1]) < k[:, None]
+        o_plans = _scatter_plans(rows[scored], [0, *np.cumsum(k)[np.subtract(bounds[1:], 1)]])
+    if ctx is not None:
+        ctx, valid, n = ctx[order], valid[order], n[order, None]
+        width = valid.sum(axis=1)
+        w_bounds = [0, *np.cumsum(width)[np.subtract(bounds[1:], 1)].tolist()]
+        w_plans = _scatter_plans(ctx[valid], w_bounds)
+    elif words is not None:
+        words = words[order]
+        w_plans = _scatter_plans(words, bounds)
+    if arch in DOC_ARCHITECTURES:
+        d_plans = _scatter_plans(tag, bounds)
+
+    for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
+        vecs = O.take(rows[b0:b1], axis=0)
+        if words is not None:
+            h = W.take(words[b0:b1], axis=0)
+        elif ctx is None:
+            h = D.take(tag[b0:b1], axis=0)
+        else:
+            h = _context_sums(W, ctx[b0:b1], valid[b0:b1])
+            h = (h + D.take(tag[b0:b1], axis=0)) / n[b0:b1] if arch == "dm" else h / n[b0:b1]
+        if k is None:
+            g, e = gradient(h, vecs, labels[b0:b1], alpha[b0:b1])
+            out = (g[:, :, None] * h[:, None, :]).reshape(-1, d)
+        else:
+            g, e = _ragged_gradient(gradient, h, vecs, labels[b0:b1], alpha[b0:b1],
+                                    k[b0:b1])
+            out = (g[:, :, None] * h[:, None, :])[scored[b0:b1]]
+        _scatter(O, o_plans[s], out)
+        if ctx is not None:
+            e = e / n[b0:b1]
+            _scatter(W, w_plans[s], np.repeat(e, width[b0:b1], axis=0))
+        elif words is not None:
+            _scatter(W, w_plans[s], e)
+        if arch in DOC_ARCHITECTURES:
+            _scatter(D, d_plans[s], e)
+
+
+def _ragged_gradient(gradient, h, vecs, labels, alpha, k):
+    """``gradient`` over lanes that score ``k[i]`` of their padded rows each.
+
+    Lanes that score alike share one call: BLAS sums a lane's products in
+    an order that depends on the row count, so padding would change bits.
+    The padding's g is 0.
+    """
+    g = np.zeros(labels.shape, dtype=np.float32)
+    e = np.empty_like(h)
+    for rows in np.unique(k).tolist():
+        i = np.flatnonzero(k == rows)
+        g[i, :rows], e[i] = gradient(h[i], vecs[i, :rows], labels[i, :rows], alpha[i])
+    return g, e
 
 
 def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
@@ -509,17 +665,23 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     rng = np.random.default_rng([cfg.seed, 1])
     processed = 0
     for _ in range(cfg.epochs):
-        for di in rng.permutation(len(docs)):
-            doc = docs[di]
-            alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
-            processed += len(doc.tokens)
-            toks = doc.tokens
-            if keep is not None:
-                toks = toks[rng.random(len(toks)) < keep[toks]]
-                if len(toks) == 0:
-                    continue
-            _train_doc(arch, model.D, model.W, obj, toks, doc.doc_tag, alpha,
-                       window, rng)
+        order = rng.permutation(len(docs))
+        for b0 in range(0, len(docs), _LANES):
+            batch, tags, alphas = [], [], []
+            for di in order[b0 : b0 + _LANES]:
+                doc = docs[di]
+                alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
+                processed += len(doc.tokens)
+                toks = doc.tokens
+                if keep is not None:
+                    toks = toks[rng.random(len(toks)) < keep[toks]]
+                if len(toks):
+                    batch.append(toks)
+                    tags.append(doc.doc_tag)
+                    alphas.append(alpha)
+            if batch:
+                _train_lanes(arch, model.D, model.W, obj, batch, tags, alphas, window,
+                             rng)
     return model
 
 
@@ -577,7 +739,7 @@ def loss_estimate(
     total = 0.0
     count = 0
     for doc in docs:
-        p = _plan(cfg.architecture, doc.tokens, cfg.window, obj, rng)
+        p = _plan(cfg.architecture, [doc.tokens], cfg.window, obj, rng)
         count += len(p.bounds) - 1
         d = model.D[doc.doc_tag]
         for s0, s1, sums, vecs in _frozen_gathers(p, model.W, model.O):
@@ -645,6 +807,6 @@ def infer_docs(
         for toks in kept:
             alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * (processed / total)
             processed += len(toks)
-            _train_doc(cfg.architecture, D, model.W, obj, toks, 0, alpha, cfg.window,
-                       rng, learn=False)
+            _frozen_pass(cfg.architecture, D, model.W, obj, toks, 0, alpha, cfg.window,
+                         rng)
     return D[0]

@@ -16,7 +16,8 @@ from seqvec.embedding import (
     TrainConfig,
     _Objective,
     _context_sums,
-    _train_doc,
+    _frozen_pass,
+    _train_lanes,
     draw_negatives,
     infer_docs,
     init_model,
@@ -223,9 +224,9 @@ class TestObjectiveGradient:
 
         before = model.O.copy()
         # a dbow pass over a one-token document is one step at h = D[0]
-        _train_doc("dbow", model.D, model.W, _Objective(model.O, model.vocab, cfg),
-                   np.array([target], dtype=np.int32), 0, alpha, cfg.window,
-                   np.random.default_rng(5))
+        _train_lanes("dbow", model.D, model.W, _Objective(model.O, model.vocab, cfg),
+                     [np.array([target], dtype=np.int32)], [0], [alpha], cfg.window,
+                     np.random.default_rng(5))
         assert np.allclose(model.D[0] - h, -alpha * grad_h, rtol=1e-5, atol=1e-7)
         expected = before.astype(np.float64)
         for row, grad in row_grads.items():
@@ -362,7 +363,8 @@ class _StubObjective(_Objective):
         self.e = e
 
     def gradient(self, h, vecs, labels, alpha):
-        return np.zeros(len(vecs), dtype=np.float32), self.e.copy()
+        return (np.zeros(labels.shape, dtype=np.float32),
+                np.broadcast_to(self.e, h.shape).copy())
 
 
 class TestUpdateDistribution:
@@ -372,8 +374,8 @@ class TestUpdateDistribution:
         W = np.zeros((3, d), dtype=np.float32)
         e = np.arange(1, d + 1, dtype=np.float32)
         toks = np.array([0, 1], dtype=np.int32)
-        _train_doc("dm", D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                   np.random.default_rng(0))
+        _train_lanes("dm", D, W, _StubObjective(e), [toks], [0], [0.025], 1,
+                     np.random.default_rng(0))
         # two positions; each has one context token, so shares are e/2
         assert np.allclose(W[0], e / 2)
         assert np.allclose(W[1], e / 2)
@@ -386,8 +388,8 @@ class TestUpdateDistribution:
         W = np.zeros((2, d), dtype=np.float32)
         e = np.ones(d, dtype=np.float32)
         toks = np.array([0, 1], dtype=np.int32)
-        _train_doc("cbow", D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                   np.random.default_rng(0))
+        _train_lanes("cbow", D, W, _StubObjective(e), [toks], [0], [0.025], 1,
+                     np.random.default_rng(0))
         assert np.allclose(W[0], e)  # sole context of position 1
         assert np.allclose(W[1], e)
         assert not D.any()
@@ -398,8 +400,8 @@ class TestUpdateDistribution:
         W = np.zeros((2, d), dtype=np.float32)
         e = np.full(d, 2.0, dtype=np.float32)
         toks = np.array([0, 1], dtype=np.int32)
-        _train_doc("sg", D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                   np.random.default_rng(0))
+        _train_lanes("sg", D, W, _StubObjective(e), [toks], [0], [0.025], 1,
+                     np.random.default_rng(0))
         assert np.allclose(W[0], e)
         assert np.allclose(W[1], e)
         assert not D.any()
@@ -410,8 +412,8 @@ class TestUpdateDistribution:
         W = np.zeros((2, d), dtype=np.float32)
         e = np.full(d, 0.5, dtype=np.float32)
         toks = np.array([0, 1, 0], dtype=np.int32)
-        _train_doc("dbow", D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                   np.random.default_rng(0))
+        _train_lanes("dbow", D, W, _StubObjective(e), [toks], [0], [0.025], 1,
+                     np.random.default_rng(0))
         assert np.allclose(D[0], 3 * e)
         assert not W.any()
 
@@ -423,8 +425,8 @@ class TestUpdateDistribution:
         W = np.zeros((2, d), dtype=np.float32)
         e = np.full(d, 0.5, dtype=np.float32)
         toks = np.array([0, 1], dtype=np.int32)
-        _train_doc(arch, D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                   np.random.default_rng(0), learn=False)
+        _frozen_pass(arch, D, W, _StubObjective(e), toks, 0, 0.025, 1,
+                     np.random.default_rng(0))
         assert np.allclose(D[0], doc_share * e)
         assert not W.any()
 
@@ -537,6 +539,92 @@ def _ref_train(model, docs):
     return model
 
 
+def _ref_train_lanes(model, docs, lanes):
+    """Lockstep training, ``lanes`` documents of each epoch's permutation at a
+    time; returns the model and how many documents subsampling emptied.
+
+    A batch draws each document's subsampling in turn, then the window
+    widths of all its documents in one call, then each step's negatives one
+    step at a time, in document order. Lanes run longest first (ties in
+    permutation order). Step p reads D, W and O as step p - 1 left them (a
+    snapshot), and then adds every lane's writes with np.add.at, lane by
+    lane.
+    """
+    cfg = model.config
+    obj = _RefObjective(model)
+    keep = subsample_keep_probs(model.vocab, cfg.subsample_t) if cfg.subsample_t else None
+    total = cfg.epochs * sum(len(d.tokens) for d in docs)
+    rng = np.random.default_rng([cfg.seed, 1])
+    processed = emptied = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(docs))
+        for b0 in range(0, len(docs), lanes):
+            batch = []
+            for di in order[b0 : b0 + lanes]:
+                doc = docs[di]
+                alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * min(1.0, processed / total)
+                processed += len(doc.tokens)
+                toks = doc.tokens
+                if keep is not None:
+                    toks = toks[rng.random(len(toks)) < keep[toks]]
+                if len(toks):
+                    batch.append((toks, doc.doc_tag, np.array(alpha, dtype=np.float32)))
+                emptied += len(toks) == 0
+            if batch:
+                _ref_lockstep(cfg.architecture, model, obj, batch, cfg.window, rng)
+    return model, emptied
+
+
+def _ref_lockstep(arch, model, obj, batch, window, rng):
+    D, W, O = model.D, model.W, model.O
+    widths = (rng.integers(1, window + 1, size=sum(len(t) for t, _, _ in batch))
+              if arch != "dbow" else None)
+    lane_steps, at = [], 0
+    for toks, _, _ in batch:  # (word row or context, target) per step
+        n, steps = len(toks), []
+        cs = None if widths is None else widths[at : at + n]
+        at += n
+        for pos in range(n):
+            if arch == "dbow":
+                steps.append((None, toks[pos]))
+            elif arch == "sg":
+                steps += [(toks[pos], toks[j])
+                          for j in range(max(0, pos - cs[pos]), min(n, pos + 1 + cs[pos]))
+                          if j != pos]
+            else:
+                ctx = _ref_context(toks, pos, cs[pos])
+                if arch == "dm" or len(ctx):
+                    steps.append((ctx, toks[pos]))
+        lane_steps.append([(src, obj.scored(t, rng)) for src, t in steps])
+    lanes = sorted(range(len(batch)), key=lambda i: -len(lane_steps[i]))
+    for p in range(len(lane_steps[lanes[0]])):
+        D0, W0, O0 = D.copy(), W.copy(), O.copy()
+        writes = []
+        for i in lanes:
+            if p >= len(lane_steps[i]):
+                continue
+            (src, (rows, labels)), tag, alpha = lane_steps[i][p], batch[i][1], batch[i][2]
+            if arch == "dbow":
+                h = D0[tag]
+            elif arch == "sg":
+                h = W0[src]
+            else:
+                nc = np.float32(len(src) + (arch == "dm"))
+                h = W0[src].sum(axis=0) + D0[tag] if arch == "dm" else W0[src].sum(axis=0)
+                h = h / nc
+            g, e = _Objective.gradient(h, O0[rows], labels, alpha)
+            writes.append((O, rows, g[:, None] * h))
+            if arch in ("dm", "cbow"):
+                e = e / nc
+                writes.append((W, src, e))
+            elif arch == "sg":
+                writes.append((W, [src], e[None]))
+            if arch in ("dm", "dbow"):
+                writes.append((D, [tag], e[None]))
+        for M, ids, v in writes:
+            np.add.at(M, ids, v)
+
+
 def _ref_loss_estimate(model, docs, probe_seed):
     cfg = model.config
     obj = _RefObjective(model)
@@ -637,6 +725,12 @@ def _last_rng(monkeypatch):
 
 
 class TestWalkerMatchesReference:
+    """One lane is the sequential walk: train at ``_LANES = 1``."""
+
+    @pytest.fixture(autouse=True)
+    def _one_lane(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_LANES", 1)
+
     @pytest.mark.parametrize("subsample_t", [0.0, 0.05])
     @pytest.mark.parametrize("objective", ["ns", "hs"])
     @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
@@ -724,6 +818,70 @@ class TestWalkerMatchesReference:
         sums = _context_sums(W, ctx, valid)
         for c, v, s in zip(ctx, valid, sums):
             assert s.tobytes() == W[c[v]].sum(axis=0).tobytes()
+
+
+class TestLanesMatchReference:
+    """Several lanes: the library against the lockstep reference."""
+
+    @pytest.mark.parametrize("round_rows", [1, 8])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    @pytest.mark.parametrize("case", list(_PLAN_CASES))
+    def test_three_lanes_match_the_lockstep_reference(self, case, arch, objective,
+                                                      round_rows, monkeypatch):
+        # round_rows 1 adds every repeated row in rounds; 8 leaves the
+        # repeats of these small vocabularies to np.add.at
+        monkeypatch.setattr(embedding, "_LANES", 3)
+        monkeypatch.setattr(embedding, "_ROUND_ROWS", round_rows)
+        vocab, docs, cfg = _plan_case(case, arch, objective)
+        made = _last_rng(monkeypatch)
+        lib = train(init_model(vocab, 3, cfg), docs)
+        lib_rng = made[-1]
+        ref, _ = _ref_train_lanes(init_model(vocab, 3, cfg), docs, 3)
+        assert lib_rng.random() == made[-1].random()
+        assert np.array_equal(lib.D, ref.D)
+        assert np.array_equal(lib.W, ref.W)
+        assert np.array_equal(lib.O, ref.O)
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    def test_lanes_sharing_a_tag_and_emptied_documents_match(self, arch, objective,
+                                                              monkeypatch):
+        # every batch holds phase documents of one sequence (one tag), and
+        # documents of the dominant token alone are often subsampled away
+        monkeypatch.setattr(embedding, "_LANES", 4)
+        vocab = build_vocabulary({f"t{i}": c for i, c in
+                                  enumerate([400, 30, 20, 20, 10, 10, 5, 5])})
+        rng = np.random.default_rng(3)
+        docs = [_doc(0, rng.integers(0, 8, n)) for n in (12, 7, 9, 3)]
+        docs += [_doc(1, [0] * n) for n in (1, 2, 1, 3)]
+        cfg = TrainConfig(architecture=arch, dim=5, window=3, objective=objective,
+                          negative=3, subsample_t=0.01, epochs=6, alpha0=0.1, seed=2)
+        lib = train(init_model(vocab, 2, cfg), docs)
+        ref, emptied = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 4)
+        assert emptied > 0
+        assert np.array_equal(lib.D, ref.D)
+        assert np.array_equal(lib.W, ref.W)
+        assert np.array_equal(lib.O, ref.O)
+
+    @pytest.mark.parametrize("round_rows", [1, 3, 8, 1000])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_scatter_sums_repeats_as_add_at(self, dim, round_rows, monkeypatch):
+        monkeypatch.setattr(embedding, "_ROUND_ROWS", round_rows)
+        rng = np.random.default_rng(dim)
+        M = (rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-4, 4, (30, dim))
+             ).astype(np.float32)
+        lengths = [0, 1, 5, 40, 12, 0, 90]
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        ids = np.concatenate([rng.integers(0, m, n) for m, n in
+                              zip([3, 30, 30, 4, 30, 5, 12], lengths)]).astype(np.intp)
+        vals = (rng.normal(size=(len(ids), dim)) * 10.0 ** rng.integers(-4, 4, (len(ids), dim))
+                ).astype(np.float32)
+        lib, ref = M.copy(), M.copy()
+        for plan, b0, b1 in zip(embedding._scatter_plans(ids, bounds), bounds, bounds[1:]):
+            embedding._scatter(lib, plan, vals[b0:b1])
+            np.add.at(ref, ids[b0:b1], vals[b0:b1])
+            assert lib.tobytes() == ref.tobytes()
 
 
 class TestDrawRuleMatchesReference:

@@ -55,6 +55,9 @@ MODES = ("nonoverlap", "overlap")
 #: Longest kmer or sequence id, in UTF-8 bytes, that a model file can hold.
 MAX_TEXT_BYTES = 0xFFFF
 
+#: Largest kmer length a model file can hold (a u32 field).
+MAX_K = 2**32 - 1
+
 #: Exponent flattening the unigram distribution for negative sampling.
 NEGATIVE_EXPONENT = 0.75
 
@@ -67,6 +70,9 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"kmer length must be >= 1, got {self.k}")
+        if self.k > MAX_K:
+            raise ConfigError(f"kmer length must be at most {MAX_K}, the model file's "
+                              f"limit, got {self.k}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -909,6 +909,29 @@ class TestDrawRuleMatchesReference:
         if skewed:  # some draws used up all 16 redraws and were skipped
             assert short > 0
 
+    @pytest.mark.parametrize("hits", [[400], [0], [499], [3, 255, 256, 257, 498]])
+    def test_steps_around_hits_keep_their_bulk_draws(self, hits):
+        # targets chosen so that only the steps in ``hits`` draw their own
+        # target; every other step keeps the draws of the one bulk call
+        vocab, n, S = _vocab(10), 3, 500
+        table = vocab.sampling_table
+        bulk = np.searchsorted(table, np.random.default_rng(4).random(n * S),
+                               side="right").reshape(S, n)
+        targets = np.array([row[0] if s in hits else min(set(range(10)) - set(row))
+                            for s, row in enumerate(bulk)], dtype=np.intp)
+        lib_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        rows, bounds = embedding._negative_steps(table, n, targets, lib_rng)
+        want_rows, want_bounds = [], [0]
+        for t in targets:
+            want_rows += [t, *_ref_draw_negatives(ref_rng, table, t, n)]
+            want_bounds.append(len(want_rows))
+        assert rows.dtype == np.intp
+        assert rows.tolist() == want_rows
+        assert bounds == want_bounds
+        assert lib_rng.random() == ref_rng.random()
+        assert np.array_equal(rows[: bounds[min(hits)]].reshape(-1, 1 + n)[:, 1:],
+                              bulk[: min(hits)])
+
     @pytest.mark.parametrize("negative", [1, 3, 9])
     def test_objective_gradient_draws_by_the_same_rule(self, negative):
         vocab = self._skewed_vocab()

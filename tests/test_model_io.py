@@ -84,6 +84,12 @@ class TestModelRoundTrip:
         assert loaded.tokenizer == model.tokenizer
         assert _bytes_of(loaded) == blob
 
+    def test_kmer_length_above_the_u32_field_rejected(self):
+        # it used to be accepted, and save_model then died in struct.pack
+        TokenizerConfig(2**32 - 1, "overlap")
+        with pytest.raises(ConfigError, match="kmer length must be at most 4294967295"):
+            TokenizerConfig(2**32, "overlap")
+
     def test_save_requires_tokenizer_settings(self):
         # guessing them (overlap mode, k from the token length) would split
         # queries of a non-overlapping model differently from training

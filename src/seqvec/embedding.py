@@ -32,20 +32,28 @@ terms; each row contributing to h receives grad_h scaled by
 learning rate decays linearly from alpha0 toward alpha_min = alpha0 / 10000
 over the total scheduled token count (document granularity).
 
-``loss_estimate`` and the training step ``_train_doc`` share one plan per
-pass over a document (``_plan``): the window widths and each step's
-context, contributor count and scored rows, drawn in bulk before the
-position loop from the same random stream, in the same order, as a loop
-that drew at each step (draws that hit the target are replayed one at a
-time). Inference is that training step on a frozen model: ``infer_docs``
-runs ``_train_doc`` on a fresh one-row D with W and O left unwritten, on
-the same learning-rate schedule. With W and O frozen, there and in
-``loss_estimate``, every step's context sum and output rows are gathered
-before the loop, which then carries only the document row. The results
-are bit for bit those of a per-position loop that draws and steps one
-target at a time; the tests keep that loop as their reference. Training
-runs on a single thread and is bit-deterministic for a fixed seed;
-``workers`` must be 1.
+Training steps documents in lockstep (``_train_lanes``). Each epoch's
+document permutation is cut into batches of ``_LANES`` documents, and a
+batch is planned in bulk (``_plan``): the window widths of all its
+documents in one draw, then every step's context, contributor count and
+scored rows, from the same random stream (draws that hit their target
+are replayed one step at a time). Its documents are lanes, longest
+first. Step p runs the p-th step of every lane that has one: it reads D,
+W and O as step p - 1 left them, then adds all of its updates, repeated
+rows summed in lane order as ``np.add.at`` sums them. So each lane sees
+its own earlier steps but not the other lanes' step p, a synchronous
+form of HogBatch minibatching (Ji et al. 2016), and training stays
+bit-deterministic for a fixed seed. One lane is the sequential walk.
+
+Inference is that training step for one lane on a frozen model:
+``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
+left unwritten, on the same learning-rate schedule. With W and O frozen,
+there and in ``loss_estimate``, every step's context sum and output rows
+are gathered before the loop, which then carries only the document row.
+The tests keep two references: a per-position loop that draws and steps
+one target at a time, which one lane and the frozen passes match bit for
+bit, and a lockstep loop, which several lanes match bit for bit.
+Training runs on a single thread; ``workers`` must be 1.
 """
 
 from __future__ import annotations
@@ -490,10 +498,11 @@ def _scatter_plans(ids, bounds):
     A step whose ids are distinct is one gather, add and put: its plan is
     ``(ids, None, [])``. Otherwise its entries are ranked by how many
     entries before them hold the same id, and the plan is ``(ids, perm,
-    rounds)``: ``perm`` orders the entries by rank (then position), ``ids``
-    are in that order, and each ``(a, b)`` of ``rounds`` is one rank, whose
-    ids are distinct. Ranks with fewer than ``_ROUND_ROWS`` entries, and
-    all after them, are left to one ``np.add.at``.
+    cuts)``: ``perm`` orders the entries by rank (then position), ``ids``
+    are in that order, and ``cuts`` ends the leading ranks, whose ids are
+    distinct, one gather, add and put each. The first rank with fewer than
+    ``_ROUND_ROWS`` entries, and all after it, are left to one
+    ``np.add.at``.
     """
     S = len(bounds) - 1
     if not len(ids):
@@ -512,34 +521,29 @@ def _scatter_plans(ids, bounds):
     perm = np.argsort(step * R + rank, kind="stable")  # by step, rank, position
     ranked, perm = ids[perm], perm - start
     sizes = np.bincount(step * R + rank, minlength=S * R).reshape(S, R)
+    rounds = (sizes >= _ROUND_ROWS).sum(axis=1).tolist()
     plans = []
-    for b0, b1, row in zip(bounds, bounds[1:], sizes.tolist()):
-        if b1 - b0 <= row[0]:  # the step's ids are distinct
+    for b0, b1, k, cuts in zip(bounds, bounds[1:], rounds, sizes.cumsum(axis=1).tolist()):
+        if cuts[0] == b1 - b0:  # the step's ids are distinct
             plans.append((ids[b0:b1], None, []))
-            continue
-        rounds, a = [], 0
-        for size in row:
-            if size < _ROUND_ROWS:
-                break
-            rounds.append((a, a + size))
-            a += size
-        plans.append((ranked[b0:b1], perm[b0:b1], rounds))
+        else:
+            plans.append((ranked[b0:b1], perm[b0:b1], cuts[:k]))
     return plans
 
 
 def _scatter(M, plan, vals):
     """M[ids] += vals for one step's ``_scatter_plans`` entry, repeated ids
     summed in entry order, bit for bit as ``np.add.at`` sums them."""
-    ids, perm, rounds = plan
+    ids, perm, cuts = plan
     if perm is None:
         M[ids] = M.take(ids, axis=0) + vals
         return
-    vals = vals[perm]
-    for a, b in rounds:
+    vals, a = vals.take(perm, axis=0), 0
+    for b in cuts:
         M[ids[a:b]] = M.take(ids[a:b], axis=0) + vals[a:b]
-    rest = rounds[-1][1] if rounds else 0
-    if rest < len(ids):
-        np.add.at(M, ids[rest:], vals[rest:])
+        a = b
+    if a < len(ids):
+        np.add.at(M, ids[a:], vals[a:])
 
 
 def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
@@ -646,8 +650,9 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     """Run model.config.epochs SGD passes over ``docs``, updating the model
     in place.
 
-    Document order is reshuffled per epoch from the seeded generator;
-    positions within a document run in order.
+    Document order is reshuffled per epoch from the seeded generator, and
+    each batch of ``_LANES`` documents of it is trained in lockstep
+    (``_train_lanes``); positions within a document run in order.
     """
     cfg = model.config
     _check_docs(model, docs)
@@ -771,8 +776,8 @@ def infer_docs(
 ) -> np.ndarray:
     """Learn one new document vector from the given token documents.
 
-    The vector is a fresh document row trained by the training step
-    (``_train_doc``) with W and O frozen, for ``infer_epochs`` passes
+    The vector is a fresh document row trained by the training step of
+    one lane (``_frozen_pass``) with W and O frozen, for ``infer_epochs`` passes
     (default: twice the training epochs) at the training learning-rate
     schedule, alpha0 decaying toward alpha_min.
     Token ids outside the vocabulary are dropped; multiple documents (the

@@ -272,7 +272,8 @@ def _negative_steps(table, n, targets, rng):
             attempts = 0
             while j == t and attempts < 16:
                 if at == len(buf):
-                    buf = np.append(buf, np.searchsorted(table, rng.random(), side="right"))
+                    u = rng.random()
+                    buf = np.append(buf, np.searchsorted(table, u, side="right"))
                 j, at, attempts = int(buf[at]), at + 1, attempts + 1
             if j != t:
                 noise.append(j)
@@ -405,7 +406,8 @@ def _plan(arch, docs, window, obj, rng):
         ctx = toks.take(at, mode="clip")
         if arch == "sg":
             pos, slot = np.nonzero(valid)
-            words, targets, ctx, valid, doc = toks[pos], ctx[pos, slot], None, None, doc[pos]
+            words, targets, doc = toks[pos], ctx[pos, slot], doc[pos]
+            ctx = valid = None
         else:
             count = valid.sum(axis=1)
             if arch == "cbow":  # positions with no context are skipped
@@ -466,8 +468,8 @@ def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
         for s in range(s0, s1):
             b0, b1 = bounds[s], bounds[s + 1]
             v = vecs[b0 - base : b1 - base]
-            if p.ctx is None:  # h is its only contributing row: D[tag] or W[word]
-                if words is None:  # the sg row is a frozen word row
+            if p.ctx is None:  # h is D[tag] (dbow) or a frozen word row (sg)
+                if words is None:
                     doc += gradient(doc, v, labels[b0:b1], alpha)[1]
                 continue
             h = (sums[s - s0] + doc) / n[s] if arch == "dm" else sums[s - s0] / n[s]
@@ -571,6 +573,7 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     order = ((np.cumsum(counts) - counts)[lanes] + depth)[active]
     bounds = [0, *itertools.accumulate(active.sum(axis=1).tolist())]
 
+    last = np.subtract(bounds[1:], 1)  # each step's last lane
     rows, labels, k = _padded(p)
     rows, labels = rows[order], labels[order]
     tag = np.asarray(tags, dtype=np.intp)[p.doc[order]]
@@ -580,12 +583,11 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     else:
         k = k[order]
         scored = np.arange(rows.shape[1]) < k[:, None]
-        o_plans = _scatter_plans(rows[scored], [0, *np.cumsum(k)[np.subtract(bounds[1:], 1)]])
+        o_plans = _scatter_plans(rows[scored], [0, *np.cumsum(k)[last].tolist()])
     if ctx is not None:
         ctx, valid, n = ctx[order], valid[order], n[order, None]
         width = valid.sum(axis=1)
-        w_bounds = [0, *np.cumsum(width)[np.subtract(bounds[1:], 1)].tolist()]
-        w_plans = _scatter_plans(ctx[valid], w_bounds)
+        w_plans = _scatter_plans(ctx[valid], [0, *np.cumsum(width)[last].tolist()])
     elif words is not None:
         words = words[order]
         w_plans = _scatter_plans(words, bounds)
@@ -600,7 +602,9 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
             h = D.take(tag[b0:b1], axis=0)
         else:
             h = _context_sums(W, ctx[b0:b1], valid[b0:b1])
-            h = (h + D.take(tag[b0:b1], axis=0)) / n[b0:b1] if arch == "dm" else h / n[b0:b1]
+            if arch == "dm":
+                h += D.take(tag[b0:b1], axis=0)
+            h /= n[b0:b1]
         if k is None:
             g, e = gradient(h, vecs, labels[b0:b1], alpha[b0:b1])
             out = (g[:, :, None] * h[:, None, :]).reshape(-1, d)

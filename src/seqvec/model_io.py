@@ -27,8 +27,9 @@ instead of producing a partial model. The text vector format is a
 Tokenizer settings ride inside the model on purpose: inference must
 split query sequences exactly as the training corpus was split.
 ``TrainConfig`` keeps its integer settings within their u32/u64 fields,
-``TokenizerConfig`` its kmer length within its u32 field, and ``read_corpus`` its kmers and sequence ids within the u16 length
-field (``tokenizer.MAX_TEXT_BYTES``), so a model trained from a corpus
+``TokenizerConfig`` its kmer length within its u32 field, and
+``read_corpus`` its kmers and sequence ids within the u16 length field
+(``tokenizer.MAX_TEXT_BYTES``), so a model trained from a corpus
 file always saves. A model built another way whose tokens or ids do not
 fit is rejected by ``save_model`` before it writes a byte.
 """

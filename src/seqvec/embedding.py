@@ -252,6 +252,9 @@ def _negative_steps(table, n, targets, rng):
     buf = np.searchsorted(table, rng.random(n * S), side="right")
     rows = np.empty((S, 1 + n), dtype=np.intp)
     rows[:, 0] = targets
+    if not (buf.reshape(S, n) == targets[:, None]).any():
+        rows[:, 1:] = buf.reshape(S, n)
+        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
     kept = None  # which of each step's rows are scored, once a step loses a draw
     s = at = 0  # the next step, and where its draws start in buf
     while s < S:
@@ -391,18 +394,24 @@ def _plan(arch, docs, window, obj, rng):
     has one step per (position, context position) pair.
     """
     lengths = [len(t) for t in docs]
-    # the index type gathers take fastest
-    toks = np.concatenate(docs).astype(np.intp, copy=False)
+    # positions as intp, the index type gathers take fastest, with each
+    # one's document and that document's bounds
+    if len(docs) == 1:
+        toks = docs[0].astype(np.intp)
+        doc, start, end = np.zeros(len(toks), dtype=np.intp), 0, len(toks)
+    else:
+        toks = np.concatenate(docs, dtype=np.intp)
+        doc = np.repeat(np.arange(len(docs)), lengths)
+        start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
+        end = start + np.repeat(lengths, lengths)[:, None]
     words = ctx = valid = n = None
-    targets, doc = toks, np.repeat(np.arange(len(docs)), lengths)
+    targets = toks
     if arch != "dbow":
         cs = rng.integers(1, window + 1, size=len(toks))
         w = min(window, max(lengths) - 1)  # wider offsets never land in a document
         offs = np.concatenate((np.arange(-w, 0), np.arange(1, w + 1)))
-        start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
         at = np.arange(len(toks))[:, None] + offs
-        valid = ((np.abs(offs) <= cs[:, None]) & (at >= start)
-                 & (at < start + np.asarray(lengths)[doc, None]))
+        valid = (np.abs(offs) <= cs[:, None]) & (at >= start) & (at < end)
         ctx = toks.take(at, mode="clip")
         if arch == "sg":
             pos, slot = np.nonzero(valid)

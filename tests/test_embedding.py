@@ -433,10 +433,13 @@ class TestUpdateDistribution:
 
 # Reference: one position loop per architecture for training, scoring and
 # inference, as the library ran them before they were folded into one walk,
-# each step drawing its own negatives one target at a time. The library
-# must reproduce these byte for byte. The reference shares the library's
+# each step drawing its own negatives one target at a time, and a lockstep
+# loop for training several documents at once (_ref_train_lanes). The
+# library must reproduce these byte for byte: training at one lane the
+# first, at several the second. The reference shares the library's
 # gradient kernel and Huffman coding, but neither its draw rule
-# (draw_negatives, _negative_steps) nor its planner (scored_steps).
+# (draw_negatives, _negative_steps), nor its planner (scored_steps), nor
+# its scatter (_scatter).
 
 
 def _ref_draw_negatives(rng, table, target, n):
@@ -839,6 +842,24 @@ class TestLanesMatchReference:
         lib_rng = made[-1]
         ref, _ = _ref_train_lanes(init_model(vocab, 3, cfg), docs, 3)
         assert lib_rng.random() == made[-1].random()
+        assert np.array_equal(lib.D, ref.D)
+        assert np.array_equal(lib.W, ref.W)
+        assert np.array_equal(lib.O, ref.O)
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    def test_one_dimension_matches(self, arch, objective, monkeypatch):
+        # numpy sums 8 or more one-element rows pairwise; contexts here
+        # reach 20 rows
+        monkeypatch.setattr(embedding, "_LANES", 3)
+        vocab = _vocab(10)
+        rng = np.random.default_rng(5)
+        docs = [_doc(tag % 2, rng.integers(0, 10, n)) for tag, n in
+                enumerate([25, 3, 14, 30, 1])]
+        cfg = TrainConfig(architecture=arch, dim=1, window=10, objective=objective,
+                          negative=3, epochs=2, alpha0=0.1, seed=4)
+        lib = train(init_model(vocab, 2, cfg), docs)
+        ref, _ = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 3)
         assert np.array_equal(lib.D, ref.D)
         assert np.array_equal(lib.W, ref.W)
         assert np.array_equal(lib.O, ref.O)

@@ -469,20 +469,20 @@ def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
     the training step of ``_train_lanes`` for one lane.
     """
     p = _plan(arch, [toks], window, obj, rng)
+    if arch not in DOC_ARCHITECTURES:  # cbow and sg steps write only W and O
+        return
     doc, gradient = D[tag], obj.gradient
     alpha = np.array(alpha, dtype=np.float32)
-    labels, bounds, words, n = p.labels, p.bounds, p.words, p.n
+    labels, bounds, n = p.labels, p.bounds, p.n
     for s0, s1, sums, vecs in _frozen_gathers(p, W, obj.O):
         base = bounds[s0]
         for s in range(s0, s1):
             b0, b1 = bounds[s], bounds[s + 1]
             v = vecs[b0 - base : b1 - base]
-            if p.ctx is None:  # h is D[tag] (dbow) or a frozen word row (sg)
-                if words is None:
-                    doc += gradient(doc, v, labels[b0:b1], alpha)[1]
-                continue
-            h = (sums[s - s0] + doc) / n[s] if arch == "dm" else sums[s - s0] / n[s]
-            if arch == "dm":
+            if arch == "dbow":  # h is D[tag]
+                doc += gradient(doc, v, labels[b0:b1], alpha)[1]
+            else:
+                h = (sums[s - s0] + doc) / n[s]
                 doc += gradient(h, v, labels[b0:b1], alpha)[1] / n[s]
 
 

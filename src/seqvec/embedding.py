@@ -518,8 +518,8 @@ def _scatter_plans(ids, bounds):
     S = len(bounds) - 1
     if not len(ids):
         return [(ids, None, [])] * S
-    start = np.repeat(bounds[:-1], np.diff(bounds))
-    key = start * (int(ids.max()) + 1) + ids
+    step = np.repeat(np.arange(S), np.diff(bounds))
+    key = step * (int(ids.max()) + 1) + ids
     order = np.argsort(key, kind="stable")
     first = np.ones(len(ids), dtype=bool)
     np.not_equal(key[order][1:], key[order][:-1], out=first[1:])
@@ -528,9 +528,8 @@ def _scatter_plans(ids, bounds):
     R = int(rank.max()) + 1
     if R == 1:
         return [(ids[b0:b1], None, []) for b0, b1 in zip(bounds, bounds[1:])]
-    step = np.repeat(np.arange(S), np.diff(bounds))
     perm = np.argsort(step * R + rank, kind="stable")  # by step, rank, position
-    ranked, perm = ids[perm], perm - start
+    ranked, perm = ids[perm], perm - np.take(bounds, step)
     sizes = np.bincount(step * R + rank, minlength=S * R).reshape(S, R)
     rounds = (sizes >= _ROUND_ROWS).sum(axis=1).tolist()
     plans = []

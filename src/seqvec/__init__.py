@@ -51,7 +51,7 @@ from .sequences import (
     parse_fasta,
     write_fasta,
 )
-from .synthetic import markov_family_corpus, motif_order_corpus
+from .synthetic import markov_family_corpus
 from .tokenizer import (
     Corpus,
     TokenizedDoc,

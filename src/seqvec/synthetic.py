@@ -17,8 +17,6 @@ so the family is in the order of the motifs, not in their counts.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError
@@ -27,6 +25,9 @@ from .sequences import SequenceRecord
 __all__ = ["markov_family_corpus", "motif_order_corpus", "STANDARD_AMINO_ACIDS"]
 
 STANDARD_AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
+
+# motif_order_corpus: four families, four motifs of eight letters, gaps of 2..5
+_FAMILIES, _MOTIFS, _MOTIF_LENGTH, _GAP_MIN, _GAP_MAX = 4, 4, 8, 2, 5
 
 
 def markov_family_corpus(
@@ -80,41 +81,22 @@ def markov_family_corpus(
     return records
 
 
-def motif_order_corpus(
-    n_families: int = 4,
-    per_family: int = 100,
-    n_motifs: int = 4,
-    motif_length: int = 8,
-    gaps: tuple[int, int] = (2, 5),
-    seed: int = 0,
-    alphabet: str = STANDARD_AMINO_ACIDS,
-) -> list[SequenceRecord]:
+def motif_order_corpus(per_family: int = 100, seed: int = 0) -> list[SequenceRecord]:
     """Generate labeled sequences that share motifs and differ in their order.
 
-    ``n_motifs`` random motifs of ``motif_length`` letters are drawn once.
-    Each family gets its own order of them (distinct orders, so
-    ``n_families`` is at most n_motifs!). A member is a gap, then each motif
+    Four random motifs of eight letters are drawn once. Each of the four
+    families gets its own order of them. A member is a gap, then each motif
     in its family's order followed by a gap; every gap length is uniform in
-    ``gaps`` (both ends included) and every gap letter uniform over
-    ``alphabet``. The defaults give about 49 letters a sequence. Family f
-    is named ``FAMf`` and its members ``FAMf_i``; the corpus is a pure
-    function of the arguments.
+    2..5 and every gap letter uniform over the standard amino acids, about
+    49 letters a sequence. Family f is named ``FAMf`` and its members
+    ``FAMf_i``; the corpus is a pure function of the arguments.
     """
-    lo, hi = gaps
-    if n_families < 1 or per_family < 1 or n_motifs < 1 or motif_length < 1:
-        raise ConfigError("n_families, per_family, n_motifs and motif_length must "
-                          "be positive")
-    if not 0 <= lo <= hi:
-        raise ConfigError("gaps must be (lo, hi) with 0 <= lo <= hi")
-    if n_families > math.factorial(n_motifs):
-        raise ConfigError(f"{n_motifs} motifs have only {math.factorial(n_motifs)} "
-                          "orders, one per family")
     rng = np.random.default_rng(seed)
-    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
-    motifs = letters[rng.integers(0, len(letters), (n_motifs, motif_length))]
+    letters = np.frombuffer(STANDARD_AMINO_ACIDS.encode("ascii"), dtype=np.uint8)
+    motifs = letters[rng.integers(0, len(letters), (_MOTIFS, _MOTIF_LENGTH))]
     orders: list[tuple[int, ...]] = []
-    while len(orders) < n_families:
-        order = tuple(rng.permutation(n_motifs).tolist())
+    while len(orders) < _FAMILIES:
+        order = tuple(rng.permutation(_MOTIFS).tolist())
         if order not in orders:
             orders.append(order)
 
@@ -122,7 +104,7 @@ def motif_order_corpus(
     for f, order in enumerate(orders):
         fam = f"FAM{f}"
         for i in range(per_family):
-            widths = rng.integers(lo, hi + 1, n_motifs + 1)
+            widths = rng.integers(_GAP_MIN, _GAP_MAX + 1, _MOTIFS + 1)
             parts = [letters[rng.integers(0, len(letters), widths[0])]]
             for m, width in zip(order, widths[1:]):
                 parts += [motifs[m], letters[rng.integers(0, len(letters), width)]]

@@ -1,8 +1,5 @@
 """Tests for the synthetic corpora."""
 
-import pytest
-
-from seqvec.errors import ConfigError
 from seqvec.synthetic import motif_order_corpus
 from seqvec.tokenizer import kmers_overlapping
 
@@ -13,8 +10,7 @@ class TestMotifOrderCorpus:
         assert motif_order_corpus(seed=3) != motif_order_corpus(seed=4)
 
     def test_families_hold_the_same_motifs_in_distinct_orders(self):
-        records = motif_order_corpus(n_families=4, per_family=20, n_motifs=4,
-                                     motif_length=8, gaps=(2, 5), seed=1)
+        records = motif_order_corpus(per_family=20, seed=1)
         assert [r.family for r in records] == [f"FAM{f}" for f in range(4)
                                                for _ in range(20)]
         lengths = [len(r.residues) for r in records]
@@ -40,11 +36,3 @@ class TestMotifOrderCorpus:
         everywhere = set.intersection(*held.values())
         assert all(kmers == everywhere for kmers in held.values())
         assert len(everywhere) >= 4 * (8 - 2) - 2  # a motif may repeat a 3-mer
-
-    def test_bad_settings_rejected(self):
-        with pytest.raises(ConfigError, match="orders"):
-            motif_order_corpus(n_families=7, n_motifs=3)
-        with pytest.raises(ConfigError, match="gaps"):
-            motif_order_corpus(gaps=(3, 2))
-        with pytest.raises(ConfigError, match="positive"):
-            motif_order_corpus(per_family=0)

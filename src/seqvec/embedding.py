@@ -32,18 +32,22 @@ terms; each row contributing to h receives grad_h scaled by
 learning rate decays linearly from alpha0 toward alpha_min = alpha0 / 10000
 over the total scheduled token count (document granularity).
 
-Training steps documents in lockstep (``_train_lanes``). Each epoch's
-document permutation is cut into batches of ``_LANES`` documents, and a
-batch is planned in bulk (``_plan``): the window widths of all its
-documents in one draw, then every step's context, contributor count and
-scored rows, from the same random stream (draws that hit their target
-are replayed one step at a time). Its documents are lanes, longest
-first. Step p runs the p-th step of every lane that has one: it reads D,
-W and O as step p - 1 left them, then adds all of its updates, repeated
-rows summed in lane order as ``np.add.at`` sums them. So each lane sees
-its own earlier steps but not the other lanes' step p, a synchronous
-form of HogBatch minibatching (Ji et al. 2016), and training stays
-bit-deterministic for a fixed seed. One lane is the sequential walk.
+Training steps lanes in lockstep (``_train_lanes``). Each epoch's
+document permutation is cut into batches of ``_LANES`` documents, fewer
+once a batch holds ``_BATCH_TOKENS`` tokens, and a batch is planned in
+bulk (``_plan``): the window widths of all its documents in one draw,
+then every step's context, contributor count and scored rows, from the
+same random stream (draws that hit their target are replayed one step at
+a time). The batch's steps are then cut into lanes of equal length, at
+most ``_LANES`` of them plus one shorter piece per document; a long
+document gives several lanes, which share its row of D. Lanes run
+longest first. Step p runs the p-th step of every lane that has one: it
+reads D, W and O as step p - 1 left them, then adds all of its updates,
+repeated rows summed in lane order as ``np.add.at`` sums them. So each
+lane sees its own earlier steps but not the other lanes' step p, a
+synchronous form of HogBatch minibatching (Ji et al. 2016), and training
+stays bit-deterministic for a fixed seed. One lane is the sequential
+walk.
 
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
@@ -106,8 +110,13 @@ _U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
 #: Steps ``_negative_steps`` checks at once for a draw that hits its target.
 _HIT_SCAN = 256
 
-#: Documents trained in lockstep (``_train_lanes``); 1 trains them one by one.
+#: Lanes trained in lockstep (``_train_lanes``), and the most documents a
+#: batch of them holds; 1 trains documents one by one.
 _LANES = 64
+
+#: Tokens that close a batch before it holds ``_LANES`` documents; bounds
+#: the memory of its plan to about that of the longest document's.
+_BATCH_TOKENS = 1 << 12
 
 #: The fewest distinct rows ``_scatter`` adds in one gather, add and put;
 #: np.add.at adds fewer faster, row by row.
@@ -560,32 +569,41 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     """One training pass over each token array in ``docs``, in lockstep.
 
     Document i updates the row D[tags[i]] at learning rate ``alphas[i]``.
-    The passes are planned together (``_plan``). Each document is a lane;
-    lanes are sorted by step count, longest first (ties in the given
-    order), and step p runs the p-th step of every lane that has one. All
-    of step p's reads of D, W and O see them as step p - 1 left them. Its
-    writes are added after them, each row's in lane order and, within a
-    lane, in the order of the step's rows, as ``np.add.at`` sums them. One
-    lane is the sequential walk, step by step.
+    The passes are planned together (``_plan``), S steps in all, and each
+    document's steps are cut into lanes of L = ceil(S / ``_LANES``) steps
+    (the last one shorter). Lanes are sorted by step count, longest first
+    (ties in document, then step order), and step p runs the p-th step of
+    every lane that has one. All of step p's reads of D, W and O see them
+    as step p - 1 left them. Its writes are added after them, each row's in
+    lane order and, within a lane, in the order of the step's rows, as
+    ``np.add.at`` sums them. One lane is the sequential walk, step by step.
     """
     p = _plan(arch, docs, window, obj, rng)
-    if len(p.doc) == 0:
+    S = len(p.doc)
+    if S == 0:
         return
-    O, gradient, ctx, valid, n, words = obj.O, obj.gradient, p.ctx, p.valid, p.n, p.words
-    d = O.shape[1]
-    # step-major order: step 0 of every lane, then step 1 of those that have one, ...
+    # the lanes, by their first step, then in step-major order: step 0 of
+    # every lane, then step 1 of those that have one, ...
+    L = -(-S // _LANES)
     counts = np.bincount(p.doc, minlength=len(docs))
-    lanes = np.argsort(-counts, kind="stable")
-    depth = np.arange(counts[lanes[0]])[:, None]
-    active = depth < counts[lanes]
-    order = ((np.cumsum(counts) - counts)[lanes] + depth)[active]
+    pieces = -(-counts // L)
+    lane_doc = np.repeat(np.arange(len(docs)), pieces)
+    piece = L * (np.arange(len(lane_doc)) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    first = (np.cumsum(counts) - counts)[lane_doc] + piece
+    length = np.minimum(L, counts[lane_doc] - piece)
+    lanes = np.argsort(-length, kind="stable")
+    depth = np.arange(length[lanes[0]])[:, None]
+    active = depth < length[lanes]
+    order = (first[lanes] + depth)[active]
     bounds = [0, *itertools.accumulate(active.sum(axis=1).tolist())]
 
     last = np.subtract(bounds[1:], 1)  # each step's last lane
     rows, labels, k = _padded(p)
+    doc, ctx, valid, n, words = p.doc[order], p.ctx, p.valid, p.n, p.words
+    del p  # each of the plan's arrays is freed as its reordered copy is made
     rows, labels = rows[order], labels[order]
-    tag = np.asarray(tags, dtype=np.intp)[p.doc[order]]
-    alpha = np.asarray(alphas, dtype=np.float32)[p.doc[order], None]
+    tag = np.asarray(tags, dtype=np.intp)[doc]
+    alpha = np.asarray(alphas, dtype=np.float32)[doc, None]
     if k is None:
         o_plans = _scatter_plans(rows.ravel(), [b * rows.shape[1] for b in bounds])
     else:
@@ -602,6 +620,7 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     if arch in DOC_ARCHITECTURES:
         d_plans = _scatter_plans(tag, bounds)
 
+    O, gradient, d = obj.O, obj.gradient, obj.O.shape[1]
     for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
         vecs = O.take(rows[b0:b1], axis=0)
         if words is not None:
@@ -662,9 +681,10 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     """Run model.config.epochs SGD passes over ``docs``, updating the model
     in place.
 
-    Document order is reshuffled per epoch from the seeded generator, and
-    each batch of ``_LANES`` documents of it is trained in lockstep
-    (``_train_lanes``); positions within a document run in order.
+    Document order is reshuffled per epoch from the seeded generator. It is
+    cut into batches of ``_LANES`` documents, or fewer once a batch holds
+    ``_BATCH_TOKENS`` tokens, each trained in lockstep (``_train_lanes``);
+    documents that subsampling empties are left out.
     """
     cfg = model.config
     _check_docs(model, docs)
@@ -682,23 +702,26 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     rng = np.random.default_rng([cfg.seed, 1])
     processed = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(docs))
-        for b0 in range(0, len(docs), _LANES):
-            batch, tags, alphas = [], [], []
-            for di in order[b0 : b0 + _LANES]:
-                doc = docs[di]
-                alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
-                processed += len(doc.tokens)
-                toks = doc.tokens
-                if keep is not None:
-                    toks = toks[rng.random(len(toks)) < keep[toks]]
-                if len(toks):
-                    batch.append(toks)
-                    tags.append(doc.doc_tag)
-                    alphas.append(alpha)
-            if batch:
+        batch, tags, alphas, held = [], [], [], 0
+        for di in rng.permutation(len(docs)).tolist():
+            doc = docs[di]
+            alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
+            processed += len(doc.tokens)
+            toks = doc.tokens
+            if keep is not None:
+                toks = toks[rng.random(len(toks)) < keep[toks]]
+                if len(toks) == 0:
+                    continue
+            batch.append(toks)
+            tags.append(doc.doc_tag)
+            alphas.append(alpha)
+            held += len(toks)
+            if len(batch) == _LANES or held >= _BATCH_TOKENS:
                 _train_lanes(arch, model.D, model.W, obj, batch, tags, alphas, window,
                              rng)
+                batch, tags, alphas, held = [], [], [], 0
+        if batch:
+            _train_lanes(arch, model.D, model.W, obj, batch, tags, alphas, window, rng)
     return model
 
 

@@ -542,16 +542,18 @@ def _ref_train(model, docs):
     return model
 
 
-def _ref_train_lanes(model, docs, lanes):
-    """Lockstep training, ``lanes`` documents of each epoch's permutation at a
-    time; returns the model and how many documents subsampling emptied.
+def _ref_train_lanes(model, docs, lanes, batch_tokens):
+    """Lockstep training of each epoch's permutation in batches of ``lanes``
+    documents, or fewer once a batch holds ``batch_tokens`` tokens; returns
+    the model and how many documents subsampling emptied.
 
     A batch draws each document's subsampling in turn, then the window
     widths of all its documents in one call, then each step's negatives one
-    step at a time, in document order. Lanes run longest first (ties in
-    permutation order). Step p reads D, W and O as step p - 1 left them (a
-    snapshot), and then adds every lane's writes with np.add.at, lane by
-    lane.
+    step at a time, in document order. Each document's S_i steps are cut
+    into lanes of L = ceil(sum of S_i / lanes) steps. Lanes run longest
+    first (ties in permutation, then step order). Step p reads D, W and O
+    as step p - 1 left them (a snapshot), and then adds every lane's writes
+    with np.add.at, lane by lane.
     """
     cfg = model.config
     obj = _RefObjective(model)
@@ -560,29 +562,31 @@ def _ref_train_lanes(model, docs, lanes):
     rng = np.random.default_rng([cfg.seed, 1])
     processed = emptied = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(docs))
-        for b0 in range(0, len(docs), lanes):
-            batch = []
-            for di in order[b0 : b0 + lanes]:
-                doc = docs[di]
-                alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * min(1.0, processed / total)
-                processed += len(doc.tokens)
-                toks = doc.tokens
-                if keep is not None:
-                    toks = toks[rng.random(len(toks)) < keep[toks]]
-                if len(toks):
-                    batch.append((toks, doc.doc_tag, np.array(alpha, dtype=np.float32)))
-                emptied += len(toks) == 0
-            if batch:
-                _ref_lockstep(cfg.architecture, model, obj, batch, cfg.window, rng)
+        batch = []
+        for di in rng.permutation(len(docs)):
+            doc = docs[di]
+            alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * min(1.0, processed / total)
+            processed += len(doc.tokens)
+            toks = doc.tokens
+            if keep is not None:
+                toks = toks[rng.random(len(toks)) < keep[toks]]
+            if len(toks) == 0:
+                emptied += 1
+                continue
+            batch.append((toks, doc.doc_tag, np.array(alpha, dtype=np.float32)))
+            if len(batch) == lanes or sum(len(t) for t, _, _ in batch) >= batch_tokens:
+                _ref_lockstep(cfg.architecture, model, obj, batch, lanes, cfg.window, rng)
+                batch = []
+        if batch:
+            _ref_lockstep(cfg.architecture, model, obj, batch, lanes, cfg.window, rng)
     return model, emptied
 
 
-def _ref_lockstep(arch, model, obj, batch, window, rng):
+def _ref_lockstep(arch, model, obj, batch, lanes, window, rng):
     D, W, O = model.D, model.W, model.O
     widths = (rng.integers(1, window + 1, size=sum(len(t) for t, _, _ in batch))
               if arch != "dbow" else None)
-    lane_steps, at = [], 0
+    doc_steps, at = [], 0
     for toks, _, _ in batch:  # (word row or context, target) per step
         n, steps = len(toks), []
         cs = None if widths is None else widths[at : at + n]
@@ -598,15 +602,18 @@ def _ref_lockstep(arch, model, obj, batch, window, rng):
                 ctx = _ref_context(toks, pos, cs[pos])
                 if arch == "dm" or len(ctx):
                     steps.append((ctx, toks[pos]))
-        lane_steps.append([(src, obj.scored(t, rng)) for src, t in steps])
-    lanes = sorted(range(len(batch)), key=lambda i: -len(lane_steps[i]))
-    for p in range(len(lane_steps[lanes[0]])):
+        doc_steps.append([(src, obj.scored(t, rng)) for src, t in steps])
+    L = max(1, -(-sum(map(len, doc_steps)) // lanes))
+    runs = [(steps[a : a + L], tag, alpha) for steps, (_, tag, alpha) in zip(doc_steps, batch)
+            for a in range(0, len(steps), L)]
+    runs.sort(key=lambda run: -len(run[0]))
+    for p in range(len(runs[0][0]) if runs else 0):
         D0, W0, O0 = D.copy(), W.copy(), O.copy()
         writes = []
-        for i in lanes:
-            if p >= len(lane_steps[i]):
+        for steps, tag, alpha in runs:
+            if p >= len(steps):
                 continue
-            (src, (rows, labels)), tag, alpha = lane_steps[i][p], batch[i][1], batch[i][2]
+            src, (rows, labels) = steps[p]
             if arch == "dbow":
                 h = D0[tag]
             elif arch == "sg":
@@ -826,21 +833,24 @@ class TestWalkerMatchesReference:
 class TestLanesMatchReference:
     """Several lanes: the library against the lockstep reference."""
 
-    @pytest.mark.parametrize("round_rows", [1, 8])
+    @pytest.mark.parametrize("round_rows, batch_tokens", [(1, 4096), (8, 4096), (8, 10)])
     @pytest.mark.parametrize("objective", ["ns", "hs"])
     @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
     @pytest.mark.parametrize("case", list(_PLAN_CASES))
     def test_three_lanes_match_the_lockstep_reference(self, case, arch, objective,
-                                                      round_rows, monkeypatch):
+                                                      round_rows, batch_tokens,
+                                                      monkeypatch):
         # round_rows 1 adds every repeated row in rounds; 8 leaves the
-        # repeats of these small vocabularies to np.add.at
+        # repeats of these small vocabularies to np.add.at. 10 tokens close
+        # batches before they hold three documents.
         monkeypatch.setattr(embedding, "_LANES", 3)
         monkeypatch.setattr(embedding, "_ROUND_ROWS", round_rows)
+        monkeypatch.setattr(embedding, "_BATCH_TOKENS", batch_tokens)
         vocab, docs, cfg = _plan_case(case, arch, objective)
         made = _last_rng(monkeypatch)
         lib = train(init_model(vocab, 3, cfg), docs)
         lib_rng = made[-1]
-        ref, _ = _ref_train_lanes(init_model(vocab, 3, cfg), docs, 3)
+        ref, _ = _ref_train_lanes(init_model(vocab, 3, cfg), docs, 3, batch_tokens)
         assert lib_rng.random() == made[-1].random()
         assert np.array_equal(lib.D, ref.D)
         assert np.array_equal(lib.W, ref.W)
@@ -859,7 +869,8 @@ class TestLanesMatchReference:
         cfg = TrainConfig(architecture=arch, dim=1, window=10, objective=objective,
                           negative=3, epochs=2, alpha0=0.1, seed=4)
         lib = train(init_model(vocab, 2, cfg), docs)
-        ref, _ = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 3)
+        ref, _ = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 3,
+                                  embedding._BATCH_TOKENS)
         assert np.array_equal(lib.D, ref.D)
         assert np.array_equal(lib.W, ref.W)
         assert np.array_equal(lib.O, ref.O)
@@ -879,7 +890,8 @@ class TestLanesMatchReference:
         cfg = TrainConfig(architecture=arch, dim=5, window=3, objective=objective,
                           negative=3, subsample_t=0.01, epochs=6, alpha0=0.1, seed=2)
         lib = train(init_model(vocab, 2, cfg), docs)
-        ref, emptied = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 4)
+        ref, emptied = _ref_train_lanes(init_model(vocab, 2, cfg), docs, 4,
+                                        embedding._BATCH_TOKENS)
         assert emptied > 0
         assert np.array_equal(lib.D, ref.D)
         assert np.array_equal(lib.W, ref.W)

@@ -405,14 +405,10 @@ def _plan(arch, docs, window, obj, rng):
     lengths = [len(t) for t in docs]
     # positions as intp, the index type gathers take fastest, with each
     # one's document and that document's bounds
-    if len(docs) == 1:
-        toks = docs[0].astype(np.intp)
-        doc, start, end = np.zeros(len(toks), dtype=np.intp), 0, len(toks)
-    else:
-        toks = np.concatenate(docs, dtype=np.intp)
-        doc = np.repeat(np.arange(len(docs)), lengths)
-        start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
-        end = start + np.repeat(lengths, lengths)[:, None]
+    toks = np.concatenate(docs, dtype=np.intp)
+    doc = np.repeat(np.arange(len(docs)), lengths)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
+    end = start + np.repeat(lengths, lengths)[:, None]
     words = ctx = valid = n = None
     targets = toks
     if arch != "dbow":

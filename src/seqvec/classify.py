@@ -3,10 +3,15 @@
 The classifier is a primal hinge-loss SGD (Pegasos schedule): it
 minimizes (1/2)||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) via the
 equivalent lambda = 1/(nC) formulation, one random example per step,
-eta_t = 1/(lambda t), with an unregularized bias. Two evaluation
+eta_t = 1/(lambda t), with an unregularized bias. Every fit is a lane of
+one lockstep loop (``_pegasos_lanes``): step t runs the t-th step of
+every lane that has one, and each lane reads only its own weights, so
+each model is bit-identical to the one its own per-example loop would
+train (the tests keep that loop as the oracle). Two evaluation
 protocols are provided: a per-family binary task against an equal-size
 random negative sample, and a multiclass one-vs-rest task over the most
-populous families. Both report specificity, sensitivity, accuracy and
+populous families. Each trains all of its folds (and classes) in one
+call of the loop. Both report specificity, sensitivity, accuracy and
 precision as mean +/- sample std over stratified cross-validation folds;
 0/0 metrics are left undefined and excluded from the averages with a
 warning rather than coerced to zero.
@@ -44,6 +49,9 @@ __all__ = [
 
 #: Pegasos passes over the training examples per SVM fit.
 SVM_EPOCHS = 20
+
+#: Floats of X that ``_pegasos_lanes`` gathers for a block of steps at once.
+_PLAN_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,111 @@ def svm_objective(model: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * float(model.w @ model.w) + model.C * float(hinge)
 
 
+class _Fit(NamedTuple):
+    """One Pegasos fit for ``_pegasos_lanes``: its training rows of X, their
+    +/-1 labels and the seed of its permutations."""
+
+    rows: np.ndarray
+    y: np.ndarray
+    seed: object
+
+
+def _seed_key(seed) -> tuple[int, ...] | None:
+    """The words of an int or int-sequence seed, which fix its draws; None
+    for any other seed (a Generator, a SeedSequence), whose draws are not
+    shared."""
+    if isinstance(seed, (int, np.integer)):
+        return (int(seed),)
+    if isinstance(seed, (list, tuple)) and all(isinstance(s, (int, np.integer))
+                                               for s in seed):
+        return tuple(map(int, seed))
+    return None
+
+
+def _pegasos_lanes(X: np.ndarray, fits: Sequence[_Fit], C: float) -> list[SvmModel]:
+    """Pegasos SGD on the primal hinge loss for every fit, in lockstep.
+
+    Each fit trains on the examples ``X[fit.rows]`` with labels ``fit.y``:
+    lambda = 1/(nC) maps the C-weighted objective onto the Pegasos schedule
+    eta_t = 1/(lambda t), SVM_EPOCHS passes visit the examples in the orders
+    of SVM_EPOCHS ``default_rng(fit.seed).permutation(n)`` calls (drawn once
+    for fits that share a seed and n), and the bias is updated by the hinge
+    subgradient but not regularized. Fits are sorted by step count, longest
+    first, and step t runs on the ones that have a t-th step; each gives the
+    same bits as the per-example loop over its own examples would.
+    """
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be finite and positive, got {C}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise DataError(f"SVM input row {bad[0]} is not finite")
+    lams = []
+    for fit in fits:
+        if set(np.unique(fit.y).tolist()) != {-1, 1}:
+            raise DataError("need both classes present, labels in {-1, +1}")
+        n = len(fit.rows)
+        lams.append(1.0 / (n * C))
+        if lams[-1] == 0.0:  # n * C overflowed
+            raise ConfigError(f"C={C} is too large for {n} examples")
+
+    # every fit's visiting orders, as positions into its rows, drawn once
+    # for each group of fits that share a seed and n (a seed of any other
+    # kind draws alone)
+    group, first, drawn = [], [], {}
+    for j, fit in enumerate(fits):
+        key = _seed_key(fit.seed)
+        key = j if key is None else (len(fit.rows), key)
+        if key not in drawn:
+            drawn[key] = len(first)
+            first.append(j)
+        group.append(drawn[key])
+    lengths = [SVM_EPOCHS * len(fits[j].rows) for j in first]
+    perm = np.empty(sum(lengths), dtype=np.intp)
+    end = 0
+    for j in first:
+        rng, n = np.random.default_rng(fits[j].seed), len(fits[j].rows)
+        for _ in range(SVM_EPOCHS):
+            perm[end : end + n] = rng.permutation(n)
+            end += n
+
+    sizes = np.array([len(fit.rows) for fit in fits])
+    lanes = np.argsort(-sizes, kind="stable")  # most steps first
+    sizes = sizes[lanes]
+    start = (np.cumsum(sizes) - sizes)[:, None]
+    drawn_at = (np.cumsum(lengths) - lengths)[np.array(group)[lanes]][:, None]
+    rows = np.concatenate([np.asarray(fits[j].rows, dtype=np.intp) for j in lanes])
+    y = np.concatenate([np.asarray(fits[j].y, dtype=np.float64) for j in lanes])
+    lam = np.array(lams)[lanes]
+
+    d = X.shape[1]
+    W = np.zeros((len(fits), d))
+    B = np.zeros(len(fits))
+    t0 = 0
+    for A in range(len(fits), 0, -1):  # lanes 0..A-1 have steps t0+1..t1
+        t1 = SVM_EPOCHS * int(sizes[A - 1])
+        Wa, Ba = W[:A], B[:A]
+        block = max(1, _PLAN_CELLS // max(1, A * d))
+        for b0 in range(t0, t1, block):  # plan a block of steps at a time
+            b1 = min(t1, b0 + block)
+            at = start[:A] + perm[drawn_at[:A] + np.arange(b0, b1)]
+            Xb = X.take(rows[at].T, axis=0)  # (steps, lanes, d)
+            yb = y[at].T
+            t = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
+            step = (1.0 / (lam[:A] * t)) * yb  # eta * y
+            Ub = step[:, :, None] * Xb
+            for s in range(b1 - b0):
+                Wa *= 1.0 - 1.0 / (b0 + s + 1)  # (1 - eta * lam)
+                margin = np.vecdot(Wa, Xb[s])
+                margin += Ba
+                margin *= yb[s]
+                hit = margin < 1.0
+                np.add(Wa, Ub[s], out=Wa, where=hit[:, None])
+                np.add(Ba, step[s], out=Ba, where=hit)
+        t0 = t1
+    return [SvmModel(W[lane].copy(), float(B[lane]), C)
+            for lane in np.argsort(lanes).tolist()]
+
+
 def train_linear_svm(
     X: np.ndarray,
     y: Sequence[int] | np.ndarray,
@@ -182,34 +295,19 @@ def train_linear_svm(
 
     lambda = 1/(nC) maps the C-weighted objective onto the Pegasos
     schedule eta_t = 1/(lambda t). The bias is updated by the hinge
-    subgradient but not regularized.
+    subgradient but not regularized. One lane of ``_pegasos_lanes``.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ConfigError("X must be (n, d) with one label per row")
-    if not 0 < C < math.inf:
-        raise ConfigError(f"C must be finite and positive, got {C}")
-    if set(np.unique(y).tolist()) != {-1, 1}:
-        raise DataError("need both classes present, labels in {-1, +1}")
+    X = _matrix(X, len(y))
+    return _pegasos_lanes(X, [_Fit(np.arange(len(X)), y, seed)], C)[0]
 
-    n, d = X.shape
-    lam = 1.0 / (n * C)
-    if lam == 0.0:  # n * C overflowed
-        raise ConfigError(f"C={C} is too large for {n} examples")
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    rng = np.random.default_rng(seed)
-    for _ in range(SVM_EPOCHS):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - 1.0 / t  # (1 - eta * lam)
-            if y[i] * (w @ X[i] + b) < 1.0:
-                w += (eta * y[i]) * X[i]
-                b += eta * y[i]
-    return SvmModel(w, b, C)
+
+def _matrix(X, n: int) -> np.ndarray:
+    """X as a float64 (n, d) matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(X) != n:
+        raise ConfigError("X must be (n, d) with one label per row")
+    return X
 
 
 @dataclass
@@ -238,15 +336,18 @@ def one_vs_rest(
     two margin curves are exact negations and the argmax reduces to the
     single binary decision.
     """
-    classes = sorted(set(y))
+    X = _matrix(X, len(y))
+    classes, fits = _ovr_fits(np.arange(len(y)), np.asarray(y), seed)
+    return OneVsRestModel(classes, _pegasos_lanes(X, fits, C))
+
+
+def _ovr_fits(rows: np.ndarray, y: np.ndarray, seed) -> tuple[list, list[_Fit]]:
+    """The classes among ``y[rows]``, sorted, and one class-vs-rest fit each."""
+    labels = y[rows]
+    classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("one-vs-rest needs at least 2 classes")
-    y = np.asarray(y)
-    models = [
-        train_linear_svm(X, np.where(y == cls, 1, -1), C, seed=seed)
-        for cls in classes
-    ]
-    return OneVsRestModel(classes, models)
+    return classes, [_Fit(rows, np.where(labels == cls, 1, -1), seed) for cls in classes]
 
 
 def _confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
@@ -347,10 +448,11 @@ def binary_family_protocol(
     fold_of = stratified_folds(
         ["pos" if v == 1 else "neg" for v in y], folds, np.random.default_rng([seed, 1])
     )
+    fits = [_Fit(np.flatnonzero(fold_of != f), y[fold_of != f], [seed, 2, f])
+            for f in range(folds)]
     per_fold = []
-    for f in range(folds):
+    for f, model in enumerate(_pegasos_lanes(X, fits, C)):
         test = fold_of == f
-        model = train_linear_svm(X[~test], y[~test], C, seed=[seed, 2, f])
         per_fold.append(metrics_from_counts(_confusion(model.predict(X[test]), y[test])))
     return _aggregate(per_fold, f"family {family}: ")
 
@@ -382,11 +484,17 @@ def multiclass_protocol(
     y = np.array([labels[i] for i in ids])
 
     fold_of = stratified_folds(y, folds, np.random.default_rng([seed, 1]))
+    classes, fits = [], []
+    for f in range(folds):
+        fold_classes, fold_fits = _ovr_fits(np.flatnonzero(fold_of != f), y, [seed, 2, f])
+        classes.append(fold_classes)
+        fits += fold_fits
+    models = iter(_pegasos_lanes(X, fits, C))
     per_fold = []
     undefined = Counter()  # metric -> folds where some class leaves it undefined
     for f in range(folds):
         test = fold_of == f
-        ovr = one_vs_rest(X[~test], y[~test], C, seed=[seed, 2, f])
+        ovr = OneVsRestModel(classes[f], [next(models) for _ in classes[f]])
         pred = np.array(ovr.predict(X[test]))
         truth = y[test]
         per_class = [

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from seqvec.classify import (
+    SVM_EPOCHS,
     ConfusionCounts,
     _cv_families,
+    _Fit,
+    _pegasos_lanes,
+    MetricSummary,
     MetricValues,
+    MetricsReport,
     SvmModel,
     aggregate_metrics,
     binary_family_protocol,
@@ -21,6 +26,37 @@ from seqvec.classify import (
     train_linear_svm,
 )
 from seqvec.errors import ConfigError, DataError
+
+
+def _ref_train_linear_svm(X, y, C=1.0, *, seed=0):
+    """The per-example Pegasos loop, one model at a time: the oracle of
+    ``_pegasos_lanes``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ConfigError("X must be (n, d) with one label per row")
+    if not 0 < C < math.inf:
+        raise ConfigError(f"C must be finite and positive, got {C}")
+    if set(np.unique(y).tolist()) != {-1, 1}:
+        raise DataError("need both classes present, labels in {-1, +1}")
+
+    n, d = X.shape
+    lam = 1.0 / (n * C)
+    if lam == 0.0:  # n * C overflowed
+        raise ConfigError(f"C={C} is too large for {n} examples")
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(SVM_EPOCHS):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            w *= 1.0 - 1.0 / t  # (1 - eta * lam)
+            if y[i] * (w @ X[i] + b) < 1.0:
+                w += (eta * y[i]) * X[i]
+                b += eta * y[i]
+    return SvmModel(w, b, C)
 
 
 class TestMetricsFromCounts:
@@ -188,6 +224,142 @@ class TestLinearSvm:
         m2 = train_linear_svm(X, y, seed=5)
         assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
 
+
+
+def _same_bits(model, ref):
+    return (model.w.tobytes() == ref.w.tobytes()
+            and np.float64(model.b).tobytes() == np.float64(ref.b).tobytes())
+
+
+def _random_fits(rng, X, n_lanes, shared_seed):
+    """Lanes over random rows of X, each with both classes present; with a
+    shared seed, lanes of equal size share their draws."""
+    sizes = rng.integers(2, 121, size=3 if shared_seed else n_lanes).tolist()
+    fits = []
+    for j in range(n_lanes):
+        n = sizes[j % len(sizes)]
+        rows = rng.choice(len(X), size=n, replace=n > len(X))
+        y = rng.choice([-1, 1], size=n)
+        y[:2] = -1, 1
+        seed = [7, 2] if shared_seed else [7, 2, j]
+        fits.append(_Fit(rows, y, seed))
+    return fits
+
+
+class TestPegasosLanes:
+    """Every lane gives the bits of its own per-example loop."""
+
+    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("shared_seed", [False, True])
+    def test_ragged_lanes_match_the_reference(self, C, shared_seed):
+        rng = np.random.default_rng([int(C * 100), shared_seed])
+        for _ in range(5):
+            d = int(rng.integers(1, 61))
+            X = rng.normal(size=(int(rng.integers(2, 121)), d))
+            X *= rng.choice([0.1, 1.0, 10.0], size=(len(X), 1))
+            fits = _random_fits(rng, X, int(rng.integers(1, 13)), shared_seed)
+            for fit, model in zip(fits, _pegasos_lanes(X, fits, C)):
+                ref = _ref_train_linear_svm(X[fit.rows], fit.y, C, seed=fit.seed)
+                assert _same_bits(model, ref)
+
+    def test_shrinking_prefix_of_lanes(self):
+        # step counts 20 * n differ, so lanes drop out at three points, and
+        # the two lanes of n = 9 share one seed and so one set of draws
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(60, 5))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=60) > 0, 1, -1)
+        fits = [_Fit(rows, y[rows], seed) for rows, seed in (
+            (np.arange(9), 3), (np.arange(60), 4), (np.arange(9, 18), 3),
+            (np.arange(30), 3), (np.arange(2, 60, 2), 5))]
+        for fit, model in zip(fits, _pegasos_lanes(X, fits, 1.0)):
+            ref = _ref_train_linear_svm(X[fit.rows], fit.y, 1.0, seed=fit.seed)
+            assert _same_bits(model, ref)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (17, 3), (120, 60)])
+    def test_one_lane_matches_the_reference(self, n, d):
+        rng = np.random.default_rng([n, d])
+        X = rng.normal(size=(n, d))
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = 1, -1
+        for C in (0.01, 1.0, 100.0):
+            assert _same_bits(train_linear_svm(X, y, C, seed=n),
+                              _ref_train_linear_svm(X, y, C, seed=n))
+
+    def test_every_lane_is_checked_before_any_step(self):
+        X = np.array([[-1.0], [1.0], [2.0]])
+        good = _Fit(np.arange(3), np.array([-1, 1, 1]), 0)
+        one_class = _Fit(np.arange(1, 3), np.array([1, 1]), 0)
+        with pytest.raises(DataError, match="both classes"):
+            _pegasos_lanes(X, [good, one_class], 1.0)
+        with pytest.raises(ConfigError, match="too large for 3 examples"):
+            _pegasos_lanes(X, [good], 1e308)
+        with pytest.raises(ConfigError, match="C must be finite and positive"):
+            _pegasos_lanes(X, [good], math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected_by_row(self, bad):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, 3))
+        y = np.where(X[:, 0] > 0, 1, -1)
+        X[13, 1] = bad
+        with pytest.raises(DataError, match="row 13 is not finite"):
+            train_linear_svm(X, y)
+        vectors = {f"s{i:02d}": X[i] for i in range(20)}
+        labels = {f"s{i:02d}": "AB"[i % 2] for i in range(20)}
+        with pytest.raises(DataError, match="not finite"):
+            multiclass_protocol(vectors, labels, top_n_families=2, folds=4)
+        with pytest.raises(DataError, match="not finite"):
+            binary_family_protocol(vectors, labels, "A", folds=4)
+
+
+def _golden_vectors():
+    """Five overlapping Gaussian families of 14-26 vectors in six dimensions."""
+    rng = np.random.default_rng(2024)
+    centers = rng.normal(size=(5, 6))
+    vectors, labels = {}, {}
+    for f, center in enumerate(centers):
+        for i in range(14 + 3 * f):
+            vectors[f"F{f}_{i}"] = center + 0.9 * rng.normal(size=6)
+            labels[f"F{f}_{i}"] = f"FAM{f}"
+    return vectors, labels
+
+
+def _report(*pairs):
+    return MetricsReport(*(MetricSummary(m, s) for m, s in pairs))
+
+
+class TestProtocolGoldens:
+    """Reports captured from the per-model loop, before the lanes."""
+
+    def test_multiclass_reports(self):
+        vectors, labels = _golden_vectors()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            first = multiclass_protocol(vectors, labels, top_n_families=4, folds=5,
+                                        seed=3, C=0.5)
+            second = multiclass_protocol(vectors, labels, top_n_families=25, folds=10,
+                                         seed=0)
+        assert first == _report((0.9398951048951047, 0.02754115721989491),
+                                (0.8133333333333332, 0.07880399383562008),
+                                (0.9143296353629171, 0.040379468547728156),
+                                (0.8777777777777779, 0.08128082201207695))
+        assert second == _report((0.9120079365079367, 0.027880285788651732),
+                                 (0.6633333333333333, 0.1180604574145733),
+                                 (0.8665656565656565, 0.04321910493667577),
+                                 (0.7975694444444444, 0.11259676622533746))
+
+    def test_binary_reports(self):
+        vectors, labels = _golden_vectors()
+        first = binary_family_protocol(vectors, labels, "FAM2", folds=10, seed=7, C=2.0)
+        second = binary_family_protocol(vectors, labels, "FAM0", folds=4, seed=1)
+        assert first == _report((0.85, 0.24152294576982397),
+                                (0.8, 0.25819888974716115),
+                                (0.825, 0.20581815058714115),
+                                (0.8666666666666666, 0.21942686286812776))
+        assert second == _report((0.9375, 0.125),
+                                 (0.7291666666666666, 0.35600015605489715),
+                                 (0.8333333333333334, 0.23570226039551584),
+                                 (0.875, 0.25))
 
 def _clusters(centers, per_class, noise, seed, prefix="C"):
     rng = np.random.default_rng(seed)

@@ -3,8 +3,8 @@
 The classifier is a primal hinge-loss SGD (Pegasos schedule): it
 minimizes (1/2)||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) via the
 equivalent lambda = 1/(nC) formulation, one random example per step,
-eta_t = 1/(lambda t), with an unregularized bias. Every fit is a lane of
-one lockstep loop (``_pegasos_lanes``): step t runs the t-th step of
+eta_t = 1/(lambda t), with an unregularized bias. Every model is a lane
+of one lockstep loop (``_pegasos_lanes``): step t runs the t-th step of
 every lane that has one, and each lane reads only its own weights, so
 each model is bit-identical to the one its own per-example loop would
 train (the tests keep that loop as the oracle). Two evaluation
@@ -180,100 +180,87 @@ def svm_objective(model: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
 
 
 class _Fit(NamedTuple):
-    """One Pegasos fit for ``_pegasos_lanes``: its training rows of X, their
-    +/-1 labels and the seed of its permutations."""
+    """Models for ``_pegasos_lanes`` that train on one set of rows of X: one
+    per row of the +/-1 label matrix Y, (k, len(rows)), each visiting the
+    rows in the orders drawn from ``seed``."""
 
     rows: np.ndarray
-    y: np.ndarray
+    Y: np.ndarray
     seed: object
 
 
-def _seed_key(seed) -> tuple[int, ...] | None:
-    """The words of an int or int-sequence seed, which fix its draws; None
-    for any other seed (a Generator, a SeedSequence), whose draws are not
-    shared."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    if isinstance(seed, (list, tuple)) and all(isinstance(s, (int, np.integer))
-                                               for s in seed):
-        return tuple(map(int, seed))
-    return None
+def _pegasos_lanes(
+    X: np.ndarray, fits: Sequence[_Fit], C: float, ids: Sequence[str] | None = None
+) -> list[SvmModel]:
+    """Pegasos SGD on the primal hinge loss for every model, in lockstep.
 
-
-def _pegasos_lanes(X: np.ndarray, fits: Sequence[_Fit], C: float) -> list[SvmModel]:
-    """Pegasos SGD on the primal hinge loss for every fit, in lockstep.
-
-    Each fit trains on the examples ``X[fit.rows]`` with labels ``fit.y``:
-    lambda = 1/(nC) maps the C-weighted objective onto the Pegasos schedule
-    eta_t = 1/(lambda t), SVM_EPOCHS passes visit the examples in the orders
-    of SVM_EPOCHS ``default_rng(fit.seed).permutation(n)`` calls (drawn once
-    for fits that share a seed and n), and the bias is updated by the hinge
-    subgradient but not regularized. Fits are sorted by step count, longest
+    Each model (one row of a fit's Y) is a lane that trains on the examples
+    ``X[fit.rows]``: lambda = 1/(nC) maps the C-weighted objective onto the
+    Pegasos schedule eta_t = 1/(lambda t), SVM_EPOCHS passes visit the
+    examples in the orders of SVM_EPOCHS ``default_rng(fit.seed).permutation(n)``
+    calls (drawn once per fit), and the bias is updated by the hinge
+    subgradient but not regularized. Lanes are sorted by step count, longest
     first, and step t runs on the ones that have a t-th step; each gives the
-    same bits as the per-example loop over its own examples would.
+    same bits as the per-example loop over its own examples would. Returns
+    the models fit by fit, in the order of their rows of Y. ``ids`` names
+    the rows of X in the error for a non-finite one.
     """
     if not 0 < C < math.inf:
         raise ConfigError(f"C must be finite and positive, got {C}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if len(bad):
-        raise DataError(f"SVM input row {bad[0]} is not finite")
-    lams = []
+        row = int(bad[0])
+        name = f"row {row}" if ids is None else f"sequence {ids[row]!r}"
+        raise DataError(f"SVM input {name} is not finite")
     for fit in fits:
-        if set(np.unique(fit.y).tolist()) != {-1, 1}:
-            raise DataError("need both classes present, labels in {-1, +1}")
+        for y in fit.Y:
+            if set(np.unique(y).tolist()) != {-1, 1}:
+                raise DataError("need both classes present, labels in {-1, +1}")
         n = len(fit.rows)
-        lams.append(1.0 / (n * C))
-        if lams[-1] == 0.0:  # n * C overflowed
+        if 1.0 / (n * C) == 0.0:  # n * C overflowed
             raise ConfigError(f"C={C} is too large for {n} examples")
 
-    # every fit's visiting orders, as positions into its rows, drawn once
-    # for each group of fits that share a seed and n (a seed of any other
-    # kind draws alone)
-    group, first, drawn = [], [], {}
-    for j, fit in enumerate(fits):
-        key = _seed_key(fit.seed)
-        key = j if key is None else (len(fit.rows), key)
-        if key not in drawn:
-            drawn[key] = len(first)
-            first.append(j)
-        group.append(drawn[key])
-    lengths = [SVM_EPOCHS * len(fits[j].rows) for j in first]
-    perm = np.empty(sum(lengths), dtype=np.intp)
+    # every fit's visiting orders, as positions into its rows
+    n_of = np.array([len(fit.rows) for fit in fits])
+    perm = np.empty(SVM_EPOCHS * int(n_of.sum()), dtype=np.intp)
     end = 0
-    for j in first:
-        rng, n = np.random.default_rng(fits[j].seed), len(fits[j].rows)
+    for fit in fits:
+        rng, n = np.random.default_rng(fit.seed), len(fit.rows)
         for _ in range(SVM_EPOCHS):
             perm[end : end + n] = rng.permutation(n)
             end += n
 
-    sizes = np.array([len(fit.rows) for fit in fits])
-    lanes = np.argsort(-sizes, kind="stable")  # most steps first
-    sizes = sizes[lanes]
+    fit_of = np.repeat(np.arange(len(fits)), [len(fit.Y) for fit in fits])
+    lanes = np.argsort(-n_of[fit_of], kind="stable")  # most steps first
+    fit_of = fit_of[lanes]
+    sizes = n_of[fit_of]
     start = (np.cumsum(sizes) - sizes)[:, None]
-    drawn_at = (np.cumsum(lengths) - lengths)[np.array(group)[lanes]][:, None]
-    rows = np.concatenate([np.asarray(fits[j].rows, dtype=np.intp) for j in lanes])
-    y = np.concatenate([np.asarray(fits[j].y, dtype=np.float64) for j in lanes])
-    lam = np.array(lams)[lanes]
+    drawn_at = (SVM_EPOCHS * (np.cumsum(n_of) - n_of))[fit_of][:, None]
+    rows = np.concatenate([np.asarray(fits[f].rows, dtype=np.intp) for f in fit_of])
+    ys = [y for fit in fits for y in fit.Y]
+    y = np.concatenate([np.asarray(ys[j], dtype=np.float64) for j in lanes])
+    lam = 1.0 / (sizes * C)
 
     d = X.shape[1]
-    W = np.zeros((len(fits), d))
-    B = np.zeros(len(fits))
+    W = np.zeros((len(lanes), d))
+    B = np.zeros(len(lanes))
     t0 = 0
-    for A in range(len(fits), 0, -1):  # lanes 0..A-1 have steps t0+1..t1
+    for A in range(len(lanes), 0, -1):  # lanes 0..A-1 have steps t0+1..t1
         t1 = SVM_EPOCHS * int(sizes[A - 1])
         Wa, Ba = W[:A], B[:A]
+        Wr = Wa[:, None, :]  # (lanes, 1, d): a stacked matmul gives w @ x per lane
         block = max(1, _PLAN_CELLS // max(1, A * d))
         for b0 in range(t0, t1, block):  # plan a block of steps at a time
             b1 = min(t1, b0 + block)
             at = start[:A] + perm[drawn_at[:A] + np.arange(b0, b1)]
-            Xb = X.take(rows[at].T, axis=0)  # (steps, lanes, d)
+            Xb = X.take(rows[at].T, axis=0)[..., None]  # (steps, lanes, d, 1)
             yb = y[at].T
             t = np.arange(b0 + 1, b1 + 1, dtype=np.float64)[:, None]
             step = (1.0 / (lam[:A] * t)) * yb  # eta * y
-            Ub = step[:, :, None] * Xb
+            Ub = step[:, :, None] * Xb[..., 0]
             for s in range(b1 - b0):
                 Wa *= 1.0 - 1.0 / (b0 + s + 1)  # (1 - eta * lam)
-                margin = np.vecdot(Wa, Xb[s])
+                margin = np.matmul(Wr, Xb[s]).reshape(A)
                 margin += Ba
                 margin *= yb[s]
                 hit = margin < 1.0
@@ -299,7 +286,7 @@ def train_linear_svm(
     """
     y = np.asarray(y, dtype=np.int64)
     X = _matrix(X, len(y))
-    return _pegasos_lanes(X, [_Fit(np.arange(len(X)), y, seed)], C)[0]
+    return _pegasos_lanes(X, [_Fit(np.arange(len(X)), y[None], seed)], C)[0]
 
 
 def _matrix(X, n: int) -> np.ndarray:
@@ -337,17 +324,19 @@ def one_vs_rest(
     single binary decision.
     """
     X = _matrix(X, len(y))
-    classes, fits = _ovr_fits(np.arange(len(y)), np.asarray(y), seed)
-    return OneVsRestModel(classes, _pegasos_lanes(X, fits, C))
+    classes, fit = _ovr_fit(np.arange(len(y)), np.asarray(y), seed)
+    return OneVsRestModel(classes, _pegasos_lanes(X, [fit], C))
 
 
-def _ovr_fits(rows: np.ndarray, y: np.ndarray, seed) -> tuple[list, list[_Fit]]:
-    """The classes among ``y[rows]``, sorted, and one class-vs-rest fit each."""
+def _ovr_fit(rows: np.ndarray, y: np.ndarray, seed) -> tuple[list, _Fit]:
+    """The classes among ``y[rows]``, sorted, and a fit with one
+    class-vs-rest labelling each."""
     labels = y[rows]
     classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise DataError("one-vs-rest needs at least 2 classes")
-    return classes, [_Fit(rows, np.where(labels == cls, 1, -1), seed) for cls in classes]
+    Y = np.array([np.where(labels == cls, 1, -1) for cls in classes])
+    return classes, _Fit(rows, Y, seed)
 
 
 def _confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
@@ -440,7 +429,7 @@ def binary_family_protocol(
         raise DataError("negative pool smaller than the family")
 
     rng = np.random.default_rng([seed, 0])
-    neg_ids = list(rng.choice(np.array(pool), size=len(pos_ids), replace=False))
+    neg_ids = rng.choice(np.array(pool), size=len(pos_ids), replace=False).tolist()
     chosen = pos_ids + neg_ids
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in chosen])
     y = np.array([1] * len(pos_ids) + [-1] * len(neg_ids))
@@ -448,10 +437,10 @@ def binary_family_protocol(
     fold_of = stratified_folds(
         ["pos" if v == 1 else "neg" for v in y], folds, np.random.default_rng([seed, 1])
     )
-    fits = [_Fit(np.flatnonzero(fold_of != f), y[fold_of != f], [seed, 2, f])
+    fits = [_Fit(np.flatnonzero(fold_of != f), y[None, fold_of != f], [seed, 2, f])
             for f in range(folds)]
     per_fold = []
-    for f, model in enumerate(_pegasos_lanes(X, fits, C)):
+    for f, model in enumerate(_pegasos_lanes(X, fits, C, chosen)):
         test = fold_of == f
         per_fold.append(metrics_from_counts(_confusion(model.predict(X[test]), y[test])))
     return _aggregate(per_fold, f"family {family}: ")
@@ -486,10 +475,10 @@ def multiclass_protocol(
     fold_of = stratified_folds(y, folds, np.random.default_rng([seed, 1]))
     classes, fits = [], []
     for f in range(folds):
-        fold_classes, fold_fits = _ovr_fits(np.flatnonzero(fold_of != f), y, [seed, 2, f])
+        fold_classes, fold_fit = _ovr_fit(np.flatnonzero(fold_of != f), y, [seed, 2, f])
         classes.append(fold_classes)
-        fits += fold_fits
-    models = iter(_pegasos_lanes(X, fits, C))
+        fits.append(fold_fit)
+    models = iter(_pegasos_lanes(X, fits, C, ids))
     per_fold = []
     undefined = Counter()  # metric -> folds where some class leaves it undefined
     for f in range(folds):

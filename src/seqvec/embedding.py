@@ -788,21 +788,12 @@ def loss_estimate(
                 h = np.broadcast_to(d, (s1 - s0, len(d)))
             h, vecs = h.astype(np.float64), vecs.astype(np.float64)
             b = [i - p.bounds[s0] for i in p.bounds[s0 : s1 + 1]]
-            S, K = s1 - s0, max(np.diff(b).tolist())
-            uniform = b[-1] == S * K  # every step scores K rows: score them at once
-            if uniform:
-                x = np.matmul(vecs.reshape(S, K, vecs.shape[1]), h[:, :, None]).ravel()
-            else:
-                x = np.empty(b[-1])
-                for i in range(S):
-                    np.matmul(vecs[b[i] : b[i + 1]], h[i], out=x[b[i] : b[i + 1]])
+            x = np.empty(b[-1])
+            for i in range(s1 - s0):
+                np.matmul(vecs[b[i] : b[i + 1]], h[i], out=x[b[i] : b[i + 1]])
             terms = _loss_terms(x, p.labels[p.bounds[s0] : p.bounds[s1]])
-            if uniform:
-                sums = terms.reshape(S, K).sum(axis=1).tolist()
-            else:
-                sums = [float(terms[b[i] : b[i + 1]].sum()) for i in range(S)]
-            for v in sums:  # added in step order, as one step at a time would
-                total += v
+            for i in range(s1 - s0):
+                total += float(terms[b[i] : b[i + 1]].sum())
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
     return total / count

@@ -232,18 +232,29 @@ def _same_bits(model, ref):
 
 
 def _random_fits(rng, X, n_lanes, shared_seed):
-    """Lanes over random rows of X, each with both classes present; with a
-    shared seed, lanes of equal size share their draws."""
-    sizes = rng.integers(2, 121, size=3 if shared_seed else n_lanes).tolist()
+    """Fits over random rows of X with 1-4 labellings (lanes) each, every
+    labelling with both classes present, n_lanes lanes in all; with a
+    shared seed, fits of different sizes draw from one seed."""
     fits = []
-    for j in range(n_lanes):
-        n = sizes[j % len(sizes)]
+    while n_lanes:
+        n = int(rng.integers(2, 121))
+        k = min(n_lanes, int(rng.integers(1, 5)))
         rows = rng.choice(len(X), size=n, replace=n > len(X))
-        y = rng.choice([-1, 1], size=n)
-        y[:2] = -1, 1
-        seed = [7, 2] if shared_seed else [7, 2, j]
-        fits.append(_Fit(rows, y, seed))
+        Y = rng.choice([-1, 1], size=(k, n))
+        Y[:, :2] = -1, 1
+        fits.append(_Fit(rows, Y, [7, 2] if shared_seed else [7, 2, len(fits)]))
+        n_lanes -= k
     return fits
+
+
+def _check_lanes(X, fits, C):
+    """Every lane of ``fits`` against its own per-example loop."""
+    models = iter(_pegasos_lanes(X, fits, C))
+    for fit in fits:
+        for y in fit.Y:
+            ref = _ref_train_linear_svm(X[fit.rows], y, C, seed=fit.seed)
+            assert _same_bits(next(models), ref)
+    assert next(models, None) is None
 
 
 class TestPegasosLanes:
@@ -257,23 +268,19 @@ class TestPegasosLanes:
             d = int(rng.integers(1, 61))
             X = rng.normal(size=(int(rng.integers(2, 121)), d))
             X *= rng.choice([0.1, 1.0, 10.0], size=(len(X), 1))
-            fits = _random_fits(rng, X, int(rng.integers(1, 13)), shared_seed)
-            for fit, model in zip(fits, _pegasos_lanes(X, fits, C)):
-                ref = _ref_train_linear_svm(X[fit.rows], fit.y, C, seed=fit.seed)
-                assert _same_bits(model, ref)
+            _check_lanes(X, _random_fits(rng, X, int(rng.integers(1, 13)), shared_seed), C)
 
     def test_shrinking_prefix_of_lanes(self):
-        # step counts 20 * n differ, so lanes drop out at three points, and
-        # the two lanes of n = 9 share one seed and so one set of draws
+        # step counts 20 * n differ, so lanes drop out at three points; the
+        # two lanes of n = 9 share one set of draws, and the fits of n = 9
+        # and n = 30 draw from one seed
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 5))
         y = np.where(X[:, 0] + 0.5 * rng.normal(size=60) > 0, 1, -1)
-        fits = [_Fit(rows, y[rows], seed) for rows, seed in (
-            (np.arange(9), 3), (np.arange(60), 4), (np.arange(9, 18), 3),
-            (np.arange(30), 3), (np.arange(2, 60, 2), 5))]
-        for fit, model in zip(fits, _pegasos_lanes(X, fits, 1.0)):
-            ref = _ref_train_linear_svm(X[fit.rows], fit.y, 1.0, seed=fit.seed)
-            assert _same_bits(model, ref)
+        fits = [_Fit(rows, np.array(Y), seed) for rows, Y, seed in (
+            (np.arange(9), [y[:9], -y[:9]], 3), (np.arange(60), [y], 4),
+            (np.arange(30), [y[:30]], 3), (np.arange(2, 60, 2), [y[2::2]], 5))]
+        _check_lanes(X, fits, 1.0)
 
     @pytest.mark.parametrize("n, d", [(2, 1), (17, 3), (120, 60)])
     def test_one_lane_matches_the_reference(self, n, d):
@@ -287,10 +294,13 @@ class TestPegasosLanes:
 
     def test_every_lane_is_checked_before_any_step(self):
         X = np.array([[-1.0], [1.0], [2.0]])
-        good = _Fit(np.arange(3), np.array([-1, 1, 1]), 0)
-        one_class = _Fit(np.arange(1, 3), np.array([1, 1]), 0)
+        good = _Fit(np.arange(3), np.array([[-1, 1, 1]]), 0)
+        one_class = _Fit(np.arange(1, 3), np.array([[1, 1]]), 0)
+        second_one_class = _Fit(np.arange(3), np.array([[-1, 1, 1], [1, 1, 1]]), 0)
         with pytest.raises(DataError, match="both classes"):
             _pegasos_lanes(X, [good, one_class], 1.0)
+        with pytest.raises(DataError, match="both classes"):
+            _pegasos_lanes(X, [second_one_class], 1.0)
         with pytest.raises(ConfigError, match="too large for 3 examples"):
             _pegasos_lanes(X, [good], 1e308)
         with pytest.raises(ConfigError, match="C must be finite and positive"):
@@ -306,9 +316,9 @@ class TestPegasosLanes:
             train_linear_svm(X, y)
         vectors = {f"s{i:02d}": X[i] for i in range(20)}
         labels = {f"s{i:02d}": "AB"[i % 2] for i in range(20)}
-        with pytest.raises(DataError, match="not finite"):
+        with pytest.raises(DataError, match="sequence 's13' is not finite"):
             multiclass_protocol(vectors, labels, top_n_families=2, folds=4)
-        with pytest.raises(DataError, match="not finite"):
+        with pytest.raises(DataError, match="sequence 's13' is not finite"):
             binary_family_protocol(vectors, labels, "A", folds=4)
 
 

@@ -43,7 +43,8 @@ most ``_LANES`` of them plus one shorter piece per document; a long
 document gives several lanes, which share its row of D. Lanes run
 longest first. Step p runs the p-th step of every lane that has one: it
 reads D, W and O as step p - 1 left them, then adds all of its updates,
-repeated rows summed in lane order as ``np.add.at`` sums them. So each
+repeated rows summed in lane order, one ``np.add.at`` per matrix over
+the flat indices of the elements it writes (``_add_rows``). So each
 lane sees its own earlier steps but not the other lanes' step p, a
 synchronous form of HogBatch minibatching (Ji et al. 2016), and training
 stays bit-deterministic for a fixed seed. One lane is the sequential
@@ -52,8 +53,11 @@ walk.
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
 left unwritten, on the same learning-rate schedule. With W and O frozen,
-there and in ``loss_estimate``, every step's context sum and output rows
-are gathered before the loop, which then carries only the document row.
+there and in ``loss_estimate``, the context sums and output rows of a
+chunk of steps are gathered at once. The frozen pass's loop then carries
+only the document row. ``loss_estimate`` has no such row to carry: it
+plans each document on its own but scores the steps of many documents
+at once.
 The tests keep two references: a per-position loop that draws and steps
 one target at a time, which one lane and the frozen passes match bit for
 bit, and a lockstep loop, which several lanes match bit for bit.
@@ -118,13 +122,13 @@ _LANES = 64
 #: the memory of its plan to about that of the longest document's.
 _BATCH_TOKENS = 1 << 12
 
-#: The fewest distinct rows ``_scatter`` adds in one gather, add and put;
-#: np.add.at adds fewer faster, row by row.
-_ROUND_ROWS = 8
-
 #: Floats a frozen pass gathers at once (context rows and output rows of a
 #: chunk of steps); bounds the transient memory for long documents.
 _GATHER_CELLS = 1 << 17
+
+#: Output-row floats ``loss_estimate`` scores at once, across documents;
+#: it holds each in float32 and float64.
+_PROBE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -448,21 +452,21 @@ def _context_sums(W, ctx, valid):
     return sums
 
 
-def _frozen_gathers(p, W, O):
-    """Yield ``(s0, s1, sums, vecs)`` for chunks of the plan's steps.
+def _frozen_gathers(p, W):
+    """Yield ``(s0, s1, sums)`` for chunks of the plan's steps.
 
-    ``sums`` are the context sums of steps s0..s1-1 (None without context)
-    and ``vecs`` the O rows they score, read once for the chunk, which is
-    only right while W and O are not written. A chunk gathers about
-    ``_GATHER_CELLS`` floats.
+    ``sums`` are the context sums of steps s0..s1-1 (None without context),
+    read once for the chunk, which is only right while W is not written. A
+    chunk gathers about ``_GATHER_CELLS`` floats, counting the O rows its
+    steps score.
     """
     S = len(p.bounds) - 1
     width = (0 if p.ctx is None else p.ctx.shape[1]) + len(p.rows) // max(S, 1) + 1
     chunk = max(1, _GATHER_CELLS // (width * W.shape[1]))
     for s0 in range(0, S, chunk):
         s1 = min(S, s0 + chunk)
-        sums = None if p.ctx is None else _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
-        yield s0, s1, sums, O.take(p.rows[p.bounds[s0] : p.bounds[s1]], axis=0)
+        yield s0, s1, None if p.ctx is None else _context_sums(W, p.ctx[s0:s1],
+                                                               p.valid[s0:s1])
 
 
 def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
@@ -479,8 +483,9 @@ def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
     doc, gradient = D[tag], obj.gradient
     alpha = np.array(alpha, dtype=np.float32)
     labels, bounds, n = p.labels, p.bounds, p.n
-    for s0, s1, sums, vecs in _frozen_gathers(p, W, obj.O):
+    for s0, s1, sums in _frozen_gathers(p, W):
         base = bounds[s0]
+        vecs = obj.O.take(p.rows[base : bounds[s1]], axis=0)
         for s in range(s0, s1):
             b0, b1 = bounds[s], bounds[s + 1]
             v = vecs[b0 - base : b1 - base]
@@ -506,59 +511,6 @@ def _padded(p):
     labels = np.zeros((S, K), dtype=np.float32)
     rows[step, slot], labels[step, slot] = p.rows, p.labels
     return rows, labels, counts
-
-
-def _scatter_plans(ids, bounds):
-    """For each step s, how ``_scatter`` adds values at ``ids[bounds[s]:bounds[s + 1]]``.
-
-    A step whose ids are distinct is one gather, add and put: its plan is
-    ``(ids, None, [])``. Otherwise its entries are ranked by how many
-    entries before them hold the same id, and the plan is ``(ids, perm,
-    cuts)``: ``perm`` orders the entries by rank (then position), ``ids``
-    are in that order, and ``cuts`` ends the leading ranks, whose ids are
-    distinct, one gather, add and put each. The first rank with fewer than
-    ``_ROUND_ROWS`` entries, and all after it, are left to one
-    ``np.add.at``.
-    """
-    S = len(bounds) - 1
-    if not len(ids):
-        return [(ids, None, [])] * S
-    step = np.repeat(np.arange(S), np.diff(bounds))
-    key = step * (int(ids.max()) + 1) + ids
-    order = np.argsort(key, kind="stable")
-    first = np.ones(len(ids), dtype=bool)
-    np.not_equal(key[order][1:], key[order][:-1], out=first[1:])
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[order] = np.arange(len(ids)) - np.flatnonzero(first)[np.cumsum(first) - 1]
-    R = int(rank.max()) + 1
-    if R == 1:
-        return [(ids[b0:b1], None, []) for b0, b1 in zip(bounds, bounds[1:])]
-    perm = np.argsort(step * R + rank, kind="stable")  # by step, rank, position
-    ranked, perm = ids[perm], perm - np.take(bounds, step)
-    sizes = np.bincount(step * R + rank, minlength=S * R).reshape(S, R)
-    rounds = (sizes >= _ROUND_ROWS).sum(axis=1).tolist()
-    plans = []
-    for b0, b1, k, cuts in zip(bounds, bounds[1:], rounds, sizes.cumsum(axis=1).tolist()):
-        if cuts[0] == b1 - b0:  # the step's ids are distinct
-            plans.append((ids[b0:b1], None, []))
-        else:
-            plans.append((ranked[b0:b1], perm[b0:b1], cuts[:k]))
-    return plans
-
-
-def _scatter(M, plan, vals):
-    """M[ids] += vals for one step's ``_scatter_plans`` entry, repeated ids
-    summed in entry order, bit for bit as ``np.add.at`` sums them."""
-    ids, perm, cuts = plan
-    if perm is None:
-        M[ids] = M.take(ids, axis=0) + vals
-        return
-    vals, a = vals.take(perm, axis=0), 0
-    for b in cuts:
-        M[ids[a:b]] = M.take(ids[a:b], axis=0) + vals[a:b]
-        a = b
-    if a < len(ids):
-        np.add.at(M, ids[a:], vals[a:])
 
 
 def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
@@ -600,23 +552,26 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     rows, labels = rows[order], labels[order]
     tag = np.asarray(tags, dtype=np.intp)[doc]
     alpha = np.asarray(alphas, dtype=np.float32)[doc, None]
+    O, gradient, d = obj.O, obj.gradient, obj.O.shape[1]
     if k is None:
-        o_plans = _scatter_plans(rows.ravel(), [b * rows.shape[1] for b in bounds])
+        writes = [(O, rows.ravel(), [b * rows.shape[1] for b in bounds])]
     else:
         k = k[order]
         scored = np.arange(rows.shape[1]) < k[:, None]
-        o_plans = _scatter_plans(rows[scored], [0, *np.cumsum(k)[last].tolist()])
+        writes = [(O, rows[scored], [0, *np.cumsum(k)[last].tolist()])]
     if ctx is not None:
         ctx, valid, n = ctx[order], valid[order], n[order, None]
         width = valid.sum(axis=1)
-        w_plans = _scatter_plans(ctx[valid], [0, *np.cumsum(width)[last].tolist()])
+        writes.append((W, ctx[valid], [0, *np.cumsum(width)[last].tolist()]))
     elif words is not None:
         words = words[order]
-        w_plans = _scatter_plans(words, bounds)
+        writes.append((W, words, bounds))
     if arch in DOC_ARCHITECTURES:
-        d_plans = _scatter_plans(tag, bounds)
-
-    O, gradient, d = obj.O, obj.gradient, obj.O.shape[1]
+        writes.append((D, tag, bounds))
+    # each matrix's writes go to its flat view (``train`` keeps D, W and O
+    # C-contiguous), row r starting at element r * d (``_add_rows``)
+    writes = [(M.reshape(-1), ids * d, cuts) for M, ids, cuts in writes]
+    cols = np.arange(d)
     for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
         vecs = O.take(rows[b0:b1], axis=0)
         if words is not None:
@@ -630,19 +585,27 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
             h /= n[b0:b1]
         if k is None:
             g, e = gradient(h, vecs, labels[b0:b1], alpha[b0:b1])
-            out = (g[:, :, None] * h[:, None, :]).reshape(-1, d)
+            vals = [g[:, :, None] * h[:, None, :]]
         else:
             g, e = _ragged_gradient(gradient, h, vecs, labels[b0:b1], alpha[b0:b1],
                                     k[b0:b1])
-            out = (g[:, :, None] * h[:, None, :])[scored[b0:b1]]
-        _scatter(O, o_plans[s], out)
+            vals = [(g[:, :, None] * h[:, None, :])[scored[b0:b1]]]
         if ctx is not None:
             e = e / n[b0:b1]
-            _scatter(W, w_plans[s], np.repeat(e, width[b0:b1], axis=0))
+            vals.append(np.repeat(e, width[b0:b1], axis=0))
         elif words is not None:
-            _scatter(W, w_plans[s], e)
+            vals.append(e)
         if arch in DOC_ARCHITECTURES:
-            _scatter(D, d_plans[s], e)
+            vals.append(e)
+        for (flat, at, cuts), v in zip(writes, vals):
+            _add_rows(flat, at[cuts[s] : cuts[s + 1]], cols, v)
+
+
+def _add_rows(flat, at, cols, vals):
+    """M[ids] += vals as ``np.add.at(M, ids, vals)`` adds them, bit for bit,
+    given M's flat view, ``at`` = ids * d and ``cols`` = arange(d): each
+    element's values in entry order, on numpy's fast path for 1-D indices."""
+    np.add.at(flat, (at[:, None] + cols).ravel(), vals.ravel())
 
 
 def _ragged_gradient(gradient, h, vecs, labels, alpha, k):
@@ -685,7 +648,10 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     cfg = model.config
     _check_docs(model, docs)
 
-    obj = _Objective(model.O, model.vocab, cfg)
+    # the lanes write through flat views, which only a C-contiguous matrix
+    # has: others train as C-contiguous copies, copied back at the end
+    D, W, O = (np.ascontiguousarray(M) for M in (model.D, model.W, model.O))
+    obj = _Objective(O, model.vocab, cfg)
     keep = (
         subsample_keep_probs(model.vocab, cfg.subsample_t)
         if cfg.subsample_t > 0
@@ -713,11 +679,13 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
             alphas.append(alpha)
             held += len(toks)
             if len(batch) == _LANES or held >= _BATCH_TOKENS:
-                _train_lanes(arch, model.D, model.W, obj, batch, tags, alphas, window,
-                             rng)
+                _train_lanes(arch, D, W, obj, batch, tags, alphas, window, rng)
                 batch, tags, alphas, held = [], [], [], 0
         if batch:
-            _train_lanes(arch, model.D, model.W, obj, batch, tags, alphas, window, rng)
+            _train_lanes(arch, D, W, obj, batch, tags, alphas, window, rng)
+    for M, trained in ((model.D, D), (model.W, W), (model.O, O)):
+        if trained is not M:
+            M[...] = trained
     return model
 
 
@@ -766,19 +734,49 @@ def loss_estimate(
 
     Documents are walked in the given order; window widths and negative
     draws come from a generator seeded with ``probe_seed``, so repeated
-    calls on an unchanged model return the identical value.
+    calls on an unchanged model return the identical value. Each document
+    is planned on its own (``_plan``), but steps are scored in bulk, across
+    documents (``_probe_chunks``): steps that score alike share one stacked
+    matmul and one row-wise sum, which give each step the bits of its own
+    float64 gemv and sum. The step losses are then added in walk order.
     """
     _check_docs(model, docs)
+    total, count = 0.0, 0
+    for h, rows, labels, k in _probe_chunks(model, docs, probe_seed):
+        h = h.astype(np.float64)
+        starts = np.cumsum(k) - k
+        groups = []  # (the steps, the indices of their rows) per row count
+        for n in np.unique(k).tolist():
+            i = np.flatnonzero(k == n)
+            groups.append((i, starts[i, None] + np.arange(n)))
+        x = np.empty(len(rows))
+        for i, at in groups:
+            vecs = model.O[rows[at]].astype(np.float64)
+            x[at] = np.matmul(vecs, h[i, :, None])[:, :, 0]
+        terms, losses = _loss_terms(x, labels), np.empty(len(k))
+        for i, at in groups:
+            losses[i] = terms[at].sum(axis=1)
+        for loss in losses.tolist():
+            total += loss
+        count += len(k)
+    if count == 0:
+        raise DataError("no scoreable positions in the probe documents")
+    return total / count
+
+
+def _probe_chunks(model, docs, probe_seed):
+    """Yield ``(h, rows, labels, k)`` for the steps of ``loss_estimate``, in
+    walk order, about ``_PROBE_CELLS`` scored floats at a time: step i scores
+    the next ``k[i]`` O rows of ``rows`` with the labels alike at the hidden
+    vector h[i] (float32). A chunk can span documents."""
     cfg = model.config
     obj = _Objective(model.O, model.vocab, cfg)
     rng = np.random.default_rng([probe_seed, 5])
-    total = 0.0
-    count = 0
+    held, cells = [], 0
     for doc in docs:
         p = _plan(cfg.architecture, [doc.tokens], cfg.window, obj, rng)
-        count += len(p.bounds) - 1
         d = model.D[doc.doc_tag]
-        for s0, s1, sums, vecs in _frozen_gathers(p, model.W, model.O):
+        for s0, s1, sums in _frozen_gathers(p, model.W):
             if p.ctx is not None:
                 n = p.n[s0:s1, None]
                 h = (sums + d) / n if cfg.architecture == "dm" else sums / n
@@ -786,17 +784,14 @@ def loss_estimate(
                 h = model.W[p.words[s0:s1]]
             else:
                 h = np.broadcast_to(d, (s1 - s0, len(d)))
-            h, vecs = h.astype(np.float64), vecs.astype(np.float64)
-            b = [i - p.bounds[s0] for i in p.bounds[s0 : s1 + 1]]
-            x = np.empty(b[-1])
-            for i in range(s1 - s0):
-                np.matmul(vecs[b[i] : b[i + 1]], h[i], out=x[b[i] : b[i + 1]])
-            terms = _loss_terms(x, p.labels[p.bounds[s0] : p.bounds[s1]])
-            for i in range(s1 - s0):
-                total += float(terms[b[i] : b[i + 1]].sum())
-    if count == 0:
-        raise DataError("no scoreable positions in the probe documents")
-    return total / count
+            b0, b1 = p.bounds[s0], p.bounds[s1]
+            held.append((h, p.rows[b0:b1], p.labels[b0:b1], np.diff(p.bounds[s0 : s1 + 1])))
+            cells += (b1 - b0) * len(d)
+            if cells >= _PROBE_CELLS:
+                chunk, held, cells = tuple(map(np.concatenate, zip(*held))), [], 0
+                yield chunk
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def infer_docs(

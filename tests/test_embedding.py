@@ -439,7 +439,7 @@ class TestUpdateDistribution:
 # first, at several the second. The reference shares the library's
 # gradient kernel and Huffman coding, but neither its draw rule
 # (draw_negatives, _negative_steps), nor its planner (scored_steps), nor
-# its scatter (_scatter).
+# its row writes (_add_rows).
 
 
 def _ref_draw_negatives(rng, table, target, n):
@@ -812,6 +812,35 @@ class TestWalkerMatchesReference:
             assert np.array_equal(infer_docs(model, lists, infer_epochs=3, seed=6),
                                   _ref_infer_docs(model, lists, 3, 6))
 
+    @pytest.mark.parametrize("cells", [1, 7, 150, None])
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    def test_probe_chunks_spanning_documents_match(self, arch, objective, skewed, cells,
+                                                   monkeypatch):
+        # Huffman paths of several lengths give ragged row counts under hs,
+        # and so do the lost draws of the skewed vocabulary under ns; the
+        # length-1 documents score no cbow or sg step and sit between
+        # documents that do. The default budgets score every step at once.
+        if cells is not None:
+            monkeypatch.setattr(embedding, "_GATHER_CELLS", cells)
+            monkeypatch.setattr(embedding, "_PROBE_CELLS", cells)
+        vocab = build_vocabulary({f"t{i}": 100_000 if skewed and i == 0 else 5 + i
+                                  for i in range(10)})
+        rng = np.random.default_rng(9)
+        docs = [_doc(tag % 3, rng.integers(0, 10, n)) for tag, n in
+                enumerate([6, 1, 11, 1, 1, 3, 25, 1, 2])]
+        cfg = TrainConfig(architecture=arch, dim=5, window=3, objective=objective,
+                          negative=3, epochs=2, alpha0=0.1, seed=3)
+        model = train(init_model(vocab, 3, cfg), docs)
+        assert loss_estimate(model, docs, probe_seed=2) == \
+            _ref_loss_estimate(model, docs, 2)
+        chunks = [len(k) for *_, k in embedding._probe_chunks(model, docs, 2)]
+        if cells is None:
+            assert len(chunks) == 1
+        elif cells == 150:
+            assert 1 < len(chunks) < sum(chunks)
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_frozen_context_sums_match_numpy_sums(self, dim):
         rng = np.random.default_rng(dim)
@@ -833,18 +862,14 @@ class TestWalkerMatchesReference:
 class TestLanesMatchReference:
     """Several lanes: the library against the lockstep reference."""
 
-    @pytest.mark.parametrize("round_rows, batch_tokens", [(1, 4096), (8, 4096), (8, 10)])
+    @pytest.mark.parametrize("batch_tokens", [4096, 10])
     @pytest.mark.parametrize("objective", ["ns", "hs"])
     @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
     @pytest.mark.parametrize("case", list(_PLAN_CASES))
     def test_three_lanes_match_the_lockstep_reference(self, case, arch, objective,
-                                                      round_rows, batch_tokens,
-                                                      monkeypatch):
-        # round_rows 1 adds every repeated row in rounds; 8 leaves the
-        # repeats of these small vocabularies to np.add.at. 10 tokens close
-        # batches before they hold three documents.
+                                                      batch_tokens, monkeypatch):
+        # 10 tokens close batches before they hold three documents
         monkeypatch.setattr(embedding, "_LANES", 3)
-        monkeypatch.setattr(embedding, "_ROUND_ROWS", round_rows)
         monkeypatch.setattr(embedding, "_BATCH_TOKENS", batch_tokens)
         vocab, docs, cfg = _plan_case(case, arch, objective)
         made = _last_rng(monkeypatch)
@@ -897,10 +922,8 @@ class TestLanesMatchReference:
         assert np.array_equal(lib.W, ref.W)
         assert np.array_equal(lib.O, ref.O)
 
-    @pytest.mark.parametrize("round_rows", [1, 3, 8, 1000])
     @pytest.mark.parametrize("dim", [1, 4])
-    def test_scatter_sums_repeats_as_add_at(self, dim, round_rows, monkeypatch):
-        monkeypatch.setattr(embedding, "_ROUND_ROWS", round_rows)
+    def test_scatter_sums_repeats_as_add_at(self, dim):
         rng = np.random.default_rng(dim)
         M = (rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-4, 4, (30, dim))
              ).astype(np.float32)
@@ -911,8 +934,9 @@ class TestLanesMatchReference:
         vals = (rng.normal(size=(len(ids), dim)) * 10.0 ** rng.integers(-4, 4, (len(ids), dim))
                 ).astype(np.float32)
         lib, ref = M.copy(), M.copy()
-        for plan, b0, b1 in zip(embedding._scatter_plans(ids, bounds), bounds, bounds[1:]):
-            embedding._scatter(lib, plan, vals[b0:b1])
+        for b0, b1 in zip(bounds, bounds[1:]):
+            embedding._add_rows(lib.reshape(-1), ids[b0:b1] * dim, np.arange(dim),
+                                vals[b0:b1])
             np.add.at(ref, ids[b0:b1], vals[b0:b1])
             assert lib.tobytes() == ref.tobytes()
 
@@ -1048,6 +1072,27 @@ class TestTrain:
         assert np.array_equal(a.D, b.D)
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.O, b.O)
+
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    def test_matrices_that_are_not_c_contiguous_train_in_place(self, arch, objective):
+        # training writes through flat views, which these matrices lack
+        vocab = _vocab(6)
+        cfg = TrainConfig(architecture=arch, dim=5, objective=objective,
+                          negative=2, epochs=3, seed=11)
+        docs = [_doc(0, [0, 1, 2, 3, 1]), _doc(1, [2, 3, 4, 5])]
+        ref = train(init_model(vocab, 2, cfg), docs)
+        model = init_model(vocab, 2, cfg)
+        wide = np.zeros((len(vocab), 2 * cfg.dim), dtype=np.float32)
+        wide[:, ::2] = model.W
+        D, W, O = np.asfortranarray(model.D), wide[:, ::2], np.asfortranarray(model.O)
+        model.D, model.W, model.O = D, W, O
+        train(model, docs)
+        assert model.D is D and model.W is W and model.O is O
+        assert D.tobytes() == ref.D.tobytes()
+        assert W.tobytes() == ref.W.tobytes()
+        assert O.tobytes() == ref.O.tobytes()
+        assert not wide[:, 1::2].any()
 
     def test_parameters_stay_finite_at_maximum_learning_rate(self):
         vocab = _vocab(6)

@@ -465,8 +465,8 @@ def _frozen_gathers(p, W):
     chunk = max(1, _GATHER_CELLS // (width * W.shape[1]))
     for s0 in range(0, S, chunk):
         s1 = min(S, s0 + chunk)
-        yield s0, s1, None if p.ctx is None else _context_sums(W, p.ctx[s0:s1],
-                                                               p.valid[s0:s1])
+        sums = None if p.ctx is None else _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+        yield s0, s1, sums
 
 
 def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
@@ -785,7 +785,8 @@ def _probe_chunks(model, docs, probe_seed):
             else:
                 h = np.broadcast_to(d, (s1 - s0, len(d)))
             b0, b1 = p.bounds[s0], p.bounds[s1]
-            held.append((h, p.rows[b0:b1], p.labels[b0:b1], np.diff(p.bounds[s0 : s1 + 1])))
+            held.append((h, p.rows[b0:b1], p.labels[b0:b1],
+                         np.diff(p.bounds[s0 : s1 + 1])))
             cells += (b1 - b0) * len(d)
             if cells >= _PROBE_CELLS:
                 chunk, held, cells = tuple(map(np.concatenate, zip(*held))), [], 0

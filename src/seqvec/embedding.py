@@ -38,7 +38,12 @@ once a batch holds ``_BATCH_TOKENS`` tokens, and a batch is planned in
 bulk (``_plan``): the window widths of all its documents in one draw,
 then every step's context, contributor count and scored rows, from the
 same random stream (draws that hit their target are replayed one step at
-a time). The batch's steps are then cut into lanes of equal length, at
+a time). A plan gives every step the objective's K slots of output rows
+(1 + n under negative sampling, the longest Huffman path under
+hierarchical softmax) with the count of those it scores; the rest hold
+row 0 with label 0. ``_hidden`` builds the steps' h from the plan, for
+the lanes a step at a time and for ``loss_estimate`` a chunk at a time.
+The batch's steps are then cut into lanes of equal length, at
 most ``_LANES`` of them plus one shorter piece per document; a long
 document gives several lanes, which share its row of D. Lanes run
 longest first. Step p runs the p-th step of every lane that has one: it
@@ -53,11 +58,13 @@ walk.
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
 left unwritten, on the same learning-rate schedule. With W and O frozen,
-there and in ``loss_estimate``, the context sums and output rows of a
-chunk of steps are gathered at once. The frozen pass's loop then carries
-only the document row. ``loss_estimate`` has no such row to carry: it
-plans each document on its own but scores the steps of many documents
-at once.
+there and in ``loss_estimate``, a chunk of steps is gathered at once
+(``_Plan.chunks``). The frozen pass gathers the chunk's context sums and
+output rows; its loop carries the document row, which every step
+changes, and so builds h itself. ``loss_estimate`` has no such row to
+carry: it plans each document on its own but scores the steps of many
+documents at once.
+
 The tests keep two references: a per-position loop that draws and steps
 one target at a time, which one lane and the frozen passes match bit for
 bit, and a lockstep loop, which several lanes match bit for bit.
@@ -122,8 +129,9 @@ _LANES = 64
 #: the memory of its plan to about that of the longest document's.
 _BATCH_TOKENS = 1 << 12
 
-#: Floats a frozen pass gathers at once (context rows and output rows of a
-#: chunk of steps); bounds the transient memory for long documents.
+#: Floats a reader with W and O frozen gathers at once (context rows and
+#: output rows of a chunk of steps, ``_Plan.chunks``); bounds the transient
+#: memory for long documents.
 _GATHER_CELLS = 1 << 17
 
 #: Output-row floats ``loss_estimate`` scores at once, across documents;
@@ -243,32 +251,33 @@ def draw_negatives(
     is redrawn up to 16 times and skipped if still colliding, so the
     result can be shorter than n.
     """
-    return _negative_steps(table, n, np.array([target]), rng)[0][1:]
+    rows, k = _negative_steps(table, n, np.array([target]), rng)
+    return rows[0, 1 : k[0]]
 
 
 def _negative_steps(table, n, targets, rng):
     """The rows scored at each of ``targets`` under negative sampling.
 
-    Returns ``(rows, bounds)``: step s scores ``rows[bounds[s]:bounds[s + 1]]``,
-    its target and then n noise rows drawn from the cumulative ``table``. A
-    draw that hits the step's target is redrawn up to 16 times and skipped
-    if still colliding, so a step can score fewer rows. ``rng`` is consumed
-    as a loop that drew at each step would consume it: n draws per step,
-    then that step's redraws. All steps' draws are taken in one call and
-    kept in bulk up to the next step with a draw that hits its target. That
-    step alone is replayed, its redraws taken from the draws that follow,
-    which are topped up from ``rng`` only when they run out; the steps after
-    it take their draws shifted by as many. So the generator ends in the
-    same state.
+    Returns ``(rows, k)``: step s scores ``rows[s, :k[s]]`` of its (1 + n)
+    row slots, its target and then the noise rows drawn from the cumulative
+    ``table``. A draw that hits the step's target is redrawn up to 16 times
+    and skipped if still colliding, so a step can score fewer rows; its
+    unused slots hold row 0. ``rng`` is consumed as a loop that drew at each
+    step would consume it: n draws per step, then that step's redraws. All
+    steps' draws are taken in one call and kept in bulk up to the next step
+    with a draw that hits its target. That step alone is replayed, its
+    redraws taken from the draws that follow, which are topped up from
+    ``rng`` only when they run out; the steps after it take their draws
+    shifted by as many. So the generator ends in the same state.
     """
     S = len(targets)
     buf = np.searchsorted(table, rng.random(n * S), side="right")
-    rows = np.empty((S, 1 + n), dtype=np.intp)
+    rows = np.zeros((S, 1 + n), dtype=np.intp)
     rows[:, 0] = targets
+    k = np.full(S, 1 + n, dtype=np.intp)
     if not (buf.reshape(S, n) == targets[:, None]).any():
         rows[:, 1:] = buf.reshape(S, n)
-        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
-    kept = None  # which of each step's rows are scored, once a step loses a draw
+        return rows, k
     s = at = 0  # the next step, and where its draws start in buf
     while s < S:
         m = min(S - s, _HIT_SCAN)
@@ -294,14 +303,9 @@ def _negative_steps(table, n, targets, rng):
             if j != t:
                 noise.append(j)
         rows[s, 1 : 1 + len(noise)] = noise
-        if len(noise) < n:
-            if kept is None:
-                kept = np.ones((S, 1 + n), dtype=bool)
-            kept[s, 1 + len(noise) :] = False
+        k[s] = 1 + len(noise)
         s += 1
-    if kept is None:
-        return rows.ravel(), list(range(0, (1 + n) * S + 1, 1 + n))
-    return rows[kept], [0, *np.cumsum(kept.sum(axis=1)).tolist()]
+    return rows, k
 
 
 class _Objective:
@@ -312,32 +316,29 @@ class _Objective:
         self.hs = cfg.objective == "hs"
         if self.hs:
             huffman = vocab.huffman
-            self.paths, self.path_labels = huffman.paths, huffman.targets
+            self.paths, self.path_labels, self.path_lengths = (
+                huffman.path_table, huffman.target_table, huffman.lengths)
         else:
             self.table, self.n = vocab.sampling_table, cfg.negative
 
     def scored_steps(self, targets, rng):
-        """The output rows scored at each of ``targets`` in turn, and their labels.
+        """The output rows scored at each of ``targets`` in turn, their labels
+        and their counts.
 
-        Returns ``(rows, labels, bounds)``: step s scores
-        ``rows[bounds[s]:bounds[s + 1]]`` with the float32 labels alike.
-        Noise rows are drawn from ``rng`` by ``_negative_steps``.
+        Returns ``(rows, labels, k)``: step s scores ``rows[s, :k[s]]`` with
+        the float32 labels ``labels[s, :k[s]]``. Every step has K slots, the
+        most rows the objective scores: 1 + n under negative sampling, the
+        longest Huffman path under hierarchical softmax. Unused slots hold
+        row 0 with label 0. Noise rows are drawn from ``rng`` by
+        ``_negative_steps``.
         """
-        S = len(targets)
-        if not S:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.float32), [0]
         if self.hs:
-            paths = [self.paths[t] for t in targets]
-            bounds = [0, *itertools.accumulate(map(len, paths))]
-            labels = np.concatenate([self.path_labels[t] for t in targets])
-            return np.concatenate(paths).astype(np.intp), labels, bounds
-        rows, bounds = _negative_steps(self.table, self.n, targets, rng)
-        labels = np.zeros(len(rows), dtype=np.float32)
-        if len(rows) == S * (1 + self.n):  # no step lost a draw
-            labels[:: 1 + self.n] = 1.0
-        else:
-            labels[bounds[:-1]] = 1.0  # each step's first row is its target
-        return rows, labels, bounds
+            return (self.paths[targets], self.path_labels[targets],
+                    self.path_lengths[targets])
+        rows, k = _negative_steps(self.table, self.n, targets, rng)
+        labels = np.zeros(rows.shape, dtype=np.float32)
+        labels[:, 0] = 1.0  # each step's first row is its target
+        return rows, labels, k
 
     @staticmethod
     def gradient(h, vecs, labels, alpha):
@@ -377,9 +378,10 @@ class _Plan(NamedTuple):
     """One pass over some documents, drawn before it runs (see ``_plan``).
 
     Step s belongs to document ``doc[s]`` and scores the output rows
-    ``rows[bounds[s]:bounds[s + 1]]`` with the labels alike, at a hidden
-    vector h made from its contributing rows: the document row (dbow), the
-    word row ``words[s]`` (sg), or the mean of the context word rows
+    ``rows[s, :k[s]]`` with the labels alike (see
+    ``_Objective.scored_steps``), at a hidden vector h made from its
+    contributing rows (``_hidden``): the document row (dbow), the word row
+    ``words[s]`` (sg), or the mean of the context word rows
     ``ctx[s][valid[s]]`` (cbow) and of those and the document row (dm),
     ``n[s]`` (float32) rows in all. The steps of each document are
     consecutive and in order.
@@ -392,7 +394,16 @@ class _Plan(NamedTuple):
     n: np.ndarray | None
     rows: np.ndarray
     labels: np.ndarray
-    bounds: list[int]
+    k: np.ndarray
+
+    def chunks(self, d):
+        """``(s0, s1)`` step ranges for a reader with W and O frozen, each
+        gathering about ``_GATHER_CELLS`` floats of context and output rows
+        of width d."""
+        width = (0 if self.ctx is None else self.ctx.shape[1]) + self.rows.shape[1] + 1
+        step = max(1, _GATHER_CELLS // (width * d))
+        S = len(self.k)
+        return [(s0, min(S, s0 + step)) for s0 in range(0, S, step)]
 
 
 def _plan(arch, docs, window, obj, rng):
@@ -452,21 +463,20 @@ def _context_sums(W, ctx, valid):
     return sums
 
 
-def _frozen_gathers(p, W):
-    """Yield ``(s0, s1, sums)`` for chunks of the plan's steps.
-
-    ``sums`` are the context sums of steps s0..s1-1 (None without context),
-    read once for the chunk, which is only right while W is not written. A
-    chunk gathers about ``_GATHER_CELLS`` floats, counting the O rows its
-    steps score.
-    """
-    S = len(p.bounds) - 1
-    width = (0 if p.ctx is None else p.ctx.shape[1]) + len(p.rows) // max(S, 1) + 1
-    chunk = max(1, _GATHER_CELLS // (width * W.shape[1]))
-    for s0 in range(0, S, chunk):
-        s1 = min(S, s0 + chunk)
-        sums = None if p.ctx is None else _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
-        yield s0, s1, sums
+def _hidden(arch, D, W, p, tag, s0, s1):
+    """The hidden vectors h (float32) of the plan's steps s0..s1-1, step s
+    reading the row D[tag[s]]: the word row (sg), the document row (dbow),
+    or the mean of the context word rows (cbow) and of those and the
+    document row (dm)."""
+    if p.words is not None:
+        return W.take(p.words[s0:s1], axis=0)
+    if p.ctx is None:
+        return D.take(tag[s0:s1], axis=0)
+    h = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+    if arch == "dm":
+        h += D.take(tag[s0:s1], axis=0)
+    h /= p.n[s0:s1, None]
+    return h
 
 
 def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
@@ -474,43 +484,25 @@ def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
     (inference), updating only the row D[tag].
 
     The context sums and output rows of all steps are read ahead, a chunk
-    at a time, and the loop only carries the document row. Each step is
-    the training step of ``_train_lanes`` for one lane.
+    at a time (``_Plan.chunks``), and the loop only carries the document
+    row. Each step is the training step of ``_train_lanes`` for one lane.
     """
     p = _plan(arch, [toks], window, obj, rng)
     if arch not in DOC_ARCHITECTURES:  # cbow and sg steps write only W and O
         return
     doc, gradient = D[tag], obj.gradient
     alpha = np.array(alpha, dtype=np.float32)
-    labels, bounds, n = p.labels, p.bounds, p.n
-    for s0, s1, sums in _frozen_gathers(p, W):
-        base = bounds[s0]
-        vecs = obj.O.take(p.rows[base : bounds[s1]], axis=0)
-        for s in range(s0, s1):
-            b0, b1 = bounds[s], bounds[s + 1]
-            v = vecs[b0 - base : b1 - base]
-            if arch == "dbow":  # h is D[tag]
-                doc += gradient(doc, v, labels[b0:b1], alpha)[1]
-            else:
-                h = (sums[s - s0] + doc) / n[s]
-                doc += gradient(h, v, labels[b0:b1], alpha)[1] / n[s]
-
-
-def _padded(p):
-    """The plan's rows and labels as (S, K) arrays, K the most rows a step
-    scores, and each step's row count; the counts are None when every step
-    scores K rows, and the padding rows are row 0 with label 0."""
-    S = len(p.bounds) - 1
-    counts = np.diff(p.bounds)
-    K = int(counts.max())
-    if len(p.rows) == S * K:
-        return p.rows.reshape(S, K), p.labels.reshape(S, K), None
-    step = np.repeat(np.arange(S), counts)
-    slot = np.arange(len(p.rows)) - np.repeat(p.bounds[:-1], counts)
-    rows = np.zeros((S, K), dtype=np.intp)
-    labels = np.zeros((S, K), dtype=np.float32)
-    rows[step, slot], labels[step, slot] = p.rows, p.labels
-    return rows, labels, counts
+    for s0, s1 in p.chunks(D.shape[1]):
+        steps = zip(obj.O.take(p.rows[s0:s1], axis=0), p.labels[s0:s1],
+                    p.k[s0:s1].tolist())
+        if arch == "dbow":  # h is D[tag]
+            for vecs, labels, k in steps:
+                doc += gradient(doc, vecs[:k], labels[:k], alpha)[1]
+            continue
+        sums = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+        for (vecs, labels, k), total, n in zip(steps, sums, p.n[s0:s1]):
+            h = (total + doc) / n
+            doc += gradient(h, vecs[:k], labels[:k], alpha)[1] / n
 
 
 def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
@@ -545,55 +537,48 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     order = (first[lanes] + depth)[active]
     bounds = [0, *itertools.accumulate(active.sum(axis=1).tolist())]
 
-    last = np.subtract(bounds[1:], 1)  # each step's last lane
-    rows, labels, k = _padded(p)
-    doc, ctx, valid, n, words = p.doc[order], p.ctx, p.valid, p.n, p.words
+    fields = list(p)
     del p  # each of the plan's arrays is freed as its reordered copy is made
-    rows, labels = rows[order], labels[order]
-    tag = np.asarray(tags, dtype=np.intp)[doc]
-    alpha = np.asarray(alphas, dtype=np.float32)[doc, None]
-    O, gradient, d = obj.O, obj.gradient, obj.O.shape[1]
-    if k is None:
-        writes = [(O, rows.ravel(), [b * rows.shape[1] for b in bounds])]
-    else:
-        k = k[order]
-        scored = np.arange(rows.shape[1]) < k[:, None]
-        writes = [(O, rows[scored], [0, *np.cumsum(k)[last].tolist()])]
-    if ctx is not None:
-        ctx, valid, n = ctx[order], valid[order], n[order, None]
-        width = valid.sum(axis=1)
-        writes.append((W, ctx[valid], [0, *np.cumsum(width)[last].tolist()]))
-    elif words is not None:
-        words = words[order]
-        writes.append((W, words, bounds))
-    if arch in DOC_ARCHITECTURES:
-        writes.append((D, tag, bounds))
+    for i, a in enumerate(fields):
+        fields[i] = None if a is None else a[order]
+    p = _Plan(*fields)
+    rows, labels, k = p.rows, p.labels, p.k
+    last = np.subtract(bounds[1:], 1)  # each step's last lane
+    tag = np.asarray(tags, dtype=np.intp)[p.doc]
+    alpha = np.asarray(alphas, dtype=np.float32)[p.doc, None]
+    O, gradient = obj.O, obj.gradient
+    K, d = rows.shape[1], O.shape[1]
+    # steps whose lanes all score K rows take one gradient call over them
+    full = (np.minimum.reduceat(k, bounds[:-1]) == K).tolist()
+    scored = np.arange(K) < k[:, None]
     # each matrix's writes go to its flat view (``train`` keeps D, W and O
     # C-contiguous), row r starting at element r * d (``_add_rows``)
-    writes = [(M.reshape(-1), ids * d, cuts) for M, ids, cuts in writes]
+    at = rows[scored]
+    at *= d  # in place, so the scored rows are copied once
+    writes = [(O, at, [0, *np.cumsum(k)[last].tolist()])]
+    if p.ctx is not None:
+        width = p.valid.sum(axis=1)
+        writes.append((W, p.ctx[p.valid] * d, [0, *np.cumsum(width)[last].tolist()]))
+    elif p.words is not None:
+        writes.append((W, p.words * d, bounds))
+    if arch in DOC_ARCHITECTURES:
+        writes.append((D, tag * d, bounds))
+    writes = [(M.reshape(-1), starts, cuts) for M, starts, cuts in writes]
     cols = np.arange(d)
     for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
+        h = _hidden(arch, D, W, p, tag, b0, b1)
         vecs = O.take(rows[b0:b1], axis=0)
-        if words is not None:
-            h = W.take(words[b0:b1], axis=0)
-        elif ctx is None:
-            h = D.take(tag[b0:b1], axis=0)
-        else:
-            h = _context_sums(W, ctx[b0:b1], valid[b0:b1])
-            if arch == "dm":
-                h += D.take(tag[b0:b1], axis=0)
-            h /= n[b0:b1]
-        if k is None:
+        if full[s]:
             g, e = gradient(h, vecs, labels[b0:b1], alpha[b0:b1])
             vals = [g[:, :, None] * h[:, None, :]]
         else:
             g, e = _ragged_gradient(gradient, h, vecs, labels[b0:b1], alpha[b0:b1],
                                     k[b0:b1])
             vals = [(g[:, :, None] * h[:, None, :])[scored[b0:b1]]]
-        if ctx is not None:
-            e = e / n[b0:b1]
+        if p.ctx is not None:
+            e = e / p.n[b0:b1, None]
             vals.append(np.repeat(e, width[b0:b1], axis=0))
-        elif words is not None:
+        elif p.words is not None:
             vals.append(e)
         if arch in DOC_ARCHITECTURES:
             vals.append(e)
@@ -736,26 +721,20 @@ def loss_estimate(
     draws come from a generator seeded with ``probe_seed``, so repeated
     calls on an unchanged model return the identical value. Each document
     is planned on its own (``_plan``), but steps are scored in bulk, across
-    documents (``_probe_chunks``): steps that score alike share one stacked
-    matmul and one row-wise sum, which give each step the bits of its own
-    float64 gemv and sum. The step losses are then added in walk order.
+    documents (``_probe_chunks``): the steps that score k rows share one
+    stacked matmul over the first k of their padded rows and one row-wise
+    sum, which give each step the bits of its own float64 gemv and sum. The
+    step losses are then added in walk order.
     """
     _check_docs(model, docs)
     total, count = 0.0, 0
     for h, rows, labels, k in _probe_chunks(model, docs, probe_seed):
-        h = h.astype(np.float64)
-        starts = np.cumsum(k) - k
-        groups = []  # (the steps, the indices of their rows) per row count
+        h, losses = h.astype(np.float64), np.empty(len(k))
         for n in np.unique(k).tolist():
             i = np.flatnonzero(k == n)
-            groups.append((i, starts[i, None] + np.arange(n)))
-        x = np.empty(len(rows))
-        for i, at in groups:
-            vecs = model.O[rows[at]].astype(np.float64)
-            x[at] = np.matmul(vecs, h[i, :, None])[:, :, 0]
-        terms, losses = _loss_terms(x, labels), np.empty(len(k))
-        for i, at in groups:
-            losses[i] = terms[at].sum(axis=1)
+            vecs = model.O[rows[i, :n]].astype(np.float64)
+            x = np.matmul(vecs, h[i, :, None])[:, :, 0]
+            losses[i] = _loss_terms(x, labels[i, :n]).sum(axis=1)
         for loss in losses.tolist():
             total += loss
         count += len(k)
@@ -766,8 +745,8 @@ def loss_estimate(
 
 def _probe_chunks(model, docs, probe_seed):
     """Yield ``(h, rows, labels, k)`` for the steps of ``loss_estimate``, in
-    walk order, about ``_PROBE_CELLS`` scored floats at a time: step i scores
-    the next ``k[i]`` O rows of ``rows`` with the labels alike at the hidden
+    walk order, about ``_PROBE_CELLS`` output-row floats at a time: step i
+    scores the O rows ``rows[i, :k[i]]`` with the labels alike at the hidden
     vector h[i] (float32). A chunk can span documents."""
     cfg = model.config
     obj = _Objective(model.O, model.vocab, cfg)
@@ -775,19 +754,11 @@ def _probe_chunks(model, docs, probe_seed):
     held, cells = [], 0
     for doc in docs:
         p = _plan(cfg.architecture, [doc.tokens], cfg.window, obj, rng)
-        d = model.D[doc.doc_tag]
-        for s0, s1, sums in _frozen_gathers(p, model.W):
-            if p.ctx is not None:
-                n = p.n[s0:s1, None]
-                h = (sums + d) / n if cfg.architecture == "dm" else sums / n
-            elif p.words is not None:
-                h = model.W[p.words[s0:s1]]
-            else:
-                h = np.broadcast_to(d, (s1 - s0, len(d)))
-            b0, b1 = p.bounds[s0], p.bounds[s1]
-            held.append((h, p.rows[b0:b1], p.labels[b0:b1],
-                         np.diff(p.bounds[s0 : s1 + 1])))
-            cells += (b1 - b0) * len(d)
+        tag = np.broadcast_to(doc.doc_tag, p.k.shape)  # every step reads D[doc_tag]
+        for s0, s1 in p.chunks(model.dim):
+            h = _hidden(cfg.architecture, model.D, model.W, p, tag, s0, s1)
+            held.append((h, p.rows[s0:s1], p.labels[s0:s1], p.k[s0:s1]))
+            cells += p.rows[s0:s1].size * model.dim
             if cells >= _PROBE_CELLS:
                 chunk, held, cells = tuple(map(np.concatenate, zip(*held))), [], 0
                 yield chunk
@@ -823,8 +794,8 @@ def infer_docs(
     V = len(model.vocab)
     kept = []
     for tl in token_lists:
-        tl = np.asarray(tl, dtype=np.int32)
-        tl = tl[(tl >= 0) & (tl < V)]
+        tl = np.asarray(tl)
+        tl = tl[(tl >= 0) & (tl < V)].astype(np.int32)  # filtered before narrowing
         if len(tl):
             kept.append(tl)
     if not kept:

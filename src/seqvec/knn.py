@@ -171,6 +171,8 @@ def knn_cross_validate(
         raise ConfigError("need at least 2 folds")
     if not k_values or min(k_values) < 1:
         raise ConfigError("k_values must be positive")
+    if len(set(k_values)) < len(k_values):
+        raise ConfigError(f"k_values must be distinct, got {','.join(map(str, k_values))}")
 
     keep = set(_cv_families(Counter(index.labels), folds))
     rows = [i for i, fam in enumerate(index.labels) if fam in keep]

@@ -110,16 +110,28 @@ class HuffmanCoding:
     in creation (merge) order, so the root is node ``n_inner - 1``.
     ``targets[t]`` (float32 ``1 - bit``) are the code bits as the
     hierarchical softmax labels its path nodes, derived once here rather
-    than per objective.
+    than per objective. So are the padded tables a plan gathers from:
+    row t of ``path_table`` (intp) and ``target_table`` (float32) holds
+    ``paths[t]`` and ``targets[t]`` in its first ``lengths[t]`` slots and
+    node 0 with label 0 after them, out to the longest path.
     """
 
     codes: list[np.ndarray]  # uint8 bit arrays
     paths: list[np.ndarray]  # int32 inner-node indices
     n_inner: int
     targets: list[np.ndarray] = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+    path_table: np.ndarray = field(init=False, repr=False)
+    target_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.targets = [np.float32(1.0) - c.astype(np.float32) for c in self.codes]
+        self.lengths = np.array([len(p) for p in self.paths], dtype=np.intp)
+        scored = np.arange(self.lengths.max()) < self.lengths[:, None]
+        self.path_table = np.zeros(scored.shape, dtype=np.intp)
+        self.path_table[scored] = np.concatenate(self.paths)
+        self.target_table = np.zeros(scored.shape, dtype=np.float32)
+        self.target_table[scored] = np.concatenate(self.targets)
 
 
 @dataclass

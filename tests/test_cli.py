@@ -510,6 +510,15 @@ class TestEvaluationCommands:
         assert "seqvec: usage error: each --k value" in captured.err
         assert captured.out == ""
 
+    def test_repeated_k_is_usage_error(self, eval_files, capsys):
+        vectors, labels = eval_files
+        rc = main(["knn-eval", "--vectors", str(vectors), "--labels",
+                   str(labels), "--folds", "4", "--k", "1,1,3", "--seed", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seqvec: usage error: k_values must be distinct, got 1,1,3" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
     def test_non_finite_vector_is_data_error(self, eval_files, tmp_path, command, capsys):
         vectors, labels = eval_files

@@ -977,17 +977,35 @@ class TestDrawRuleMatchesReference:
         targets = np.array([row[0] if s in hits else min(set(range(10)) - set(row))
                             for s, row in enumerate(bulk)], dtype=np.intp)
         lib_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        rows, bounds = embedding._negative_steps(table, n, targets, lib_rng)
-        want_rows, want_bounds = [], [0]
-        for t in targets:
-            want_rows += [t, *_ref_draw_negatives(ref_rng, table, t, n)]
-            want_bounds.append(len(want_rows))
+        rows, k = embedding._negative_steps(table, n, targets, lib_rng)
         assert rows.dtype == np.intp
-        assert rows.tolist() == want_rows
-        assert bounds == want_bounds
+        assert rows.shape == (S, 1 + n)
+        for s, t in enumerate(targets):
+            want = [t, *_ref_draw_negatives(ref_rng, table, t, n)]
+            assert k[s] == len(want)
+            assert rows[s, : k[s]].tolist() == want
+            assert not rows[s, k[s] :].any()
         assert lib_rng.random() == ref_rng.random()
-        assert np.array_equal(rows[: bounds[min(hits)]].reshape(-1, 1 + n)[:, 1:],
-                              bulk[: min(hits)])
+        assert np.array_equal(rows[: min(hits), 1:], bulk[: min(hits)])
+
+    def test_steps_that_lost_draws_are_padded(self):
+        # draws almost always hit target 0, so its steps lose every noise
+        # row after 16 redraws; the steps of targets 1 and 2 lose none
+        vocab = build_vocabulary({"a": 10**9, "b": 1, "c": 1})
+        cfg = TrainConfig(negative=3)
+        targets = np.array([1, 0, 2, 0, 0, 1], dtype=np.intp)
+        lib_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        rows, labels, k = _Objective(np.zeros((3, 2)), vocab, cfg).scored_steps(
+            targets, lib_rng)
+        assert rows.shape == labels.shape == (6, 4)
+        assert labels.dtype == np.float32
+        assert k.tolist() == [4, 1, 4, 1, 1, 4]
+        for s, t in enumerate(targets):
+            want = [t, *_ref_draw_negatives(ref_rng, vocab.sampling_table, t, 3)]
+            assert rows[s, : k[s]].tolist() == want
+            assert labels[s].tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert not rows[s, k[s] :].any()
+        assert lib_rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("negative", [1, 3, 9])
     def test_objective_gradient_draws_by_the_same_rule(self, negative):
@@ -1154,8 +1172,10 @@ class TestLossEstimate:
         huffman = model.vocab.huffman
         for _ in range(2):
             obj = _Objective(model.O, model.vocab, cfg)
-            assert obj.paths is huffman.paths
-            assert obj.path_labels is huffman.targets
+            assert model.vocab.huffman is huffman
+            assert obj.paths is huffman.path_table
+            assert obj.path_labels is huffman.target_table
+            assert obj.path_lengths is huffman.lengths
 
 
 class TestInference:
@@ -1198,6 +1218,17 @@ class TestInference:
         assert np.isfinite(infer_docs(model, [mixed], seed=0)).all()
         with pytest.raises(DataError, match="no in-vocabulary"):
             infer_docs(model, [[500, 700]], seed=0)
+
+    @pytest.mark.parametrize("large", [2**31, 2**32, 2**40, 2**64])
+    def test_ids_too_large_for_int32_dropped(self, large):
+        # ids are filtered before they are narrowed: 2**31 and above once
+        # overflowed the int32 cast, or wrapped round to an in-vocabulary id
+        model, _ = self._trained()
+        want = infer_docs(model, [[0, 1, 2]], seed=0)
+        assert np.array_equal(infer_docs(model, [[0, 1, large, 2]], seed=0), want)
+        if large < 2**63:
+            ids = np.array([0, 1, 2, large], dtype=np.int64)
+            assert np.array_equal(infer_docs(model, [ids], seed=0), want)
 
     def test_multi_document_inference_shares_one_vector(self):
         model, docs = self._trained()

@@ -268,6 +268,11 @@ class TestKnnCrossValidate:
         assert report[1] == fitting[1] and report[8] == fitting[8]
         assert report[9] == report[20] == fitting[8]
 
+    def test_repeated_k_rejected(self):
+        # a repeated k was once scored once per copy, its accuracy summed
+        with pytest.raises(ConfigError, match="distinct, got 1,1,3"):
+            knn_cross_validate(_two_cluster_index(), folds=5, k_values=[1, 1, 3])
+
     def test_folds_partition_the_data(self):
         # every usable vector lands in exactly one test fold
         from seqvec.classify import stratified_folds

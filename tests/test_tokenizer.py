@@ -241,6 +241,21 @@ class TestHuffman:
             assert target.dtype == np.float32
             assert np.array_equal(target, 1 - bits.astype(int))
 
+    @pytest.mark.parametrize("counts", [[1, 1], [40, 20, 10, 5, 3, 2, 1, 1]])
+    def test_padded_tables_hold_the_paths(self, counts):
+        # the skewed vocabulary's paths run from 1 to 7 nodes
+        h = build_huffman(build_vocabulary({f"t{i}": c for i, c in enumerate(counts)}))
+        K = max(len(p) for p in h.paths)
+        assert h.lengths.tolist() == [len(p) for p in h.paths]
+        assert h.path_table.shape == h.target_table.shape == (len(counts), K)
+        assert h.path_table.dtype == np.intp
+        assert h.target_table.dtype == np.float32
+        for t, (path, target) in enumerate(zip(h.paths, h.targets)):
+            n = len(path)
+            assert h.path_table[t, :n].tolist() == path.tolist()
+            assert h.target_table[t, :n].tolist() == target.tolist()
+            assert not h.path_table[t, n:].any() and not h.target_table[t, n:].any()
+
     def test_single_token_is_an_error(self):
         with pytest.raises(DataError):
             build_huffman(build_vocabulary({"a": 1}))

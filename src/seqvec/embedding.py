@@ -32,10 +32,10 @@ terms; each row contributing to h receives grad_h scaled by
 learning rate decays linearly from alpha0 toward alpha_min = alpha0 / 10000
 over the total scheduled token count (document granularity).
 
-Training steps lanes in lockstep (``_train_lanes``). Each epoch's
-document permutation is cut into batches of ``_LANES`` documents, fewer
-once a batch holds ``_BATCH_TOKENS`` tokens, and a batch is planned in
-bulk (``_plan``): the window widths of all its documents in one draw,
+Training steps lanes in lockstep (``_train_lanes``). ``_batches`` cuts
+each epoch's document permutation into batches of ``_LANES`` documents,
+fewer once a batch holds ``_BATCH_TOKENS`` tokens, and a batch is planned
+in bulk (``_plan``): the window widths of all its documents in one draw,
 then every step's context, contributor count and scored rows, from the
 same random stream (draws that hit their target are replayed one step at
 a time). A plan gives every step the objective's K slots of output rows
@@ -57,13 +57,13 @@ walk.
 
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
-left unwritten, on the same learning-rate schedule. With W and O frozen,
-there and in ``loss_estimate``, a chunk of steps is gathered at once
-(``_Plan.chunks``). The frozen pass gathers the chunk's context sums and
-output rows; its loop carries the document row, which every step
-changes, and so builds h itself. ``loss_estimate`` has no such row to
-carry: it plans each document on its own but scores the steps of many
-documents at once.
+left unwritten, on the same learning-rate schedule (``_alpha``). With W
+and O frozen, there and in ``loss_estimate``, a chunk of steps is
+gathered at once (``_Plan.chunks``). The frozen pass gathers the chunk's
+context sums and output rows; its loop carries the document row, which
+every step changes, and so builds h itself. ``loss_estimate`` has no such
+row to carry: it plans the batches training cuts (``_batches``) and
+scores a chunk's steps at once.
 
 The tests keep two references: a per-position loop that draws and steps
 one target at a time, which one lane and the frozen passes match bit for
@@ -73,7 +73,6 @@ Training runs on a single thread; ``workers`` must be 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -130,13 +129,10 @@ _LANES = 64
 _BATCH_TOKENS = 1 << 12
 
 #: Floats a reader with W and O frozen gathers at once (context rows and
-#: output rows of a chunk of steps, ``_Plan.chunks``); bounds the transient
-#: memory for long documents.
-_GATHER_CELLS = 1 << 17
-
-#: Output-row floats ``loss_estimate`` scores at once, across documents;
-#: it holds each in float32 and float64.
-_PROBE_CELLS = 1 << 14
+#: output rows of a chunk of steps, ``_Plan.chunks``): inference and the
+#: loss probe, which also holds the chunk's output rows in float64. Bounds
+#: their transient memory for long documents.
+_GATHER_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -535,7 +531,7 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     depth = np.arange(length[lanes[0]])[:, None]
     active = depth < length[lanes]
     order = (first[lanes] + depth)[active]
-    bounds = [0, *itertools.accumulate(active.sum(axis=1).tolist())]
+    bounds = [0, *np.cumsum(active.sum(axis=1)).tolist()]
 
     fields = list(p)
     del p  # each of the plan's arrays is freed as its reordered copy is made
@@ -621,14 +617,35 @@ def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
             raise DataError(f"document {doc.doc_tag} has token ids outside [0, {V})")
 
 
+def _batches(items):
+    """The batches of ``(tokens, ...)`` items that training and the loss
+    probe plan at once, as columns: ``_LANES`` items, or fewer once they
+    hold ``_BATCH_TOKENS`` tokens. An item is pulled only when its batch
+    needs it, after the batches before it have run."""
+    batch, held = [], 0
+    for item in items:
+        batch.append(item)
+        held += len(item[0])
+        if len(batch) == _LANES or held >= _BATCH_TOKENS:
+            yield tuple(zip(*batch))
+            batch, held = [], 0
+    if batch:
+        yield tuple(zip(*batch))
+
+
+def _alpha(cfg, processed, total):
+    """The learning rate once ``processed`` of ``total`` scheduled tokens
+    are done: alpha0 decaying linearly toward alpha_min."""
+    return cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * min(1.0, processed / total)
+
+
 def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel:
     """Run model.config.epochs SGD passes over ``docs``, updating the model
     in place.
 
-    Document order is reshuffled per epoch from the seeded generator. It is
-    cut into batches of ``_LANES`` documents, or fewer once a batch holds
-    ``_BATCH_TOKENS`` tokens, each trained in lockstep (``_train_lanes``);
-    documents that subsampling empties are left out.
+    Document order is reshuffled per epoch from the seeded generator and
+    cut into batches (``_batches``), each trained in lockstep
+    (``_train_lanes``); documents that subsampling empties are left out.
     """
     cfg = model.config
     _check_docs(model, docs)
@@ -637,37 +654,28 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     # has: others train as C-contiguous copies, copied back at the end
     D, W, O = (np.ascontiguousarray(M) for M in (model.D, model.W, model.O))
     obj = _Objective(O, model.vocab, cfg)
-    keep = (
-        subsample_keep_probs(model.vocab, cfg.subsample_t)
-        if cfg.subsample_t > 0
-        else None
-    )
-    total = cfg.epochs * sum(len(d.tokens) for d in docs)
-    arch, window = cfg.architecture, cfg.window
-    alpha0, alpha_min = cfg.alpha0, cfg.alpha_min
-
+    keep = (subsample_keep_probs(model.vocab, cfg.subsample_t)
+            if cfg.subsample_t > 0 else None)
+    tokens = sum(len(d.tokens) for d in docs)
+    total = cfg.epochs * tokens
     rng = np.random.default_rng([cfg.seed, 1])
-    processed = 0
-    for _ in range(cfg.epochs):
-        batch, tags, alphas, held = [], [], [], 0
+
+    def epoch(processed):
+        """The epoch's documents, subsampled, with their tags and rates."""
         for di in rng.permutation(len(docs)).tolist():
             doc = docs[di]
-            alpha = alpha0 + (alpha_min - alpha0) * min(1.0, processed / total)
+            alpha = _alpha(cfg, processed, total)
             processed += len(doc.tokens)
             toks = doc.tokens
             if keep is not None:
                 toks = toks[rng.random(len(toks)) < keep[toks]]
                 if len(toks) == 0:
                     continue
-            batch.append(toks)
-            tags.append(doc.doc_tag)
-            alphas.append(alpha)
-            held += len(toks)
-            if len(batch) == _LANES or held >= _BATCH_TOKENS:
-                _train_lanes(arch, D, W, obj, batch, tags, alphas, window, rng)
-                batch, tags, alphas, held = [], [], [], 0
-        if batch:
-            _train_lanes(arch, D, W, obj, batch, tags, alphas, window, rng)
+            yield toks, doc.doc_tag, alpha
+
+    for e in range(cfg.epochs):
+        for batch in _batches(epoch(e * tokens)):
+            _train_lanes(cfg.architecture, D, W, obj, *batch, cfg.window, rng)
     for M, trained in ((model.D, D), (model.W, W), (model.O, O)):
         if trained is not M:
             M[...] = trained
@@ -717,53 +725,37 @@ def loss_estimate(
 ) -> float:
     """Mean objective loss per update over ``docs`` without any updates.
 
-    Documents are walked in the given order; window widths and negative
-    draws come from a generator seeded with ``probe_seed``, so repeated
-    calls on an unchanged model return the identical value. Each document
-    is planned on its own (``_plan``), but steps are scored in bulk, across
-    documents (``_probe_chunks``): the steps that score k rows share one
-    stacked matmul over the first k of their padded rows and one row-wise
-    sum, which give each step the bits of its own float64 gemv and sum. The
-    step losses are then added in walk order.
+    Documents are walked in the given order, in the batches training cuts
+    (``_batches``); window widths and negative draws come from a generator
+    seeded with ``probe_seed``, so repeated calls on an unchanged model
+    return the identical value. Each batch is planned at once (``_plan``)
+    and scored a chunk at a time (``_Plan.chunks``): the steps that score
+    k rows share one stacked matmul over the first k of their padded rows
+    and one row-wise sum, which give each step the bits of its own float64
+    gemv and sum. The step losses are then added in walk order.
     """
     _check_docs(model, docs)
+    cfg, D, W, O = model.config, model.D, model.W, model.O
+    obj = _Objective(O, model.vocab, cfg)
+    rng = np.random.default_rng([probe_seed, 5])
     total, count = 0.0, 0
-    for h, rows, labels, k in _probe_chunks(model, docs, probe_seed):
-        h, losses = h.astype(np.float64), np.empty(len(k))
-        for n in np.unique(k).tolist():
-            i = np.flatnonzero(k == n)
-            vecs = model.O[rows[i, :n]].astype(np.float64)
-            x = np.matmul(vecs, h[i, :, None])[:, :, 0]
-            losses[i] = _loss_terms(x, labels[i, :n]).sum(axis=1)
-        for loss in losses.tolist():
-            total += loss
-        count += len(k)
+    for toks, tags in _batches((doc.tokens, doc.doc_tag) for doc in docs):
+        p = _plan(cfg.architecture, toks, cfg.window, obj, rng)
+        tag = np.asarray(tags, dtype=np.intp)[p.doc]
+        for s0, s1 in p.chunks(model.dim):
+            h = _hidden(cfg.architecture, D, W, p, tag, s0, s1).astype(np.float64)
+            rows, labels, k = p.rows[s0:s1], p.labels[s0:s1], p.k[s0:s1]
+            losses = np.empty(len(k))
+            for n in np.unique(k).tolist():
+                i = np.flatnonzero(k == n)
+                x = np.matmul(O[rows[i, :n]].astype(np.float64), h[i, :, None])[:, :, 0]
+                losses[i] = _loss_terms(x, labels[i, :n]).sum(axis=1)
+            for loss in losses.tolist():
+                total += loss
+            count += len(k)
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
     return total / count
-
-
-def _probe_chunks(model, docs, probe_seed):
-    """Yield ``(h, rows, labels, k)`` for the steps of ``loss_estimate``, in
-    walk order, about ``_PROBE_CELLS`` output-row floats at a time: step i
-    scores the O rows ``rows[i, :k[i]]`` with the labels alike at the hidden
-    vector h[i] (float32). A chunk can span documents."""
-    cfg = model.config
-    obj = _Objective(model.O, model.vocab, cfg)
-    rng = np.random.default_rng([probe_seed, 5])
-    held, cells = [], 0
-    for doc in docs:
-        p = _plan(cfg.architecture, [doc.tokens], cfg.window, obj, rng)
-        tag = np.broadcast_to(doc.doc_tag, p.k.shape)  # every step reads D[doc_tag]
-        for s0, s1 in p.chunks(model.dim):
-            h = _hidden(cfg.architecture, model.D, model.W, p, tag, s0, s1)
-            held.append((h, p.rows[s0:s1], p.labels[s0:s1], p.k[s0:s1]))
-            cells += p.rows[s0:s1].size * model.dim
-            if cells >= _PROBE_CELLS:
-                chunk, held, cells = tuple(map(np.concatenate, zip(*held))), [], 0
-                yield chunk
-    if held:
-        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def infer_docs(
@@ -777,8 +769,9 @@ def infer_docs(
     The vector is a fresh document row trained by the training step of
     one lane (``_frozen_pass``) with W and O frozen, for ``infer_epochs`` passes
     (default: twice the training epochs) at the training learning-rate
-    schedule, alpha0 decaying toward alpha_min.
-    Token ids outside the vocabulary are dropped; multiple documents (the
+    schedule, alpha0 decaying toward alpha_min (``_alpha``).
+    Token ids outside the vocabulary are dropped, and ids that are not
+    integers are a ``DataError``; multiple documents (the
     phase readings of one sequence) share the single inferred vector.
     Only document architectures (dm, dbow) support inference.
     """
@@ -793,11 +786,17 @@ def infer_docs(
         raise ConfigError(f"infer_epochs must be >= 1, got {infer_epochs}")
     V = len(model.vocab)
     kept = []
-    for tl in token_lists:
-        tl = np.asarray(tl)
-        tl = tl[(tl >= 0) & (tl < V)].astype(np.int32)  # filtered before narrowing
-        if len(tl):
-            kept.append(tl)
+    for i, tl in enumerate(token_lists):
+        ids = np.asarray(tl)
+        # a list with ids past the int64 range becomes an object or a float
+        # array: then its elements decide
+        if ids.size and ids.dtype.kind not in "iu" and not all(
+                isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                for t in np.asarray(tl, dtype=object).ravel()):
+            raise DataError(f"token list {i} holds ids that are not integers")
+        ids = ids[(ids >= 0) & (ids < V)].astype(np.int32)  # filtered before narrowing
+        if len(ids):
+            kept.append(ids)
     if not kept:
         raise DataError("no in-vocabulary tokens to infer from")
 
@@ -808,7 +807,7 @@ def infer_docs(
     processed = 0
     for _ in range(infer_epochs):
         for toks in kept:
-            alpha = cfg.alpha0 + (cfg.alpha_min - cfg.alpha0) * (processed / total)
+            alpha = _alpha(cfg, processed, total)
             processed += len(toks)
             _frozen_pass(cfg.architecture, D, model.W, obj, toks, 0, alpha, cfg.window,
                          rng)

@@ -670,6 +670,60 @@ def _ref_loss_estimate(model, docs, probe_seed):
     return total / count
 
 
+def _ref_batched_loss_estimate(model, docs, probe_seed, lanes, batch_tokens):
+    """The loss probe in training's batches: ``lanes`` documents, or fewer
+    once a batch holds ``batch_tokens`` tokens; returns the loss and the
+    number of batches.
+
+    A batch draws the window widths of all its documents in one call, then
+    each step's negatives one step at a time, in document and position
+    order, as _ref_lockstep does. Each step is scored on its own.
+    """
+    cfg = model.config
+    arch = cfg.architecture
+    obj = _RefObjective(model)
+    rng = np.random.default_rng([probe_seed, 5])
+    D, W = model.D, model.W
+    batches, batch = [], []
+    for doc in docs:
+        batch.append(doc)
+        if len(batch) == lanes or sum(len(d.tokens) for d in batch) >= batch_tokens:
+            batches.append(batch)
+            batch = []
+    if batch:
+        batches.append(batch)
+    total = 0.0
+    count = 0
+    for batch in batches:
+        widths = (rng.integers(1, cfg.window + 1, size=sum(len(d.tokens) for d in batch))
+                  if arch != "dbow" else None)
+        at = 0
+        for doc in batch:
+            toks, tag = doc.tokens, doc.doc_tag
+            n = len(toks)
+            cs = None if widths is None else widths[at : at + n]
+            at += n
+            steps = []  # (h, target)
+            for pos in range(n):
+                if arch == "dbow":
+                    steps.append((D[tag], toks[pos]))
+                elif arch == "sg":
+                    steps += [(W[toks[pos]], toks[j])
+                              for j in range(max(0, pos - cs[pos]), min(n, pos + 1 + cs[pos]))
+                              if j != pos]
+                else:
+                    ctx = _ref_context(toks, pos, cs[pos])
+                    if arch == "dm":
+                        steps.append(((W[ctx].sum(axis=0) + D[tag]) / np.float32(len(ctx) + 1),
+                                      toks[pos]))
+                    elif len(ctx):  # cbow
+                        steps.append((W[ctx].sum(axis=0) / np.float32(len(ctx)), toks[pos]))
+            for h, target in steps:
+                total += obj.loss(h, target, rng)
+                count += 1
+    return total / count, len(batches)
+
+
 def _ref_infer_docs(model, token_lists, infer_epochs, seed):
     cfg = model.config
     rng = np.random.default_rng([seed, 3])
@@ -821,10 +875,12 @@ class TestWalkerMatchesReference:
         # Huffman paths of several lengths give ragged row counts under hs,
         # and so do the lost draws of the skewed vocabulary under ns; the
         # length-1 documents score no cbow or sg step and sit between
-        # documents that do. The default budgets score every step at once.
+        # documents that do. The probe plans one batch at a time: a
+        # document each, batches closed by count or by tokens (6 + 1 + 11
+        # reaches 18 exactly, then 1 + 1 + 3 + 25, then 1 + 2), or all at
+        # once.
         if cells is not None:
             monkeypatch.setattr(embedding, "_GATHER_CELLS", cells)
-            monkeypatch.setattr(embedding, "_PROBE_CELLS", cells)
         vocab = build_vocabulary({f"t{i}": 100_000 if skewed and i == 0 else 5 + i
                                   for i in range(10)})
         rng = np.random.default_rng(9)
@@ -833,13 +889,19 @@ class TestWalkerMatchesReference:
         cfg = TrainConfig(architecture=arch, dim=5, window=3, objective=objective,
                           negative=3, epochs=2, alpha0=0.1, seed=3)
         model = train(init_model(vocab, 3, cfg), docs)
-        assert loss_estimate(model, docs, probe_seed=2) == \
-            _ref_loss_estimate(model, docs, 2)
-        chunks = [len(k) for *_, k in embedding._probe_chunks(model, docs, 2)]
-        if cells is None:
-            assert len(chunks) == 1
-        elif cells == 150:
-            assert 1 < len(chunks) < sum(chunks)
+        plans, plan = [], embedding._plan
+        monkeypatch.setattr(embedding, "_plan", lambda *a: plans.append(1) or plan(*a))
+        for lanes, batch_tokens, batches in [(1, 4096, 9), (4, 4096, 3), (64, 18, 3),
+                                             (64, 4096, 1)]:
+            monkeypatch.setattr(embedding, "_LANES", lanes)
+            monkeypatch.setattr(embedding, "_BATCH_TOKENS", batch_tokens)
+            plans.clear()
+            value = loss_estimate(model, docs, probe_seed=2)
+            assert (value, len(plans)) == \
+                _ref_batched_loss_estimate(model, docs, 2, lanes, batch_tokens)
+            assert len(plans) == batches
+            if lanes == 1:  # a document per batch is the per-document walk
+                assert value == _ref_loss_estimate(model, docs, 2)
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_frozen_context_sums_match_numpy_sums(self, dim):
@@ -1229,6 +1291,22 @@ class TestInference:
         if large < 2**63:
             ids = np.array([0, 1, 2, large], dtype=np.int64)
             assert np.array_equal(infer_docs(model, [ids], seed=0), want)
+
+    @pytest.mark.parametrize("ids", [[0.9, 1.2, 2.7], [True, False], ["1", "2"],
+                                     np.array([0.0, 1.0]), [1, None], np.float64(1.5)])
+    def test_ids_that_are_not_integers_rejected(self, ids):
+        # float ids were once truncated ([0.9, 1.2, 2.7] read as [0, 1, 2]),
+        # bools read as 1 and 0, and strings failed inside numpy
+        model, docs = self._trained()
+        with pytest.raises(DataError, match="token list 1 holds ids that are not integers"):
+            infer_docs(model, [docs[0].tokens, ids], seed=0)
+
+    def test_empty_lists_and_integers_past_int64_dropped(self):
+        # [] is a float array and [0, 1, 2**63, 2] one too: both stay accepted
+        model, _ = self._trained()
+        want = infer_docs(model, [[0, 1, 2]], seed=0)
+        for lists in ([[], [0, 1, 2]], [[0, 1, 2**63, 2]], [[0, -1, 2**64, 1, 2]]):
+            assert np.array_equal(infer_docs(model, lists, seed=0), want)
 
     def test_multi_document_inference_shares_one_vector(self):
         model, docs = self._trained()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqvec.classify import MetricSummary, multiclass_protocol
+from seqvec.classify import MetricSummary, multiclass_protocol, stratified_folds
 from seqvec.errors import ConfigError, DataError
 from seqvec.knn import (
     NeighborResult,
@@ -306,6 +306,7 @@ class TestKnnCrossValidate:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_matches_fold_loop_oracle_with_ties(self, metric):
         rng = np.random.default_rng(3)
+        warned = 0
         for trial in range(12):
             n_fam, per, d = int(rng.integers(2, 5)), int(rng.integers(4, 12)), 3
             centers = 2.0 * rng.normal(size=(n_fam, d))
@@ -316,5 +317,17 @@ class TestKnnCrossValidate:
             index = VectorIndex(M, ids, labels, metric=metric)
             folds = int(rng.integers(2, min(per, 5) + 1))
             k_values = [1, 2, 5, 9]
-            assert knn_cross_validate(index, k_values, folds, seed=trial) == \
-                fold_loop_cv(index, folds, k_values, seed=trial)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = knn_cross_validate(index, k_values, folds, seed=trial)
+            assert report == fold_loop_cv(index, folds, k_values, seed=trial)
+            # every family has at least ``folds`` members, so none is dropped
+            fold_of = stratified_folds(labels, folds, np.random.default_rng([trial]))
+            smallest = len(labels) - int(np.bincount(fold_of).max())
+            over = ",".join(str(k) for k in k_values if k > smallest)
+            assert [(w.category, str(w.message)) for w in caught] == (
+                [(UserWarning, f"k={over} exceeds the smallest training fold "
+                               f"({smallest} vectors); there the vote is over the whole fold")]
+                if 9 > smallest else [])
+            warned += 9 > smallest
+        assert 0 < warned < 12  # trials with and without the warning

@@ -56,18 +56,18 @@ stays bit-deterministic for a fixed seed. One lane is the sequential
 walk.
 
 Inference is that training step for one lane on a frozen model:
-``infer_docs`` runs ``_frozen_pass`` on a fresh one-row D with W and O
-left unwritten, on the same learning-rate schedule (``_alpha``). With W
-and O frozen, there and in ``loss_estimate``, a chunk of steps is
-gathered at once (``_Plan.chunks``). The frozen pass gathers the chunk's
-context sums and output rows; its loop carries the document row, which
-every step changes, and so builds h itself. ``loss_estimate`` has no such
-row to carry: it plans the batches training cuts (``_batches``) and
-scores a chunk's steps at once.
+``infer_docs`` trains a fresh document row with W and O left unwritten,
+on the same learning-rate schedule (``_alpha``), and plans its passes in
+the batches ``_batches`` cuts. With W and O frozen, there and in
+``loss_estimate``, a chunk of steps is gathered at once
+(``_Plan.chunks``). Inference gathers the chunk's context sums and
+output rows; its loop carries the document row, which every step
+changes, and so builds h itself. ``loss_estimate`` has no such row to
+carry: it scores a chunk's steps at once.
 
-The tests keep two references: a per-position loop that draws and steps
-one target at a time, which one lane and the frozen passes match bit for
-bit, and a lockstep loop, which several lanes match bit for bit.
+The tests keep two references, each matched bit for bit: a per-position
+loop that draws and steps one target at a time (one lane; the probe and
+inference draw a batch's widths at once), and a lockstep loop (lanes).
 Training runs on a single thread; ``workers`` must be 1.
 """
 
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -475,32 +476,6 @@ def _hidden(arch, D, W, p, tag, s0, s1):
     return h
 
 
-def _frozen_pass(arch, D, W, obj, toks, tag, alpha, window, rng):
-    """One pass over one document's positions with W and O frozen
-    (inference), updating only the row D[tag].
-
-    The context sums and output rows of all steps are read ahead, a chunk
-    at a time (``_Plan.chunks``), and the loop only carries the document
-    row. Each step is the training step of ``_train_lanes`` for one lane.
-    """
-    p = _plan(arch, [toks], window, obj, rng)
-    if arch not in DOC_ARCHITECTURES:  # cbow and sg steps write only W and O
-        return
-    doc, gradient = D[tag], obj.gradient
-    alpha = np.array(alpha, dtype=np.float32)
-    for s0, s1 in p.chunks(D.shape[1]):
-        steps = zip(obj.O.take(p.rows[s0:s1], axis=0), p.labels[s0:s1],
-                    p.k[s0:s1].tolist())
-        if arch == "dbow":  # h is D[tag]
-            for vecs, labels, k in steps:
-                doc += gradient(doc, vecs[:k], labels[:k], alpha)[1]
-            continue
-        sums = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
-        for (vecs, labels, k), total, n in zip(steps, sums, p.n[s0:s1]):
-            h = (total + doc) / n
-            doc += gradient(h, vecs[:k], labels[:k], alpha)[1] / n
-
-
 def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     """One training pass over each token array in ``docs``, in lockstep.
 
@@ -618,10 +593,10 @@ def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
 
 
 def _batches(items):
-    """The batches of ``(tokens, ...)`` items that training and the loss
-    probe plan at once, as columns: ``_LANES`` items, or fewer once they
-    hold ``_BATCH_TOKENS`` tokens. An item is pulled only when its batch
-    needs it, after the batches before it have run."""
+    """The batches of ``(tokens, ...)`` items that training, the loss probe
+    and inference plan at once, as columns: ``_LANES`` items, or fewer once
+    they hold ``_BATCH_TOKENS`` tokens. An item is pulled only when its
+    batch needs it, after the batches before it have run."""
     batch, held = [], 0
     for item in items:
         batch.append(item)
@@ -767,12 +742,13 @@ def infer_docs(
     """Learn one new document vector from the given token documents.
 
     The vector is a fresh document row trained by the training step of
-    one lane (``_frozen_pass``) with W and O frozen, for ``infer_epochs`` passes
-    (default: twice the training epochs) at the training learning-rate
-    schedule, alpha0 decaying toward alpha_min (``_alpha``).
+    one lane with W and O frozen, for ``infer_epochs`` passes over the
+    token lists (default: twice the training epochs) at the training
+    learning-rate schedule (``_alpha``). The passes are planned in
+    training's batches (``_batches``) and walked in order, a chunk at a time.
     Token ids outside the vocabulary are dropped, and ids that are not
-    integers are a ``DataError``; multiple documents (the
-    phase readings of one sequence) share the single inferred vector.
+    integers (bools among them) are a ``DataError``; multiple documents
+    (the phase readings of one sequence) share the single inferred vector.
     Only document architectures (dm, dbow) support inference.
     """
     cfg = model.config
@@ -788,11 +764,14 @@ def infer_docs(
     kept = []
     for i, tl in enumerate(token_lists):
         ids = np.asarray(tl)
-        # a list with ids past the int64 range becomes an object or a float
-        # array: then its elements decide
-        if ids.size and ids.dtype.kind not in "iu" and not all(
+        if ids.dtype.kind in "iu":  # numpy reads bools among ints as ints
+            ok = (isinstance(tl, np.ndarray) or ids.ndim == 0
+                  or {bool, np.bool_}.isdisjoint(map(type, tl)))
+        else:  # and ids past the int64 range as objects or floats
+            ok = not ids.size or all(
                 isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-                for t in np.asarray(tl, dtype=object).ravel()):
+                for t in np.asarray(tl, dtype=object).ravel())
+        if not ok:
             raise DataError(f"token list {i} holds ids that are not integers")
         ids = ids[(ids >= 0) & (ids < V)].astype(np.int32)  # filtered before narrowing
         if len(ids):
@@ -801,14 +780,27 @@ def infer_docs(
         raise DataError("no in-vocabulary tokens to infer from")
 
     rng = np.random.default_rng([seed, 3])
-    D = _uniform_rows(rng, 1, cfg.dim)
-    obj = _Objective(model.O, model.vocab, cfg)
-    total = infer_epochs * sum(len(t) for t in kept)
-    processed = 0
-    for _ in range(infer_epochs):
-        for toks in kept:
-            alpha = _alpha(cfg, processed, total)
-            processed += len(toks)
-            _frozen_pass(cfg.architecture, D, model.W, obj, toks, 0, alpha, cfg.window,
-                         rng)
-    return D[0]
+    doc = _uniform_rows(rng, 1, cfg.dim)[0]
+    arch, W, O = cfg.architecture, model.W, model.O
+    obj = _Objective(O, model.vocab, cfg)
+    gradient = obj.gradient
+    schedule = kept * infer_epochs  # the passes in order
+    total = sum(len(t) for t in schedule)
+    done = accumulate((len(t) for t in schedule), initial=0)  # tokens before each
+    passes = ((t, _alpha(cfg, d, total)) for t, d in zip(schedule, done))
+    for toks, alphas in _batches(passes):
+        p = _plan(arch, toks, cfg.window, obj, rng)
+        rates = [np.array(a, dtype=np.float32) for a in alphas]
+        alpha = [rates[i] for i in p.doc.tolist()]  # each step's pass's rate
+        for s0, s1 in p.chunks(cfg.dim):
+            steps = zip(O.take(p.rows[s0:s1], axis=0), p.labels[s0:s1],
+                        p.k[s0:s1].tolist(), alpha[s0:s1])
+            if arch == "dbow":  # h is the document row
+                for vecs, labels, k, a in steps:
+                    doc += gradient(doc, vecs[:k], labels[:k], a)[1]
+                continue
+            sums = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+            for (vecs, labels, k, a), ctx_sum, n in zip(steps, sums, p.n[s0:s1]):
+                h = (ctx_sum + doc) / n
+                doc += gradient(h, vecs[:k], labels[:k], a)[1] / n
+    return doc

@@ -16,7 +16,6 @@ from seqvec.embedding import (
     TrainConfig,
     _Objective,
     _context_sums,
-    _frozen_pass,
     _train_lanes,
     draw_negatives,
     infer_docs,
@@ -417,18 +416,19 @@ class TestUpdateDistribution:
         assert np.allclose(D[0], 3 * e)
         assert not W.any()
 
-    @pytest.mark.parametrize("arch, doc_share", [("dm", 1), ("dbow", 2), ("cbow", 0),
-                                                 ("sg", 0)])
-    def test_frozen_step_writes_the_document_row_only(self, arch, doc_share):
+    @pytest.mark.parametrize("arch, doc_share", [("dm", 1), ("dbow", 2)])
+    def test_frozen_step_writes_the_document_row_only(self, arch, doc_share,
+                                                      monkeypatch):
         d = 3
-        D = np.zeros((1, d), dtype=np.float32)
-        W = np.zeros((2, d), dtype=np.float32)
+        cfg = TrainConfig(architecture=arch, dim=d, window=1, objective="hs")
+        model = init_model(_vocab(2), 1, cfg)
+        model.W[:] = 0
         e = np.full(d, 0.5, dtype=np.float32)
-        toks = np.array([0, 1], dtype=np.int32)
-        _frozen_pass(arch, D, W, _StubObjective(e), toks, 0, 0.025, 1,
-                     np.random.default_rng(0))
-        assert np.allclose(D[0], doc_share * e)
-        assert not W.any()
+        monkeypatch.setattr(embedding, "_Objective", lambda *a: _StubObjective(e))
+        start = embedding._uniform_rows(np.random.default_rng([0, 3]), 1, d)[0]
+        vec = infer_docs(model, [[0, 1]], infer_epochs=1, seed=0)
+        assert np.allclose(vec - start, doc_share * e)
+        assert not model.W.any()
 
 
 # Reference: one position loop per architecture for training, scoring and
@@ -754,6 +754,53 @@ def _ref_infer_docs(model, token_lists, infer_epochs, seed):
     return vec
 
 
+def _ref_batched_infer_docs(model, token_lists, infer_epochs, seed, lanes, batch_tokens):
+    """Inference in training's batches: the schedule of ``infer_epochs``
+    passes over ``token_lists`` cut into batches of ``lanes`` passes, or
+    fewer once a batch holds ``batch_tokens`` tokens; returns the vector
+    and the number of batches.
+
+    Under dm a batch draws the window widths of all its passes in one call.
+    Then it walks their positions in order, each step drawing its own
+    negatives and taking its pass's learning rate.
+    """
+    cfg = model.config
+    rng = np.random.default_rng([seed, 3])
+    bound = 0.5 / cfg.dim
+    vec = rng.uniform(-bound, bound, cfg.dim).astype(np.float32)
+    obj = _RefObjective(model)
+    W = model.W
+    alpha0 = cfg.alpha0
+    alpha_min = alpha0 / 10_000.0
+    total = infer_epochs * sum(len(t) for t in token_lists)
+    batches, batch, processed = [], [], 0
+    for _ in range(infer_epochs):
+        for toks in token_lists:
+            batch.append((toks, alpha0 + (alpha_min - alpha0) * (processed / total)))
+            processed += len(toks)
+            if len(batch) == lanes or sum(len(t) for t, _ in batch) >= batch_tokens:
+                batches.append(batch)
+                batch = []
+    if batch:
+        batches.append(batch)
+    for batch in batches:
+        if cfg.architecture == "dm":
+            widths = rng.integers(1, cfg.window + 1, size=sum(len(t) for t, _ in batch))
+        at = 0
+        for toks, alpha in batch:
+            for pos in range(len(toks)):
+                if cfg.architecture == "dbow":
+                    vec += obj.apply(vec, toks[pos], alpha, rng, learn_hidden=False)
+                    continue
+                ctx = _ref_context(toks, pos, widths[at + pos])
+                nc = len(ctx) + 1
+                h = (W[ctx].sum(axis=0) + vec) / np.float32(nc)
+                e = obj.apply(h, toks[pos], alpha, rng, learn_hidden=False)
+                vec += e / np.float32(nc)
+            at += len(toks)
+    return vec, len(batches)
+
+
 # Vocabulary counts, document lengths and config overrides of the cases
 # that stress the planned walk; documents draw their tokens uniformly.
 _PLAN_CASES = {
@@ -902,6 +949,37 @@ class TestWalkerMatchesReference:
             assert len(plans) == batches
             if lanes == 1:  # a document per batch is the per-document walk
                 assert value == _ref_loss_estimate(model, docs, 2)
+
+    @pytest.mark.parametrize("cells", [1, 7, 150])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow"])
+    @pytest.mark.parametrize("case", list(_PLAN_CASES))
+    def test_inference_batches_of_passes_match(self, case, arch, objective, cells,
+                                               monkeypatch):
+        # Inference plans its passes in training's batches: a pass each,
+        # four at once, batches closed by tokens, or all at once. Only
+        # dm/ns draws differently from the per-pass walk: a batch takes all
+        # its widths before its negatives.
+        monkeypatch.setattr(embedding, "_GATHER_CELLS", cells)
+        vocab, docs, cfg = _plan_case(case, arch, objective)
+        model = train(init_model(vocab, 3, cfg), docs)
+        lists = [d.tokens for d in docs[::-1]]
+        made = _last_rng(monkeypatch)
+        plans, plan = [], embedding._plan
+        monkeypatch.setattr(embedding, "_plan", lambda *a: plans.append(1) or plan(*a))
+        for lanes, batch_tokens in [(1, 4096), (4, 4096), (64, 18), (64, 4096)]:
+            monkeypatch.setattr(embedding, "_LANES", lanes)
+            monkeypatch.setattr(embedding, "_BATCH_TOKENS", batch_tokens)
+            plans.clear()
+            vec = infer_docs(model, lists, infer_epochs=3, seed=6)
+            lib_rng = made[-1]
+            want, batches = _ref_batched_infer_docs(model, lists, 3, 6, lanes,
+                                                    batch_tokens)
+            assert np.array_equal(vec, want)
+            assert lib_rng.random() == made[-1].random()
+            assert len(plans) == batches
+            if lanes == 1 or arch == "dbow" or objective == "hs":
+                assert np.array_equal(vec, _ref_infer_docs(model, lists, 3, 6))
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_frozen_context_sums_match_numpy_sums(self, dim):
@@ -1293,7 +1371,8 @@ class TestInference:
             assert np.array_equal(infer_docs(model, [ids], seed=0), want)
 
     @pytest.mark.parametrize("ids", [[0.9, 1.2, 2.7], [True, False], ["1", "2"],
-                                     np.array([0.0, 1.0]), [1, None], np.float64(1.5)])
+                                     np.array([0.0, 1.0]), [1, None], np.float64(1.5),
+                                     [1, True]])
     def test_ids_that_are_not_integers_rejected(self, ids):
         # float ids were once truncated ([0.9, 1.2, 2.7] read as [0, 1, 2]),
         # bools read as 1 and 0, and strings failed inside numpy
@@ -1307,6 +1386,19 @@ class TestInference:
         want = infer_docs(model, [[0, 1, 2]], seed=0)
         for lists in ([[], [0, 1, 2]], [[0, 1, 2**63, 2]], [[0, -1, 2**64, 1, 2]]):
             assert np.array_equal(infer_docs(model, lists, seed=0), want)
+
+    def test_a_query_is_planned_in_training_batches(self, monkeypatch):
+        model, docs = self._trained()
+        plans, plan = [], embedding._plan
+        monkeypatch.setattr(embedding, "_plan", lambda *a: plans.append(1) or plan(*a))
+        # three phase readings of 40 tokens, 60 passes in all: one batch
+        infer_docs(model, [d.tokens for d in docs[:3]], infer_epochs=20, seed=0)
+        assert len(plans) == 1
+        # passes that each reach the batch's token budget: a batch each
+        plans.clear()
+        long = np.resize(docs[0].tokens, embedding._BATCH_TOKENS)
+        infer_docs(model, [long, long[::-1]], infer_epochs=2, seed=0)
+        assert len(plans) == 4
 
     def test_multi_document_inference_shares_one_vector(self):
         model, docs = self._trained()

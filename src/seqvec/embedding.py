@@ -20,9 +20,9 @@ step computes g_r = (label_r - s(o_r.h)) * alpha, moves each row o_r by
 g_r * h and h by sum_r g_r * o_r. The objectives differ only in the rows:
 
 * negative sampling: the target's row (label 1) and n noise rows (label
-  0) drawn from the cumulative count^0.75 table (draws equal to the
-  target are redrawn up to 16 times, then skipped; ``_negative_steps``
-  is that rule, for one step or many);
+  0) drawn from the cumulative count^0.75 table (a draw equal to the
+  target is skipped; ``_negative_steps`` is that rule, for one step or
+  many);
 * hierarchical softmax: the inner nodes of the target's Huffman path,
   each labelled 1 - its code bit.
 
@@ -37,12 +37,12 @@ each epoch's document permutation into batches of ``_LANES`` documents,
 fewer once a batch holds ``_BATCH_TOKENS`` tokens, and a batch is planned
 in bulk (``_plan``): the window widths of all its documents in one draw,
 then every step's context, contributor count and scored rows, from the
-same random stream (draws that hit their target are replayed one step at
-a time). A plan gives every step the objective's K slots of output rows
-(1 + n under negative sampling, the longest Huffman path under
-hierarchical softmax) with the count of those it scores; the rest hold
-row 0 with label 0. ``_hidden`` builds the steps' h from the plan, for
-the lanes a step at a time and for ``loss_estimate`` a chunk at a time.
+same random stream (all the noise draws in one call). A plan gives every
+step the objective's K slots of output rows (1 + n under negative
+sampling, the longest Huffman path under hierarchical softmax) with the
+count of those it scores; the rest hold row 0 with label 0. ``_hidden``
+builds the steps' h from the plan, for the lanes a step at a time and for
+``loss_estimate`` a chunk at a time.
 The batch's steps are then cut into lanes of equal length, at
 most ``_LANES`` of them plus one shorter piece per document; a long
 document gives several lanes, which share its row of D. Lanes run
@@ -117,9 +117,6 @@ for _const in (_CLIP_LO, _CLIP_HI, _ONE):
 
 #: The largest integer settings a model file holds (u32 counts, a u64 seed).
 _U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
-
-#: Steps ``_negative_steps`` checks at once for a draw that hits its target.
-_HIT_SCAN = 256
 
 #: Lanes trained in lockstep (``_train_lanes``), and the most documents a
 #: batch of them holds; 1 trains documents one by one.
@@ -244,9 +241,8 @@ def draw_negatives(
 ) -> np.ndarray:
     """n indices from the cumulative sampling table, avoiding ``target``.
 
-    The one-step case of ``_negative_steps``: a draw that hits the target
-    is redrawn up to 16 times and skipped if still colliding, so the
-    result can be shorter than n.
+    The one-step case of ``_negative_steps``: a draw equal to the target
+    is skipped, so the result can be shorter than n.
     """
     rows, k = _negative_steps(table, n, np.array([target]), rng)
     return rows[0, 1 : k[0]]
@@ -257,52 +253,18 @@ def _negative_steps(table, n, targets, rng):
 
     Returns ``(rows, k)``: step s scores ``rows[s, :k[s]]`` of its (1 + n)
     row slots, its target and then the noise rows drawn from the cumulative
-    ``table``. A draw that hits the step's target is redrawn up to 16 times
-    and skipped if still colliding, so a step can score fewer rows; its
-    unused slots hold row 0. ``rng`` is consumed as a loop that drew at each
-    step would consume it: n draws per step, then that step's redraws. All
-    steps' draws are taken in one call and kept in bulk up to the next step
-    with a draw that hits its target. That step alone is replayed, its
-    redraws taken from the draws that follow, which are topped up from
-    ``rng`` only when they run out; the steps after it take their draws
-    shifted by as many. So the generator ends in the same state.
+    ``table``. One ``rng.random`` call draws n for every step, in step
+    order, and a draw equal to its step's target is skipped (as word2vec
+    does), so a step can score fewer rows: its kept draws come first, in
+    draw order, and its unused slots hold row 0.
     """
-    S = len(targets)
-    buf = np.searchsorted(table, rng.random(n * S), side="right")
-    rows = np.zeros((S, 1 + n), dtype=np.intp)
+    draws = np.searchsorted(table, rng.random((len(targets), n)), side="right")
+    keep = draws != targets[:, None]
+    kept = keep.sum(axis=1)
+    rows = np.zeros((len(targets), 1 + n), dtype=np.intp)
     rows[:, 0] = targets
-    k = np.full(S, 1 + n, dtype=np.intp)
-    if not (buf.reshape(S, n) == targets[:, None]).any():
-        rows[:, 1:] = buf.reshape(S, n)
-        return rows, k
-    s = at = 0  # the next step, and where its draws start in buf
-    while s < S:
-        m = min(S - s, _HIT_SCAN)
-        if at + n * m > len(buf):  # redraws used up the buffer's tail
-            u = rng.random(at + n * m - len(buf))
-            buf = np.concatenate((buf, np.searchsorted(table, u, side="right")))
-        block = buf[at : at + n * m].reshape(m, n)
-        hit = (block == targets[s : s + m, None]).any(axis=1)
-        clear = int(hit.argmax()) if hit.any() else m
-        rows[s : s + clear, 1:] = block[:clear]
-        s, at = s + clear, at + n * clear
-        if clear == m:
-            continue
-        t, draws, at = int(targets[s]), buf[at : at + n].tolist(), at + n
-        noise = []
-        for j in draws:
-            attempts = 0
-            while j == t and attempts < 16:
-                if at == len(buf):
-                    u = rng.random()
-                    buf = np.append(buf, np.searchsorted(table, u, side="right"))
-                j, at, attempts = int(buf[at]), at + 1, attempts + 1
-            if j != t:
-                noise.append(j)
-        rows[s, 1 : 1 + len(noise)] = noise
-        k[s] = 1 + len(noise)
-        s += 1
-    return rows, k
+    rows[:, 1:][np.arange(n) < kept[:, None]] = draws[keep]
+    return rows, 1 + kept
 
 
 class _Objective:
@@ -573,7 +535,7 @@ def _ragged_gradient(gradient, h, vecs, labels, alpha, k):
     """
     g = np.zeros(labels.shape, dtype=np.float32)
     e = np.empty_like(h)
-    for rows in np.unique(k).tolist():
+    for rows in sorted(set(k.tolist())):  # np.unique imports numpy.ma (~2 MB)
         i = np.flatnonzero(k == rows)
         g[i, :rows], e[i] = gradient(h[i], vecs[i, :rows], labels[i, :rows], alpha[i])
     return g, e
@@ -721,7 +683,7 @@ def loss_estimate(
             h = _hidden(cfg.architecture, D, W, p, tag, s0, s1).astype(np.float64)
             rows, labels, k = p.rows[s0:s1], p.labels[s0:s1], p.k[s0:s1]
             losses = np.empty(len(k))
-            for n in np.unique(k).tolist():
+            for n in sorted(set(k.tolist())):
                 i = np.flatnonzero(k == n)
                 x = np.matmul(O[rows[i, :n]].astype(np.float64), h[i, :, None])[:, :, 0]
                 losses[i] = _loss_terms(x, labels[i, :n]).sum(axis=1)
@@ -746,9 +708,9 @@ def infer_docs(
     token lists (default: twice the training epochs) at the training
     learning-rate schedule (``_alpha``). The passes are planned in
     training's batches (``_batches``) and walked in order, a chunk at a time.
-    Token ids outside the vocabulary are dropped, and ids that are not
-    integers (bools among them) are a ``DataError``; multiple documents
-    (the phase readings of one sequence) share the single inferred vector.
+    Out-of-vocabulary ids are dropped; a token list that is not flat, or
+    holds ids that are not integers (bools among them), is a ``DataError``.
+    Several documents (one sequence's phase readings) share the one vector.
     Only document architectures (dm, dbow) support inference.
     """
     cfg = model.config
@@ -763,9 +725,12 @@ def infer_docs(
     V = len(model.vocab)
     kept = []
     for i, tl in enumerate(token_lists):
-        ids = np.asarray(tl)
+        try:
+            ids = np.asarray(tl)
+        except ValueError:  # a ragged nested list
+            raise DataError(f"token list {i} is not a flat list of ids") from None
         if ids.dtype.kind in "iu":  # numpy reads bools among ints as ints
-            ok = (isinstance(tl, np.ndarray) or ids.ndim == 0
+            ok = (isinstance(tl, np.ndarray) or ids.ndim != 1
                   or {bool, np.bool_}.isdisjoint(map(type, tl)))
         else:  # and ids past the int64 range as objects or floats
             ok = not ids.size or all(
@@ -773,6 +738,8 @@ def infer_docs(
                 for t in np.asarray(tl, dtype=object).ravel())
         if not ok:
             raise DataError(f"token list {i} holds ids that are not integers")
+        if ids.ndim != 1:
+            raise DataError(f"token list {i} is not a flat list of ids")
         ids = ids[(ids >= 0) & (ids < V)].astype(np.int32)  # filtered before narrowing
         if len(ids):
             kept.append(ids)

@@ -228,8 +228,8 @@ def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:
     if not lines:
         raise DataError("empty vector file")
     head = lines[0].split()
-    if len(head) != 2 or not all(h.isdecimal() for h in head):
-        raise DataError(f"line 1: expected header 'N d', got {lines[0]!r}")
+    if len(head) != 2 or not all(h.isdecimal() for h in head) or int(head[1]) < 1:
+        raise DataError(f"line 1: expected header 'N d', d >= 1, got {lines[0]!r}")
     n, d = int(head[0]), int(head[1])
     if len(lines) - 1 != n:
         raise DataError(f"header declares {n} vectors but file has {len(lines) - 1}")

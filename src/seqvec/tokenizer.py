@@ -352,8 +352,8 @@ def build_huffman(vocab: Vocabulary) -> HuffmanCoding:
 #
 # One document per line: "doc_tag<SP>phase<SP>kmer kmer ...". Lines
 # starting with '#' are metadata: "#meta k=3 mode=nonoverlap" and one
-# "#doc <tag> <sequence id>" per kept sequence. Every kmer is k letters
-# long, and no kmer or sequence id is longer than MAX_TEXT_BYTES of UTF-8.
+# "#doc <tag> <sequence id>" per kept sequence, an id with no whitespace.
+# Every kmer is k letters long; no kmer or id exceeds MAX_TEXT_BYTES UTF-8.
 # The phase is 0 in overlap mode and in [0, k) in nonoverlap mode.
 # Files without metadata still load; k is then the length of the first
 # kmer and the mode is inferred from the phase fields.
@@ -415,7 +415,10 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
                     tag = int(parts[1])
                 except ValueError as exc:
                     raise DataError(f"line {lineno}: bad doc tag in {line!r}") from exc
-                id_of[tag] = _fitting(parts[2], lineno, "sequence id")
+                rid = _fitting(parts[2], lineno, "sequence id")
+                if rid.split() != [rid]:  # vector files split lines at whitespace
+                    raise DataError(f"line {lineno}: sequence id contains whitespace")
+                id_of[tag] = rid
             continue
         if line.startswith("#"):
             continue

@@ -156,7 +156,10 @@ class TestTrain:
          "line 1: sequence id is longer than 65535 UTF-8 bytes"),
         ("#meta k=3 mode=overlap\n0 1 ACG TTA\n0 2 CGT TAC\n",
          "line 2: phase 1 is not in [0, 1), the phases of mode=overlap with k=3"),
-    ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16", "phase-not-in-mode"])
+        ("#doc 0 my id\n0 0 ACG TTA\n",
+         "line 1: sequence id contains whitespace"),
+    ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16", "phase-not-in-mode",
+            "id-with-whitespace"])
     def test_corpus_no_model_can_serve_is_data_error(self, tmp_path, text, message,
                                                       capsys):
         corpus = tmp_path / "corpus.txt"
@@ -530,6 +533,21 @@ class TestEvaluationCommands:
                    "--folds", "4", "--seed", "0"])
         assert rc == 1
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
+    def test_zero_dimension_vectors_are_data_error(self, eval_files, tmp_path, command,
+                                                   capsys):
+        # knn-eval once exited 2 and svm-eval reported on empty vectors
+        vectors, labels = eval_files
+        ids = [line.split()[0] for line in vectors.read_text().splitlines()[1:]]
+        broken = tmp_path / "empty.txt"
+        broken.write_text(f"{len(ids)} 0\n" + "".join(f"{rid}\n" for rid in ids))
+        out = tmp_path / "report.tsv"
+        rc = main([command, "--vectors", str(broken), "--labels", str(labels),
+                   "--folds", "4", "--seed", "0", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("seqvec: error: line 1: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
     def test_duplicate_vector_id_is_data_error(self, eval_files, tmp_path, command,

@@ -443,14 +443,9 @@ class TestUpdateDistribution:
 
 
 def _ref_draw_negatives(rng, table, target, n):
-    """n draws at once, then each hit on the target redrawn alone up to 16
-    times and skipped if still a hit."""
+    """n draws at once, each one that hits the target skipped."""
     out = []
     for j in np.searchsorted(table, rng.random(n), side="right"):
-        attempts = 0
-        while j == target and attempts < 16:
-            j = np.searchsorted(table, rng.random(), side="right")
-            attempts += 1
         if j != target:
             out.append(j)
     return np.array(out, dtype=np.intp)
@@ -805,7 +800,7 @@ def _ref_batched_infer_docs(model, token_lists, infer_epochs, seed, lanes, batch
 # that stress the planned walk; documents draw their tokens uniformly.
 _PLAN_CASES = {
     # one token holds ~99.9% of the count^0.75 mass: draws keep hitting
-    # the target, most such steps use up all 16 redraws, noise rows repeat
+    # the target, most such steps skip all their draws, noise rows repeat
     "skewed": ([100_000, 3, 2, 2, 1, 1], [1, 2, 9, 30, 14], {}),
     "negative=1": ([5 + i for i in range(10)], [1, 2, 5, 9, 14], {"negative": 1}),
     "negative=9": ([5 + i for i in range(10)], [1, 2, 5, 9, 14], {"negative": 9}),
@@ -1103,7 +1098,7 @@ class TestDrawRuleMatchesReference:
                 assert got.tolist() == want.tolist()
                 assert lib_rng.random() == ref_rng.random()
                 short += len(got) < negative
-        if skewed:  # some draws used up all 16 redraws and were skipped
+        if skewed:  # some draws hit their target and were skipped
             assert short > 0
 
     @pytest.mark.parametrize("hits", [[400], [0], [499], [3, 255, 256, 257, 498]])
@@ -1126,11 +1121,13 @@ class TestDrawRuleMatchesReference:
             assert rows[s, : k[s]].tolist() == want
             assert not rows[s, k[s] :].any()
         assert lib_rng.random() == ref_rng.random()
-        assert np.array_equal(rows[: min(hits), 1:], bulk[: min(hits)])
+        # every step keeps its own n draws of the bulk call, less its target
+        for s, t in enumerate(targets):
+            assert rows[s, 1 : k[s]].tolist() == [j for j in bulk[s] if j != t]
 
     def test_steps_that_lost_draws_are_padded(self):
-        # draws almost always hit target 0, so its steps lose every noise
-        # row after 16 redraws; the steps of targets 1 and 2 lose none
+        # draws almost always hit target 0, so its steps skip every noise
+        # row; the steps of targets 1 and 2 lose none
         vocab = build_vocabulary({"a": 10**9, "b": 1, "c": 1})
         cfg = TrainConfig(negative=3)
         targets = np.array([1, 0, 2, 0, 0, 1], dtype=np.intp)
@@ -1283,12 +1280,22 @@ class TestTrain:
 
 
 class TestLossEstimate:
-    def test_untrained_ns_model_gives_exactly_six_log_two(self):
+    def test_untrained_ns_model_costs_log_two_per_scored_row(self):
+        # O is all zeros, so every scored row costs ln 2; the rows are the
+        # target and the draws that miss it, replayed on the probe's stream
         cfg = TrainConfig(architecture="dm", dim=6, objective="ns", negative=5,
                           seed=0)
         model = init_model(_vocab(6), 2, cfg)
-        value = loss_estimate(model, _repetitive_docs(), probe_seed=1)
-        assert value == pytest.approx(6 * math.log(2), rel=1e-12)
+        docs = _repetitive_docs()
+        value = loss_estimate(model, docs, probe_seed=1)
+        rng = np.random.default_rng([1, 5])
+        toks = np.concatenate([d.tokens for d in docs])
+        rng.integers(1, cfg.window + 1, size=len(toks))  # the batch's widths
+        table = model.vocab.sampling_table
+        rows = [1 + len(_ref_draw_negatives(rng, table, t, cfg.negative))
+                for t in toks.tolist()]
+        assert np.mean(rows) < 6
+        assert value == pytest.approx(math.log(2) * np.mean(rows), rel=1e-12)
 
     def test_pure_given_probe_seed(self):
         cfg = TrainConfig(architecture="sg", dim=4, objective="ns", negative=3,
@@ -1378,6 +1385,14 @@ class TestInference:
         # bools read as 1 and 0, and strings failed inside numpy
         model, docs = self._trained()
         with pytest.raises(DataError, match="token list 1 holds ids that are not integers"):
+            infer_docs(model, [docs[0].tokens, ids], seed=0)
+
+    @pytest.mark.parametrize("ids", [[[0, 1], [2, 3]], [[1, True]], 5, [[0, 1], [2]]])
+    def test_token_lists_that_are_not_flat_rejected(self, ids):
+        # the first three once read as [0, 1, 2, 3], [1, 1] and [5]; numpy
+        # raised its own ValueError for the ragged one
+        model, docs = self._trained()
+        with pytest.raises(DataError, match="token list 1 is not a flat list of ids"):
             infer_docs(model, [docs[0].tokens, ids], seed=0)
 
     def test_empty_lists_and_integers_past_int64_dropped(self):

@@ -221,7 +221,7 @@ class TestVectorText:
         with pytest.raises(DataError, match="line 2: non-numeric"):
             read_vectors("1 2\na 1 x\n")
 
-    @pytest.mark.parametrize("header", ["1 2.0", "one 2", "1 -2"])
+    @pytest.mark.parametrize("header", ["1 2.0", "one 2", "1 -2", "1 0", "0 0"])
     def test_non_integer_header_rejected(self, header):
         with pytest.raises(DataError, match="line 1"):
             read_vectors(f"{header}\na 1 2\n")

@@ -40,16 +40,20 @@ then every step's context, contributor count and scored rows, from the
 same random stream (all the noise draws in one call). A plan gives every
 step the objective's K slots of output rows (1 + n under negative
 sampling, the longest Huffman path under hierarchical softmax) with the
-count of those it scores; the rest hold row 0 with label 0. ``_hidden``
-builds the steps' h from the plan, for the lanes a step at a time and for
-``loss_estimate`` a chunk at a time.
+count k of those it scores; the rest hold row 0 with label 0. Every
+reader works on all K slots: a slot past k takes learning rate 0
+(``_slot_rates``), so it moves no row, and is left out of the probe's
+loss. So the SGD is that over each step's k rows, and every step of a
+model has the same shape. ``_hidden`` builds the steps' h from the plan, for the lanes a
+step at a time and for ``loss_estimate`` a chunk at a time.
 The batch's steps are then cut into lanes of equal length, at
 most ``_LANES`` of them plus one shorter piece per document; a long
 document gives several lanes, which share its row of D. Lanes run
-longest first. Step p runs the p-th step of every lane that has one: it
-reads D, W and O as step p - 1 left them, then adds all of its updates,
-repeated rows summed in lane order, one ``np.add.at`` per matrix over
-the flat indices of the elements it writes (``_add_rows``). So each
+longest first. Step p runs the p-th step of every lane that has one, in
+one gradient call: it reads D, W and O as step p - 1 left them, then
+adds all of its updates, repeated rows summed in lane order, one
+``np.add.at`` per matrix over the flat indices of the elements it writes
+(``_add_rows``; a padded slot adds +-0 to row 0 of O). So each
 lane sees its own earlier steps but not the other lanes' step p, a
 synchronous form of HogBatch minibatching (Ji et al. 2016), and training
 stays bit-deterministic for a fixed seed. One lane is the sequential
@@ -301,15 +305,16 @@ class _Objective:
 
     @staticmethod
     def gradient(h, vecs, labels, alpha):
-        """``(g, e)`` at h over the scored rows ``vecs``.
+        """``(g, e)`` at h over the rows ``vecs`` of a step's K slots.
 
         g = (labels - s(vecs @ h)) * alpha and e = g @ vecs = -alpha * grad_h,
         with s(x) = 1 / (1 + exp(-clip(x, -30, 30))) in float32, computed
-        in place on the scores. One step has h of shape (d,), ``vecs`` (k, d),
-        labels (k,) and ``alpha`` a float32 array of shape (). Lanes stack A
-        steps that score k rows each: h (A, d), ``vecs`` (A, k, d), labels
-        (A, k) and alpha (A, 1). Each lane's products are those of its own
-        step, bit for bit (one BLAS gemv per lane either way).
+        in place on the scores; ``alpha`` is float32 and per slot, 0 in a
+        slot the step does not score (``_slot_rates``), whose g is then 0.
+        One step has h of shape (d,), ``vecs`` (K, d), labels and alpha
+        (K,). Lanes stack A steps: h (A, d), ``vecs`` (A, K, d), labels and
+        alpha (A, K). Each lane's products are those of its own step, bit
+        for bit (one BLAS gemv per lane either way).
         """
         if vecs.ndim == 2:
             g = vecs.dot(h)
@@ -336,10 +341,12 @@ def _loss_terms(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class _Plan(NamedTuple):
     """One pass over some documents, drawn before it runs (see ``_plan``).
 
-    Step s belongs to document ``doc[s]`` and scores the output rows
-    ``rows[s, :k[s]]`` with the labels alike (see
-    ``_Objective.scored_steps``), at a hidden vector h made from its
-    contributing rows (``_hidden``): the document row (dbow), the word row
+    Step s belongs to document ``doc[s]``. It has the objective's K slots
+    of output rows ``rows[s]``, with labels alike, and scores the first
+    ``k[s]`` (see ``_Objective.scored_steps``); the others hold row 0 and
+    label 0, and its readers give them rate 0 (``_slot_rates``). Its hidden
+    vector h is made from its contributing rows (``_hidden``): the document
+    row (dbow), the word row
     ``words[s]`` (sg), or the mean of the context word rows
     ``ctx[s][valid[s]]`` (cbow) and of those and the document row (dm),
     ``n[s]`` (float32) rows in all. The steps of each document are
@@ -363,6 +370,14 @@ class _Plan(NamedTuple):
         step = max(1, _GATHER_CELLS // (width * d))
         S = len(self.k)
         return [(s0, min(S, s0 + step)) for s0 in range(0, S, step)]
+
+
+def _slot_rates(alphas, p):
+    """Each step's float32 learning rate in each of its K slots: its
+    document's rate ``alphas[p.doc[s]]`` in the first k, which it scores,
+    and 0 in the rest, so that those move no row."""
+    live = np.arange(p.rows.shape[1]) < p.k[:, None]
+    return np.asarray(alphas, dtype=np.float32)[p.doc, None] * live
 
 
 def _plan(arch, docs, window, obj, rng):
@@ -475,20 +490,16 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     for i, a in enumerate(fields):
         fields[i] = None if a is None else a[order]
     p = _Plan(*fields)
-    rows, labels, k = p.rows, p.labels, p.k
+    rows, labels = p.rows, p.labels
+    rates = _slot_rates(alphas, p)
     last = np.subtract(bounds[1:], 1)  # each step's last lane
     tag = np.asarray(tags, dtype=np.intp)[p.doc]
-    alpha = np.asarray(alphas, dtype=np.float32)[p.doc, None]
     O, gradient = obj.O, obj.gradient
     K, d = rows.shape[1], O.shape[1]
-    # steps whose lanes all score K rows take one gradient call over them
-    full = (np.minimum.reduceat(k, bounds[:-1]) == K).tolist()
-    scored = np.arange(K) < k[:, None]
     # each matrix's writes go to its flat view (``train`` keeps D, W and O
-    # C-contiguous), row r starting at element r * d (``_add_rows``)
-    at = rows[scored]
-    at *= d  # in place, so the scored rows are copied once
-    writes = [(O, at, [0, *np.cumsum(k)[last].tolist()])]
+    # C-contiguous), row r starting at element r * d (``_add_rows``); every
+    # slot writes O, a padded one adding +-0 to row 0
+    writes = [(O, rows.reshape(-1) * d, [K * b for b in bounds])]
     if p.ctx is not None:
         width = p.valid.sum(axis=1)
         writes.append((W, p.ctx[p.valid] * d, [0, *np.cumsum(width)[last].tolist()]))
@@ -500,14 +511,8 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     cols = np.arange(d)
     for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
         h = _hidden(arch, D, W, p, tag, b0, b1)
-        vecs = O.take(rows[b0:b1], axis=0)
-        if full[s]:
-            g, e = gradient(h, vecs, labels[b0:b1], alpha[b0:b1])
-            vals = [g[:, :, None] * h[:, None, :]]
-        else:
-            g, e = _ragged_gradient(gradient, h, vecs, labels[b0:b1], alpha[b0:b1],
-                                    k[b0:b1])
-            vals = [(g[:, :, None] * h[:, None, :])[scored[b0:b1]]]
+        g, e = gradient(h, O.take(rows[b0:b1], axis=0), labels[b0:b1], rates[b0:b1])
+        vals = [g[:, :, None] * h[:, None, :]]
         if p.ctx is not None:
             e = e / p.n[b0:b1, None]
             vals.append(np.repeat(e, width[b0:b1], axis=0))
@@ -524,21 +529,6 @@ def _add_rows(flat, at, cols, vals):
     given M's flat view, ``at`` = ids * d and ``cols`` = arange(d): each
     element's values in entry order, on numpy's fast path for 1-D indices."""
     np.add.at(flat, (at[:, None] + cols).ravel(), vals.ravel())
-
-
-def _ragged_gradient(gradient, h, vecs, labels, alpha, k):
-    """``gradient`` over lanes that score ``k[i]`` of their padded rows each.
-
-    Lanes that score alike share one call: BLAS sums a lane's products in
-    an order that depends on the row count, so padding would change bits.
-    The padding's g is 0.
-    """
-    g = np.zeros(labels.shape, dtype=np.float32)
-    e = np.empty_like(h)
-    for rows in sorted(set(k.tolist())):  # np.unique imports numpy.ma (~2 MB)
-        i = np.flatnonzero(k == rows)
-        g[i, :rows], e[i] = gradient(h[i], vecs[i, :rows], labels[i, :rows], alpha[i])
-    return g, e
 
 
 def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
@@ -666,10 +656,10 @@ def loss_estimate(
     (``_batches``); window widths and negative draws come from a generator
     seeded with ``probe_seed``, so repeated calls on an unchanged model
     return the identical value. Each batch is planned at once (``_plan``)
-    and scored a chunk at a time (``_Plan.chunks``): the steps that score
-    k rows share one stacked matmul over the first k of their padded rows
-    and one row-wise sum, which give each step the bits of its own float64
-    gemv and sum. The step losses are then added in walk order.
+    and scored a chunk at a time (``_Plan.chunks``): one stacked float64
+    matmul over the steps' K slots and one row-wise sum with the terms past
+    each step's k zeroed, which give each step the bits of its own gemv
+    and sum over K slots. The step losses are then added in walk order.
     """
     _check_docs(model, docs)
     cfg, D, W, O = model.config, model.D, model.W, model.O
@@ -679,17 +669,15 @@ def loss_estimate(
     for toks, tags in _batches((doc.tokens, doc.doc_tag) for doc in docs):
         p = _plan(cfg.architecture, toks, cfg.window, obj, rng)
         tag = np.asarray(tags, dtype=np.intp)[p.doc]
+        live = _slot_rates([1.0] * len(toks), p)  # 1 in the scored slots, else 0
         for s0, s1 in p.chunks(model.dim):
             h = _hidden(cfg.architecture, D, W, p, tag, s0, s1).astype(np.float64)
-            rows, labels, k = p.rows[s0:s1], p.labels[s0:s1], p.k[s0:s1]
-            losses = np.empty(len(k))
-            for n in sorted(set(k.tolist())):
-                i = np.flatnonzero(k == n)
-                x = np.matmul(O[rows[i, :n]].astype(np.float64), h[i, :, None])[:, :, 0]
-                losses[i] = _loss_terms(x, labels[i, :n]).sum(axis=1)
+            x = np.matmul(O.take(p.rows[s0:s1], axis=0).astype(np.float64),
+                          h[:, :, None])[:, :, 0]
+            losses = (_loss_terms(x, p.labels[s0:s1]) * live[s0:s1]).sum(axis=1)
             for loss in losses.tolist():
                 total += loss
-            count += len(k)
+            count += s1 - s0
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
     return total / count
@@ -757,17 +745,15 @@ def infer_docs(
     passes = ((t, _alpha(cfg, d, total)) for t, d in zip(schedule, done))
     for toks, alphas in _batches(passes):
         p = _plan(arch, toks, cfg.window, obj, rng)
-        rates = [np.array(a, dtype=np.float32) for a in alphas]
-        alpha = [rates[i] for i in p.doc.tolist()]  # each step's pass's rate
+        rates = _slot_rates(alphas, p)
         for s0, s1 in p.chunks(cfg.dim):
-            steps = zip(O.take(p.rows[s0:s1], axis=0), p.labels[s0:s1],
-                        p.k[s0:s1].tolist(), alpha[s0:s1])
+            steps = zip(O.take(p.rows[s0:s1], axis=0), p.labels[s0:s1], rates[s0:s1])
             if arch == "dbow":  # h is the document row
-                for vecs, labels, k, a in steps:
-                    doc += gradient(doc, vecs[:k], labels[:k], a)[1]
+                for vecs, labels, a in steps:
+                    doc += gradient(doc, vecs, labels, a)[1]
                 continue
             sums = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
-            for (vecs, labels, k, a), ctx_sum, n in zip(steps, sums, p.n[s0:s1]):
+            for (vecs, labels, a), ctx_sum, n in zip(steps, sums, p.n[s0:s1]):
                 h = (ctx_sum + doc) / n
-                doc += gradient(h, vecs[:k], labels[:k], a)[1] / n
+                doc += gradient(h, vecs, labels, a)[1] / n
     return doc

@@ -21,7 +21,8 @@ on load. So is the alpha_min slot: it holds alpha0 / 10000, which
 save_model writes and load_model ignores, so a file with another value
 there loads with the derived one. Every read checks remaining bytes
 first, so a truncated file is rejected with the offending byte offset
-instead of producing a partial model. The text vector format is a
+instead of producing a partial model; so are a token count above 2**63 - 1
+and a non-finite matrix entry. The text vector format is a
 "N d" header line followed by one "id v1 ... vd" line per vector.
 
 Tokenizer settings ride inside the model on purpose: inference must
@@ -190,7 +191,11 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
     counts = np.empty(V, dtype=np.int64)
     for i in range(V):
         tokens.append(r.text(f"token {i}"))
-        (counts[i],) = r.unpack(_U64, f"token {i} count")
+        (count,) = r.unpack(_U64, f"token {i} count")
+        if count >= 2**63:  # save_model writes counts from an int64 array
+            raise ModelFormatError(
+                f"token {i} count {count} at byte {r.off - 8} exceeds 2**63 - 1")
+        counts[i] = count
     try:
         vocab = Vocabulary(tokens, counts, min_count=min_count)
     except ValueError as exc:
@@ -201,7 +206,12 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
 
     def matrix(rows: int, what: str) -> np.ndarray:
         raw = r.take(rows * dim * 4, what)
-        return np.frombuffer(raw, dtype="<f4").reshape(rows, dim).copy()
+        M = np.frombuffer(raw, dtype="<f4").reshape(rows, dim)
+        bad = np.flatnonzero(~np.isfinite(M))
+        if len(bad):
+            raise ModelFormatError(f"{what} row {bad[0] // dim} has a non-finite "
+                                   f"value at byte {r.off - len(raw) + 4 * bad[0]}")
+        return M.copy()
 
     D = matrix(N, "document matrix")
     W = matrix(V, "word matrix")

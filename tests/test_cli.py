@@ -730,7 +730,7 @@ def every_input(tiny_dataset, tmp_path_factory):
     matrix = root / "matrix.txt"
     matrix.write_text("   A  C  D\nA  2 -1  0\nC -1  2 -3\nD  0 -3  5\n")
     files = {"fasta": fasta, "corpus": corpus, "labels": labels, "vectors": vectors,
-             "matrix": matrix}
+             "matrix": matrix, "model": model}
     out = tmp_path_factory.mktemp("outputs")
 
     def argv(command, kind, path):
@@ -742,8 +742,11 @@ def every_input(tiny_dataset, tmp_path_factory):
                          "--output", str(out / "corpus.txt")],
             "train": ["train", "--corpus", str(paths["corpus"]), "--dim", "4",
                       "--epochs", "1", "--output", str(out / "model.bin")],
-            "infer": ["infer", "--model", str(model), "--input", str(paths["fasta"]),
-                      "--epochs", "1", "--output", str(out / "inferred.txt")],
+            "vectors": ["vectors", "--model", str(paths["model"]), "--output",
+                        str(out / "vectors.txt")],
+            "infer": ["infer", "--model", str(paths["model"]), "--input",
+                      str(paths["fasta"]), "--epochs", "1", "--output",
+                      str(out / "inferred.txt")],
             "knn-eval": ["knn-eval", *evaluate, "--k", "1,3"],
             "svm-eval": ["svm-eval", *evaluate, "--top-n", "2"],
             "align-knn": ["align-knn", "--db", str(paths["fasta"]), "--labels",
@@ -807,3 +810,33 @@ class TestInputFiles:
         if rc:
             assert err.getvalue().splitlines()[-1].startswith(
                 ("seqvec: error: ", "seqvec: usage error: "))
+
+    @pytest.mark.parametrize("command", ["vectors", "infer"])
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_model_files_exit_cleanly(self, every_input, command, data):
+        # the binary model file: one byte overwritten, 1-8 bytes inserted or
+        # deleted, or the file cut short; an exit code out, never an exception
+        files, argv, out = every_input
+        blob = files["model"].read_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1))
+        edit = data.draw(st.sampled_from(["overwrite", "insert", "delete", "truncate"]))
+        if edit == "overwrite":
+            blob = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1 :]
+        elif edit == "insert":
+            blob = blob[:at] + data.draw(st.binary(min_size=1, max_size=8)) + blob[at:]
+        elif edit == "delete":
+            blob = blob[:at] + blob[at + data.draw(st.integers(1, 8)) :]
+        else:
+            blob = blob[:at]
+        mutated = out / "mutated.bin"
+        mutated.write_bytes(blob)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = main(argv(command, "model", mutated))
+        assert rc in (0, 1, 2)
+        diagnostics = [line for line in err.getvalue().splitlines()
+                       if line.startswith(("seqvec: error: ", "seqvec: usage error: "))]
+        assert len(diagnostics) == (rc != 0)
+        assert "Traceback" not in err.getvalue()

@@ -206,7 +206,10 @@ class TestObjectiveGradient:
 
     @pytest.mark.parametrize("objective", ["ns", "hs"])
     def test_training_step_takes_the_checked_gradient_step(self, objective):
-        # 3 tokens and 6 noise draws: under ns the negatives must repeat
+        # 3 tokens and 6 noise draws: under ns the negatives must repeat, and
+        # here two hit the target and are skipped; under hs the target's path
+        # is shorter than the longest. So the step has padded slots (row 0,
+        # rate 0), and every row of O, row 0 included, is checked below.
         cfg = TrainConfig(architecture="dbow", dim=5, objective=objective,
                           negative=6, seed=0)
         model = init_model(_vocab(3), 1, cfg)
@@ -214,11 +217,15 @@ class TestObjectiveGradient:
         model.O[:] = 0.5 * rng.normal(size=model.O.shape)
         model.D[0] = 0.5 * rng.normal(size=5)
         h = model.D[0].copy()
-        alpha, target = 0.1, 1
+        alpha, target = 0.1, 2
         negs = draw_negatives(np.random.default_rng(5), model.vocab.sampling_table,
                               target, cfg.negative)
         if objective == "ns":
             assert len(np.unique(negs)) < len(negs)
+            assert len(negs) < cfg.negative  # k = 1 + len(negs) < K = 1 + n
+        else:
+            lengths = model.vocab.huffman.lengths
+            assert lengths[target] < lengths.max()
         _, grad_h, row_grads = objective_gradient(h, target, model, negatives=negs)
 
         before = model.O.copy()
@@ -452,35 +459,48 @@ def _ref_draw_negatives(rng, table, target, n):
 
 
 class _RefObjective:
-    """The objective at one target: its scored rows, SGD step and loss."""
+    """The objective at one target: its scored rows, SGD step and loss.
+
+    A step is padded to the objective's K slots (1 + n under negative
+    sampling, the longest Huffman path under hierarchical softmax) with row
+    0, label 0 and learning rate 0, and its padded slots are left out of
+    the loss.
+    """
 
     def __init__(self, model):
         cfg, vocab = model.config, model.vocab
         self.O, self.hs, self.n = model.O, cfg.objective == "hs", cfg.negative
         self.table = vocab.sampling_table
         self.huffman = vocab.huffman if self.hs else None
+        self.K = max(map(len, self.huffman.paths)) if self.hs else 1 + self.n
 
     def scored(self, target, rng):
+        """The K padded rows and labels, and each slot's weight: 1 if scored."""
         if self.hs:
-            return self.huffman.paths[target], self.huffman.targets[target]
-        negs = _ref_draw_negatives(rng, self.table, target, self.n)
-        labels = np.zeros(1 + len(negs), dtype=np.float32)
-        labels[0] = 1.0
-        return np.concatenate(([target], negs)).astype(np.intp), labels
+            rows, labels = self.huffman.paths[target], self.huffman.targets[target]
+        else:
+            rows = np.concatenate(([target], _ref_draw_negatives(rng, self.table, target,
+                                                                 self.n)))
+            labels = np.zeros(len(rows))
+            labels[0] = 1.0
+        pad = self.K - len(rows)
+        live = np.float32([1.0] * len(rows) + [0.0] * pad)
+        return (np.pad(rows, (0, pad)).astype(np.intp),
+                np.pad(labels, (0, pad)).astype(np.float32), live)
 
     def apply(self, h, target, alpha, rng, learn_hidden=True):
         """SGD step at (h, target); returns the h-update -alpha * grad_h."""
-        rows, labels = self.scored(target, rng)
+        rows, labels, live = self.scored(target, rng)
         g, e = _Objective.gradient(h, self.O[rows], labels,
-                                   np.array(alpha, dtype=np.float32))
+                                   np.array(alpha, dtype=np.float32) * live)
         if learn_hidden:
             np.add.at(self.O, rows, g[:, None] * h)
         return e
 
     def loss(self, h, target, rng):
-        rows, labels = self.scored(target, rng)
+        rows, labels, live = self.scored(target, rng)
         x = self.O[rows].astype(np.float64) @ np.asarray(h, dtype=np.float64)
-        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * x).sum())
+        return float((np.logaddexp(0.0, (1.0 - 2.0 * labels) * x) * live).sum())
 
 
 def _ref_context(toks, pos, c):
@@ -608,7 +628,7 @@ def _ref_lockstep(arch, model, obj, batch, lanes, window, rng):
         for steps, tag, alpha in runs:
             if p >= len(steps):
                 continue
-            src, (rows, labels) = steps[p]
+            src, (rows, labels, live) = steps[p]
             if arch == "dbow":
                 h = D0[tag]
             elif arch == "sg":
@@ -617,7 +637,7 @@ def _ref_lockstep(arch, model, obj, batch, lanes, window, rng):
                 nc = np.float32(len(src) + (arch == "dm"))
                 h = W0[src].sum(axis=0) + D0[tag] if arch == "dm" else W0[src].sum(axis=0)
                 h = h / nc
-            g, e = _Objective.gradient(h, O0[rows], labels, alpha)
+            g, e = _Objective.gradient(h, O0[rows], labels, alpha * live)
             writes.append((O, rows, g[:, None] * h))
             if arch in ("dm", "cbow"):
                 e = e / nc

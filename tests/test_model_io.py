@@ -182,6 +182,32 @@ class TestModelRejection:
                            match=f"vocabulary size {size} at byte {at}$"):
             load_model(bytes(blob))
 
+    def test_token_count_beyond_int64_rejected_with_its_offset(self):
+        # it used to escape as a raw OverflowError
+        blob = bytearray(_bytes_of(_trained_model()))
+        at = blob.index(b"km2") + 3  # token 2's u64 count follows its text
+        blob[at : at + 8] = (2**63).to_bytes(8, "little")
+        with pytest.raises(ModelFormatError,
+                           match=f"token 2 count {2**63} at byte {at} exceeds"):
+            load_model(bytes(blob))
+        blob[at : at + 8] = (2**63 - 1).to_bytes(8, "little")
+        assert load_model(bytes(blob)).vocab.counts[2] == 2**63 - 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("matrix, row", [("D", 0), ("W", 4), ("O", 6)])
+    def test_non_finite_matrix_entry_rejected_with_its_row(self, matrix, row, value):
+        # the last float of each named row; O's is the file's last float
+        model = _trained_model()
+        getattr(model, matrix)[row, -1] = value
+        blob = _bytes_of(model)
+        at = blob.index(getattr(model, matrix)[row].astype("<f4").tobytes()) + 4 * 5
+        assert matrix != "O" or at == len(blob) - 4
+        what = {"D": "document", "W": "word", "O": "output"}[matrix]
+        with pytest.raises(ModelFormatError,
+                           match=f"{what} matrix row {row} has a non-finite value "
+                                 f"at byte {at}$"):
+            load_model(blob)
+
 
 class TestVectorText:
     def test_round_trip_preserves_float32_exactly(self):

@@ -23,6 +23,7 @@ from .classify import (
     OneVsRestModel,
     SvmModel,
     binary_family_protocol,
+    binary_family_protocols,
     metrics_from_counts,
     multiclass_protocol,
     one_vs_rest,

@@ -10,8 +10,8 @@ each model is bit-identical to the one its own per-example loop would
 train (the tests keep that loop as the oracle). Two evaluation
 protocols are provided: a per-family binary task against an equal-size
 random negative sample, and a multiclass one-vs-rest task over the most
-populous families. Each trains all of its folds (and classes) in one
-call of the loop. Both report specificity, sensitivity, accuracy and
+populous families. Each trains all of its folds (and classes, or
+families) in one call of the loop. Both report specificity, sensitivity, accuracy and
 precision as mean +/- sample std over stratified cross-validation folds;
 0/0 metrics are left undefined and excluded from the averages with a
 warning rather than coerced to zero.
@@ -43,6 +43,7 @@ __all__ = [
     "svm_objective",
     "one_vs_rest",
     "binary_family_protocol",
+    "binary_family_protocols",
     "binary_eligible_families",
     "multiclass_protocol",
 ]
@@ -414,36 +415,64 @@ def binary_family_protocol(
     Positives are the family's sequences; negatives are a seeded uniform
     sample without replacement from all other labeled sequences. Requires
     at least 10 family members (and at least one per fold); the metrics
-    are averaged over stratified folds.
+    are averaged over stratified folds. The one-family call of
+    ``binary_family_protocols``.
     """
+    return binary_family_protocols(vectors, labels, [family], folds, seed, C)[0]
+
+
+def binary_family_protocols(
+    vectors: Mapping[str, np.ndarray],
+    labels: Mapping[str, str],
+    families: Sequence[str],
+    folds: int = 10,
+    seed: int = 0,
+    C: float = 1.0,
+) -> list[MetricsReport]:
+    """``binary_family_protocol`` for each of ``families``, in order, with
+    every family's folds trained in one ``_pegasos_lanes`` call.
+
+    Each family's chosen rows are stacked into one X and its fits offset
+    to them; its negatives, folds and fit seeds are drawn as for it alone,
+    so each report is the one its own call gives.
+    """
+    if not families:
+        return []
     ids = sorted(i for i in vectors if i in labels)
-    pos_ids = [i for i in ids if labels[i] == family]
     need = _binary_min_members(folds)
-    if len(pos_ids) < need:
-        raise DataError(
-            f"family {family!r} has {len(pos_ids)} members; "
-            f"need >= {need} for {folds}-fold evaluation"
-        )
-    pool = [i for i in ids if labels[i] != family]
-    if len(pool) < len(pos_ids):
-        raise DataError("negative pool smaller than the family")
-
-    rng = np.random.default_rng([seed, 0])
-    neg_ids = rng.choice(np.array(pool), size=len(pos_ids), replace=False).tolist()
-    chosen = pos_ids + neg_ids
+    chosen, ys, fold_ofs = [], [], []
+    for family in families:
+        pos_ids = [i for i in ids if labels[i] == family]
+        if len(pos_ids) < need:
+            raise DataError(
+                f"family {family!r} has {len(pos_ids)} members; "
+                f"need >= {need} for {folds}-fold evaluation"
+            )
+        pool = [i for i in ids if labels[i] != family]
+        if len(pool) < len(pos_ids):
+            raise DataError("negative pool smaller than the family")
+        rng = np.random.default_rng([seed, 0])
+        neg_ids = rng.choice(np.array(pool), size=len(pos_ids), replace=False).tolist()
+        y = np.array([1] * len(pos_ids) + [-1] * len(neg_ids))
+        chosen += pos_ids + neg_ids
+        ys.append(y)
+        fold_ofs.append(stratified_folds(["pos" if v == 1 else "neg" for v in y], folds,
+                                         np.random.default_rng([seed, 1])))
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in chosen])
-    y = np.array([1] * len(pos_ids) + [-1] * len(neg_ids))
-
-    fold_of = stratified_folds(
-        ["pos" if v == 1 else "neg" for v in y], folds, np.random.default_rng([seed, 1])
-    )
-    fits = [_Fit(np.flatnonzero(fold_of != f), y[None, fold_of != f], [seed, 2, f])
-            for f in range(folds)]
-    per_fold = []
-    for f, model in enumerate(_pegasos_lanes(X, fits, C, chosen)):
-        test = fold_of == f
-        per_fold.append(metrics_from_counts(_confusion(model.predict(X[test]), y[test])))
-    return _aggregate(per_fold, f"family {family}: ")
+    starts = np.cumsum([0, *map(len, ys)]).tolist()
+    fits = [_Fit(start + np.flatnonzero(fold_of != f), y[None, fold_of != f], [seed, 2, f])
+            for start, y, fold_of in zip(starts, ys, fold_ofs) for f in range(folds)]
+    models = iter(_pegasos_lanes(X, fits, C, chosen))
+    reports = []
+    for family, start, y, fold_of in zip(families, starts, ys, fold_ofs):
+        Xf = X[start : start + len(y)]
+        per_fold = []
+        for f, model in zip(range(folds), models):
+            test = fold_of == f
+            per_fold.append(metrics_from_counts(_confusion(model.predict(Xf[test]),
+                                                           y[test])))
+        reports.append(_aggregate(per_fold, f"family {family}: "))
+    return reports
 
 
 def multiclass_protocol(

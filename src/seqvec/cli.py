@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model_io
 from .align import BLOSUM62, AlignParams, align_classify, load_substitution_matrix
-from .classify import binary_eligible_families, binary_family_protocol, multiclass_protocol
+from .classify import binary_eligible_families, binary_family_protocols, multiclass_protocol
 from .embedding import ARCHITECTURES, DOC_ARCHITECTURES, TrainConfig, infer_docs
 from .embedding import init_model, loss_estimate, train
 from .errors import ConfigError, DataError
@@ -214,10 +214,10 @@ def cmd_svm_eval(args) -> int:
         if not eligible:
             raise DataError("no family has enough members for the binary protocol")
         lines = ["Family\tSpecificity(%)\tStd\tSensitivity(%)\tStd\tAccuracy(%)\tStd"]
-        for fam in eligible:
-            report = binary_family_protocol(
-                vectors, labels, fam, folds=args.folds, seed=args.seed, C=args.C
-            )
+        reports = binary_family_protocols(
+            vectors, labels, eligible, folds=args.folds, seed=args.seed, C=args.C
+        )
+        for fam, report in zip(eligible, reports):
             lines.append(
                 f"{fam}\t{_fmt(report.specificity)}\t{_fmt(report.sensitivity)}\t"
                 f"{_fmt(report.accuracy)}"

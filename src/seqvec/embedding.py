@@ -20,9 +20,9 @@ step computes g_r = (label_r - s(o_r.h)) * alpha, moves each row o_r by
 g_r * h and h by sum_r g_r * o_r. The objectives differ only in the rows:
 
 * negative sampling: the target's row (label 1) and n noise rows (label
-  0) drawn from the cumulative count^0.75 table (a draw equal to the
-  target is skipped; ``_negative_steps`` is that rule, for one step or
-  many);
+  0) drawn from the cumulative count^0.75 table through its guide table
+  (a draw equal to the target is skipped; ``_negative_steps`` is that
+  rule, for one step or many);
 * hierarchical softmax: the inner nodes of the target's Huffman path,
   each labelled 1 - its code bit.
 
@@ -57,7 +57,10 @@ adds all of its updates, repeated rows summed in lane order, one
 lane sees its own earlier steps but not the other lanes' step p, a
 synchronous form of HogBatch minibatching (Ji et al. 2016), and training
 stays bit-deterministic for a fixed seed. One lane is the sequential
-walk.
+walk. A context slot outside the window reads a row of -0.0 appended to
+W, which changes no sum (or one of +0.0, so that an empty context sums to
++0.0), and the context sums of a step are one gather and one sum over
+its slots.
 
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` trains a fresh document row with W and O left unwritten,
@@ -89,6 +92,7 @@ from .tokenizer import (
     TokenizedDoc,
     TokenizerConfig,
     Vocabulary,
+    guide_table,
     subsample_keep_probs,
 )
 
@@ -96,6 +100,7 @@ __all__ = [
     "ARCHITECTURES",
     "DOC_ARCHITECTURES",
     "OBJECTIVES",
+    "MAX_NEGATIVE",
     "TrainConfig",
     "EmbeddingModel",
     "init_model",
@@ -121,6 +126,11 @@ for _const in (_CLIP_LO, _CLIP_HI, _ONE):
 
 #: The largest integer settings a model file holds (u32 counts, a u64 seed).
 _U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
+
+#: The most noise rows a negative-sampling step draws. A plan holds 1 + n
+#: output rows per step, so the u32 field of a model file alone would let
+#: a file ask training or inference for terabytes.
+MAX_NEGATIVE = 256
 
 #: Lanes trained in lockstep (``_train_lanes``), and the most documents a
 #: batch of them holds; 1 trains documents one by one.
@@ -161,6 +171,8 @@ class TrainConfig:
             raise ConfigError("window must be positive")
         if self.objective == "ns" and self.negative < 1:
             raise ConfigError("negative sample count must be >= 1")
+        if self.negative > MAX_NEGATIVE:
+            raise ConfigError(f"negative sample count must be at most {MAX_NEGATIVE}")
         if not 0 <= self.subsample_t < math.inf:
             raise ConfigError("subsample_t must be finite and nonnegative")
         if self.epochs < 1:
@@ -169,7 +181,7 @@ class TrainConfig:
             raise ConfigError("alpha0 must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        for name in ("dim", "window", "negative", "epochs"):
+        for name in ("dim", "window", "epochs"):
             if getattr(self, name) > _U32_MAX:
                 raise ConfigError(f"{name} must be at most {_U32_MAX}, the model "
                                   "file's limit")
@@ -252,7 +264,7 @@ def draw_negatives(
     return rows[0, 1 : k[0]]
 
 
-def _negative_steps(table, n, targets, rng):
+def _negative_steps(table, n, targets, rng, guide=None):
     """The rows scored at each of ``targets`` under negative sampling.
 
     Returns ``(rows, k)``: step s scores ``rows[s, :k[s]]`` of its (1 + n)
@@ -260,9 +272,17 @@ def _negative_steps(table, n, targets, rng):
     ``table``. One ``rng.random`` call draws n for every step, in step
     order, and a draw equal to its step's target is skipped (as word2vec
     does), so a step can score fewer rows: its kept draws come first, in
-    draw order, and its unused slots hold row 0.
+    draw order, and its unused slots hold row 0. A uniform u draws
+    ``searchsorted(table, u, 'right')``, looked up in the guide table of
+    ``table`` (``tokenizer.guide_table``; derived when ``guide`` is None)
+    and searched for only where its bucket holds a table entry.
     """
-    draws = np.searchsorted(table, rng.random((len(targets), n)), side="right")
+    if guide is None:
+        guide = guide_table(table)
+    u = rng.random((len(targets), n))
+    draws = guide.take((u * len(guide)).astype(np.intp))  # exact: len is 2**m
+    search = draws < 0
+    draws[search] = np.searchsorted(table, u[search], side="right")
     keep = draws != targets[:, None]
     kept = keep.sum(axis=1)
     rows = np.zeros((len(targets), 1 + n), dtype=np.intp)
@@ -282,7 +302,7 @@ class _Objective:
             self.paths, self.path_labels, self.path_lengths = (
                 huffman.path_table, huffman.target_table, huffman.lengths)
         else:
-            self.table, self.n = vocab.sampling_table, cfg.negative
+            self.table, self.guide, self.n = vocab.sampling_table, vocab.guide, cfg.negative
 
     def scored_steps(self, targets, rng):
         """The output rows scored at each of ``targets`` in turn, their labels
@@ -298,7 +318,7 @@ class _Objective:
         if self.hs:
             return (self.paths[targets], self.path_labels[targets],
                     self.path_lengths[targets])
-        rows, k = _negative_steps(self.table, self.n, targets, rng)
+        rows, k = _negative_steps(self.table, self.n, targets, rng, self.guide)
         labels = np.zeros(rows.shape, dtype=np.float32)
         labels[:, 0] = 1.0  # each step's first row is its target
         return rows, labels, k
@@ -346,17 +366,17 @@ class _Plan(NamedTuple):
     ``k[s]`` (see ``_Objective.scored_steps``); the others hold row 0 and
     label 0, and its readers give them rate 0 (``_slot_rates``). Its hidden
     vector h is made from its contributing rows (``_hidden``): the document
-    row (dbow), the word row
-    ``words[s]`` (sg), or the mean of the context word rows
-    ``ctx[s][valid[s]]`` (cbow) and of those and the document row (dm),
-    ``n[s]`` (float32) rows in all. The steps of each document are
-    consecutive and in order.
+    row (dbow), the word row ``words[s]`` (sg), or the mean of the context
+    word rows ``ctx[s]`` (cbow) and of those and the document row (dm),
+    ``n[s]`` (float32) rows in all. A context slot outside the window holds
+    a row that readers append to W (``_with_sentinel``): -1, the -0.0 row,
+    or -2, the +0.0 row, in an empty context. The steps of each document
+    are consecutive and in order.
     """
 
     doc: np.ndarray
     words: np.ndarray | None
     ctx: np.ndarray | None
-    valid: np.ndarray | None
     n: np.ndarray | None
     rows: np.ndarray
     labels: np.ndarray
@@ -398,7 +418,7 @@ def _plan(arch, docs, window, obj, rng):
     doc = np.repeat(np.arange(len(docs)), lengths)
     start = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
     end = start + np.repeat(lengths, lengths)[:, None]
-    words = ctx = valid = n = None
+    words = ctx = n = None
     targets = toks
     if arch != "dbow":
         cs = rng.integers(1, window + 1, size=len(toks))
@@ -406,54 +426,62 @@ def _plan(arch, docs, window, obj, rng):
         offs = np.concatenate((np.arange(-w, 0), np.arange(1, w + 1)))
         at = np.arange(len(toks))[:, None] + offs
         valid = (np.abs(offs) <= cs[:, None]) & (at >= start) & (at < end)
-        ctx = toks.take(at, mode="clip")
+        count = valid.sum(axis=1)
+        ctx = np.where(valid, toks.take(at, mode="clip"),
+                       np.where(count > 0, -1, -2)[:, None])
+        if arch == "cbow":  # positions with no context are skipped
+            has = count > 0
+            ctx, count, targets, doc = ctx[has], count[has], toks[has], doc[has]
         if arch == "sg":
             pos, slot = np.nonzero(valid)
             words, targets, doc = toks[pos], ctx[pos, slot], doc[pos]
-            ctx = valid = None
+            ctx = None
         else:
-            count = valid.sum(axis=1)
-            if arch == "cbow":  # positions with no context are skipped
-                has = count > 0
-                ctx, valid, count, targets, doc = (ctx[has], valid[has], count[has],
-                                                   toks[has], doc[has])
             n = (count + (arch == "dm")).astype(np.float32)
-    return _Plan(doc, words, ctx, valid, n, *obj.scored_steps(targets, rng))
+    return _Plan(doc, words, ctx, n, *obj.scored_steps(targets, rng))
 
 
-def _context_sums(W, ctx, valid):
-    """``W[c[v]].sum(axis=0)`` for each row c, v of ``ctx``, ``valid``, bit for bit.
+def _with_sentinel(W):
+    """W's rows, then a row of +0.0 (-2) and one of -0.0 (-1), which the
+    context slots outside the window read (``_Plan``)."""
+    Wx = np.empty((len(W) + 2, W.shape[1]), dtype=W.dtype)
+    Wx[:-2] = W
+    Wx[-2] = 0.0
+    Wx[-1] = -0.0
+    return Wx
 
-    The gathered rows are summed in order with -0.0 in the invalid slots,
-    which changes no sum, and an empty context sums to +0.0.
+
+def _context_sums(Wx, ctx):
+    """``W[c[c >= 0]].sum(axis=0)`` for each row c of ``ctx``, bit for bit,
+    given Wx = ``_with_sentinel(W)``.
+
+    The gathered rows are summed slot by slot: the -0.0 that a slot outside
+    the window reads changes no sum, and an empty context sums the +0.0 of
+    its slots.
     """
-    if W.shape[1] == 1:  # numpy sums 8 or more one-element rows pairwise
-        return np.array([W[c[v]].sum(axis=0) for c, v in zip(ctx, valid)],
-                        dtype=W.dtype).reshape(len(ctx), 1)
-    G = W.take(ctx, axis=0)
-    G[~valid] = -0.0
-    sums = G.sum(axis=1)
-    sums[~valid.any(axis=1)] = 0.0
-    return sums
+    if Wx.shape[1] == 1:  # numpy sums 8 or more one-element rows pairwise
+        return np.array([Wx[c[c >= 0]].sum(axis=0) for c in ctx],
+                        dtype=Wx.dtype).reshape(len(ctx), 1)
+    return Wx.take(ctx.T, axis=0).sum(axis=0)
 
 
-def _hidden(arch, D, W, p, tag, s0, s1):
+def _hidden(arch, D, Wx, p, tag, s0, s1):
     """The hidden vectors h (float32) of the plan's steps s0..s1-1, step s
     reading the row D[tag[s]]: the word row (sg), the document row (dbow),
     or the mean of the context word rows (cbow) and of those and the
-    document row (dm)."""
+    document row (dm). Wx is ``_with_sentinel(W)``."""
     if p.words is not None:
-        return W.take(p.words[s0:s1], axis=0)
+        return Wx.take(p.words[s0:s1], axis=0)
     if p.ctx is None:
         return D.take(tag[s0:s1], axis=0)
-    h = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+    h = _context_sums(Wx, p.ctx[s0:s1])
     if arch == "dm":
         h += D.take(tag[s0:s1], axis=0)
     h /= p.n[s0:s1, None]
     return h
 
 
-def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
+def _train_lanes(arch, D, Wx, obj, docs, tags, alphas, window, rng):
     """One training pass over each token array in ``docs``, in lockstep.
 
     Document i updates the row D[tags[i]] at learning rate ``alphas[i]``.
@@ -465,6 +493,7 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     as step p - 1 left them. Its writes are added after them, each row's in
     lane order and, within a lane, in the order of the step's rows, as
     ``np.add.at`` sums them. One lane is the sequential walk, step by step.
+    W is read and written as the first V rows of Wx = ``_with_sentinel(W)``.
     """
     p = _plan(arch, docs, window, obj, rng)
     S = len(p.doc)
@@ -496,21 +525,22 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
     tag = np.asarray(tags, dtype=np.intp)[p.doc]
     O, gradient = obj.O, obj.gradient
     K, d = rows.shape[1], O.shape[1]
-    # each matrix's writes go to its flat view (``train`` keeps D, W and O
+    # each matrix's writes go to its flat view (``train`` keeps D, Wx and O
     # C-contiguous), row r starting at element r * d (``_add_rows``); every
     # slot writes O, a padded one adding +-0 to row 0
     writes = [(O, rows.reshape(-1) * d, [K * b for b in bounds])]
     if p.ctx is not None:
-        width = p.valid.sum(axis=1)
-        writes.append((W, p.ctx[p.valid] * d, [0, *np.cumsum(width)[last].tolist()]))
+        valid = p.ctx >= 0
+        width = valid.sum(axis=1)
+        writes.append((Wx, p.ctx[valid] * d, [0, *np.cumsum(width)[last].tolist()]))
     elif p.words is not None:
-        writes.append((W, p.words * d, bounds))
+        writes.append((Wx, p.words * d, bounds))
     if arch in DOC_ARCHITECTURES:
         writes.append((D, tag * d, bounds))
     writes = [(M.reshape(-1), starts, cuts) for M, starts, cuts in writes]
-    cols = np.arange(d)
+    cols = np.tile(np.arange(d), max(max(np.diff(cuts)) for _, _, cuts in writes))
     for s, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
-        h = _hidden(arch, D, W, p, tag, b0, b1)
+        h = _hidden(arch, D, Wx, p, tag, b0, b1)
         g, e = gradient(h, O.take(rows[b0:b1], axis=0), labels[b0:b1], rates[b0:b1])
         vals = [g[:, :, None] * h[:, None, :]]
         if p.ctx is not None:
@@ -526,9 +556,11 @@ def _train_lanes(arch, D, W, obj, docs, tags, alphas, window, rng):
 
 def _add_rows(flat, at, cols, vals):
     """M[ids] += vals as ``np.add.at(M, ids, vals)`` adds them, bit for bit,
-    given M's flat view, ``at`` = ids * d and ``cols`` = arange(d): each
-    element's values in entry order, on numpy's fast path for 1-D indices."""
-    np.add.at(flat, (at[:, None] + cols).ravel(), vals.ravel())
+    given M's flat view, ``at`` = ids * d and ``cols`` = arange(d) repeated
+    at least len(ids) times: each element's values in entry order, on
+    numpy's fast path for 1-D indices."""
+    d = vals.shape[-1]
+    np.add.at(flat, at.repeat(d) + cols[: len(at) * d], vals.ravel())
 
 
 def _check_docs(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> None:
@@ -578,8 +610,10 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
     _check_docs(model, docs)
 
     # the lanes write through flat views, which only a C-contiguous matrix
-    # has: others train as C-contiguous copies, copied back at the end
-    D, W, O = (np.ascontiguousarray(M) for M in (model.D, model.W, model.O))
+    # has: others train as C-contiguous copies, and W in the first rows of
+    # ``_with_sentinel(W)``, copied back at the end
+    D, O = (np.ascontiguousarray(M) for M in (model.D, model.O))
+    Wx = _with_sentinel(model.W)
     obj = _Objective(O, model.vocab, cfg)
     keep = (subsample_keep_probs(model.vocab, cfg.subsample_t)
             if cfg.subsample_t > 0 else None)
@@ -602,8 +636,8 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
 
     for e in range(cfg.epochs):
         for batch in _batches(epoch(e * tokens)):
-            _train_lanes(cfg.architecture, D, W, obj, *batch, cfg.window, rng)
-    for M, trained in ((model.D, D), (model.W, W), (model.O, O)):
+            _train_lanes(cfg.architecture, D, Wx, obj, *batch, cfg.window, rng)
+    for M, trained in ((model.D, D), (model.W, Wx[:-2]), (model.O, O)):
         if trained is not M:
             M[...] = trained
     return model
@@ -659,25 +693,40 @@ def loss_estimate(
     and scored a chunk at a time (``_Plan.chunks``): one stacked float64
     matmul over the steps' K slots and one row-wise sum with the terms past
     each step's k zeroed, which give each step the bits of its own gemv
-    and sum over K slots. The step losses are then added in walk order.
+    and sum over K slots. While O is all zero (an untrained model) every
+    scored row costs ln 2 whatever the (finite) h, so no h is built: a
+    step's loss is that row-wise sum for its k, from a table of the K + 1
+    counts. The step losses are then added in walk order.
     """
     _check_docs(model, docs)
-    cfg, D, W, O = model.config, model.D, model.W, model.O
+    cfg, D, O = model.config, model.D, model.O
+    Wx = _with_sentinel(model.W)
     obj = _Objective(O, model.vocab, cfg)
     rng = np.random.default_rng([probe_seed, 5])
+    untrained = not O.any()
+
+    def step_losses(p, tags):
+        """The plan's step losses, a chunk at a time."""
+        K = p.rows.shape[1]
+        if untrained:  # x = 0 in every slot; row k of ``live`` scores k slots
+            live = np.arange(K) < np.arange(K + 1)[:, None]
+            yield (_loss_terms(np.zeros(K), np.zeros(K)) * live).sum(axis=1)[p.k]
+            return
+        tag = np.asarray(tags, dtype=np.intp)[p.doc]
+        live = _slot_rates([1.0] * len(tags), p)  # 1 in the scored slots, else 0
+        for s0, s1 in p.chunks(model.dim):
+            h = _hidden(cfg.architecture, D, Wx, p, tag, s0, s1).astype(np.float64)
+            x = np.matmul(O.take(p.rows[s0:s1], axis=0).astype(np.float64),
+                          h[:, :, None])[:, :, 0]
+            yield (_loss_terms(x, p.labels[s0:s1]) * live[s0:s1]).sum(axis=1)
+
     total, count = 0.0, 0
     for toks, tags in _batches((doc.tokens, doc.doc_tag) for doc in docs):
         p = _plan(cfg.architecture, toks, cfg.window, obj, rng)
-        tag = np.asarray(tags, dtype=np.intp)[p.doc]
-        live = _slot_rates([1.0] * len(toks), p)  # 1 in the scored slots, else 0
-        for s0, s1 in p.chunks(model.dim):
-            h = _hidden(cfg.architecture, D, W, p, tag, s0, s1).astype(np.float64)
-            x = np.matmul(O.take(p.rows[s0:s1], axis=0).astype(np.float64),
-                          h[:, :, None])[:, :, 0]
-            losses = (_loss_terms(x, p.labels[s0:s1]) * live[s0:s1]).sum(axis=1)
+        for losses in step_losses(p, tags):
             for loss in losses.tolist():
                 total += loss
-            count += s1 - s0
+        count += len(p.k)
     if count == 0:
         raise DataError("no scoreable positions in the probe documents")
     return total / count
@@ -736,7 +785,7 @@ def infer_docs(
 
     rng = np.random.default_rng([seed, 3])
     doc = _uniform_rows(rng, 1, cfg.dim)[0]
-    arch, W, O = cfg.architecture, model.W, model.O
+    arch, Wx, O = cfg.architecture, _with_sentinel(model.W), model.O
     obj = _Objective(O, model.vocab, cfg)
     gradient = obj.gradient
     schedule = kept * infer_epochs  # the passes in order
@@ -752,7 +801,7 @@ def infer_docs(
                 for vecs, labels, a in steps:
                     doc += gradient(doc, vecs, labels, a)[1]
                 continue
-            sums = _context_sums(W, p.ctx[s0:s1], p.valid[s0:s1])
+            sums = _context_sums(Wx, p.ctx[s0:s1])
             for (vecs, labels, a), ctx_sum, n in zip(steps, sums, p.n[s0:s1]):
                 h = (ctx_sum + doc) / n
                 doc += gradient(h, vecs, labels, a)[1] / n

@@ -16,13 +16,14 @@ Model file layout (all integers little-endian):
     matrices D (N x dim), W (V x dim), O (V or V-1 x dim) as raw float32,
         row-major
 
-The sampling table and Huffman coding are derived data and are rebuilt
-on load. So is the alpha_min slot: it holds alpha0 / 10000, which
-save_model writes and load_model ignores, so a file with another value
-there loads with the derived one. Every read checks remaining bytes
+The sampling table, its guide table and the Huffman coding are derived
+data and are rebuilt on load. So is the alpha_min slot: it holds
+alpha0 / 10000, which save_model writes and load_model ignores, so a
+file with another value there loads with the derived one. Every read checks remaining bytes
 first, so a truncated file is rejected with the offending byte offset
-instead of producing a partial model; so are a token count above 2**63 - 1
-and a non-finite matrix entry. The text vector format is a
+instead of producing a partial model; so are a token count above 2**63 - 1,
+a negative sample count above ``embedding.MAX_NEGATIVE`` and a non-finite
+matrix entry. The text vector format is a
 "N d" header line followed by one "id v1 ... vd" line per vector.
 
 Tokenizer settings ride inside the model on purpose: inference must
@@ -182,10 +183,15 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
         raise ModelFormatError(f"invalid config block: {exc}") from exc
 
     (V,) = r.unpack(_U64, "vocabulary size")
-    # each token takes at least 10 bytes (u16 length, u64 count)
-    if not (2 if cfg.objective == "hs" else 1) <= V <= (len(r.blob) - r.off) // 10:
+    if V < (2 if cfg.objective == "hs" else 1):
         raise ModelFormatError(
             f"impossible {cfg.objective} vocabulary size {V} at byte {r.off - 8}"
+        )
+    left = len(r.blob) - r.off
+    if 10 * V > left:  # each token takes at least 10 bytes (u16 length, u64 count)
+        raise ModelFormatError(
+            f"truncated model file: needed at least {10 * V} bytes, only {left} left, "
+            f"for {cfg.objective} vocabulary size {V} at byte {r.off - 8}"
         )
     tokens: list[str] = []
     counts = np.empty(V, dtype=np.int64)
@@ -230,7 +236,7 @@ def write_vectors(ids: Sequence[str], matrix: np.ndarray, stream: IO[str]) -> No
         raise DataError("one id per vector row required")
     stream.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
     for rid, row in zip(ids, matrix):
-        stream.write(rid + " " + " ".join(repr(float(v)) for v in row) + "\n")
+        stream.write(rid + " " + " ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:

@@ -43,7 +43,9 @@ def markov_family_corpus(
     Family f is named ``FAMf`` and its members ``FAMf_i``. The initial
     letter distribution and every transition row are independent
     Dirichlet(concentration) draws per family, all from one seeded
-    generator, so the corpus is a pure function of the arguments.
+    generator, so the corpus is a pure function of the arguments. A
+    family's members are drawn together: one uniform per residue, member
+    by member, then one chain step per position for all of them.
     """
     if n_families < 1 or per_family < 1 or length < 1:
         raise ConfigError("n_families, per_family and length must be positive")
@@ -60,16 +62,15 @@ def markov_family_corpus(
         start_cum = np.cumsum(start)
         rows_cum = np.cumsum(rows, axis=1)
         fam = f"FAM{f}"
-        for i in range(per_family):
-            u = rng.random(length)
-            seq = np.empty(length, dtype=np.uint8)
-            state = int(np.searchsorted(start_cum, u[0], side="right"))
-            state = min(state, n_letters - 1)  # guard the cumsum's top edge
-            seq[0] = letters[state]
-            for pos in range(1, length):
-                state = int(np.searchsorted(rows_cum[state], u[pos], side="right"))
-                state = min(state, n_letters - 1)
-                seq[pos] = letters[state]
+        u = rng.random((per_family, length))
+        states = np.empty((per_family, length), dtype=np.intp)
+        # a step is searchsorted(cum, u, 'right'): the entries <= u, counted
+        # (the cumsums are nondecreasing), clipped at the cumsum's top edge
+        states[:, 0] = np.minimum((start_cum <= u[:, 0, None]).sum(axis=1), n_letters - 1)
+        for pos in range(1, length):
+            step = (rows_cum[states[:, pos - 1]] <= u[:, pos, None]).sum(axis=1)
+            states[:, pos] = np.minimum(step, n_letters - 1)
+        for i, seq in enumerate(letters[states]):
             records.append(
                 SequenceRecord(
                     id=f"{fam}_{i:03d}",

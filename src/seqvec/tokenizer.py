@@ -12,7 +12,8 @@ A sequence becomes one or more token documents:
 The vocabulary assigns dense integer ids in first-occurrence order,
 drops tokens rarer than ``min_count`` (removing their occurrences from
 the documents), and carries the cumulative count^0.75 table used to draw
-negative samples plus, built on first use, a Huffman coding of the tokens.
+negative samples plus, built on first use, its guide table and a Huffman
+coding of the tokens.
 
 ``Vocabulary.encode`` is the only kmer -> id rule, for corpora and for
 inference queries alike. ``build_corpus`` and ``read_corpus`` share one
@@ -46,6 +47,7 @@ __all__ = [
     "build_vocabulary",
     "subsample_filter",
     "build_huffman",
+    "guide_table",
     "write_corpus",
     "read_corpus",
 ]
@@ -163,6 +165,12 @@ class Vocabulary:
     def token_frequencies(self) -> np.ndarray:
         """Per-token corpus frequency count/total."""
         return self.counts / self.total
+
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """The guide table of ``sampling_table`` (``guide_table``), built on
+        first use."""
+        return guide_table(self.sampling_table)
 
     def encode(self, kmers: Sequence[str]) -> np.ndarray:
         """The int32 token ids of ``kmers``; kmers not in the vocabulary
@@ -307,6 +315,21 @@ def subsample_filter(
     if len(tokens) == 0:
         return tokens
     return tokens[rng.random(len(tokens)) < keep[tokens]]
+
+
+def guide_table(table: np.ndarray) -> np.ndarray:
+    """The guide table of the cumulative ``table`` (Chen & Asau 1974).
+
+    Its T entries, T the next power of two >= 16 * len(table), are the
+    buckets [j/T, (j+1)/T) of [0, 1); a uniform u lies in bucket
+    floor(u * T), which is exact since T is a power of two. Entry j is
+    ``searchsorted(table, j/T, 'right')`` where that is also the value at
+    (j+1)/T, and so at every u of the bucket, and -1 where a table entry
+    falls in the bucket, so that a draw there needs the search.
+    """
+    T = 1 << (16 * len(table) - 1).bit_length()
+    G = np.searchsorted(table, np.arange(T + 1) / T, side="right")
+    return np.where(G[:-1] == G[1:], G[:-1], -1)
 
 
 def build_huffman(vocab: Vocabulary) -> HuffmanCoding:

@@ -18,6 +18,7 @@ from seqvec.classify import (
     SvmModel,
     aggregate_metrics,
     binary_family_protocol,
+    binary_family_protocols,
     metrics_from_counts,
     multiclass_protocol,
     one_vs_rest,
@@ -370,6 +371,24 @@ class TestProtocolGoldens:
                                  (0.7291666666666666, 0.35600015605489715),
                                  (0.8333333333333334, 0.23570226039551584),
                                  (0.875, 0.25))
+
+    @pytest.mark.parametrize("folds, seed, C", [(10, 7, 2.0), (4, 1, 1.0)])
+    def test_binary_reports_of_families_trained_at_once(self, folds, seed, C):
+        # one lockstep call trains every family's folds; each report, and
+        # each family's warnings in turn, are those of the family's own call
+        vectors, labels = _golden_vectors()
+        families = ["FAM4", "FAM2", "FAM0", "FAM3", "FAM1"]
+        with warnings.catch_warnings(record=True) as together_warned:
+            warnings.simplefilter("always")
+            together = binary_family_protocols(vectors, labels, families, folds, seed, C)
+        with warnings.catch_warnings(record=True) as alone_warned:
+            warnings.simplefilter("always")
+            alone = [binary_family_protocol(vectors, labels, fam, folds, seed, C)
+                     for fam in families]
+        assert together == alone
+        assert ([str(w.message) for w in together_warned]
+                == [str(w.message) for w in alone_warned])
+        assert binary_family_protocols(vectors, labels, [], folds, seed, C) == []
 
 def _clusters(centers, per_class, noise, seed, prefix="C"):
     rng = np.random.default_rng(seed)

@@ -28,6 +28,7 @@ from seqvec.errors import ConfigError, DataError
 from seqvec.tokenizer import (
     TokenizedDoc,
     build_vocabulary,
+    guide_table,
     subsample_keep_probs,
 )
 
@@ -68,7 +69,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
 
-    @pytest.mark.parametrize("name", ["dim", "window", "negative", "epochs"])
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    def test_negative_above_the_cap_rejected(self, objective):
+        TrainConfig(objective=objective, negative=embedding.MAX_NEGATIVE)
+        with pytest.raises(ConfigError, match="must be at most 256"):
+            TrainConfig(objective=objective, negative=embedding.MAX_NEGATIVE + 1)
+        with pytest.raises(ConfigError, match="must be at most 256"):
+            TrainConfig(objective=objective, negative=2**32)
+
+    @pytest.mark.parametrize("name", ["dim", "window", "epochs"])
     def test_counts_above_the_model_file_u32_rejected(self, name):
         TrainConfig(**{name: 2**32 - 1})
         with pytest.raises(ConfigError, match=f"{name} must be at most 4294967295"):
@@ -1009,9 +1018,35 @@ class TestWalkerMatchesReference:
         valid = rng.random((300, 12)) < 0.6
         valid[:20] = False  # empty contexts sum to +0.0
         ctx[20:40] = rng.choice([0, 2], (20, 12))  # sums of -0.0 in column 0
-        sums = _context_sums(W, ctx, valid)
+        # slots outside the window read the -0.0 row appended to W, or in an
+        # empty context the +0.0 row
+        outside = np.where(valid.any(axis=1), -1, -2)[:, None]
+        sums = _context_sums(embedding._with_sentinel(W), np.where(valid, ctx, outside))
         for c, v, s in zip(ctx, valid, sums):
             assert s.tobytes() == W[c[v]].sum(axis=0).tobytes()
+
+
+class TestCountedProbe:
+    """The probe of an untrained model, one lane: the per-document walk."""
+
+    @pytest.fixture(autouse=True)
+    def _one_lane(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_LANES", 1)
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    @pytest.mark.parametrize("arch", ["dm", "dbow", "cbow", "sg"])
+    @pytest.mark.parametrize("case", list(_PLAN_CASES))
+    def test_untrained_probe_counts_its_scored_rows(self, case, arch, objective,
+                                                    monkeypatch):
+        # O is all zero before training, so every scored row costs ln 2 and
+        # the probe builds no hidden vector
+        vocab, docs, cfg = _plan_case(case, arch, objective)
+        model = init_model(vocab, 3, cfg)
+        if arch in ("cbow", "sg") and max(len(d.tokens) for d in docs) == 1:
+            return  # nothing to score
+        expected = _ref_loss_estimate(model, docs, 4)
+        monkeypatch.setattr(embedding, "_hidden", None)
+        assert loss_estimate(model, docs, probe_seed=4) == expected
 
 
 class TestLanesMatchReference:
@@ -1090,8 +1125,8 @@ class TestLanesMatchReference:
                 ).astype(np.float32)
         lib, ref = M.copy(), M.copy()
         for b0, b1 in zip(bounds, bounds[1:]):
-            embedding._add_rows(lib.reshape(-1), ids[b0:b1] * dim, np.arange(dim),
-                                vals[b0:b1])
+            embedding._add_rows(lib.reshape(-1), ids[b0:b1] * dim,
+                                np.tile(np.arange(dim), b1 - b0), vals[b0:b1])
             np.add.at(ref, ids[b0:b1], vals[b0:b1])
             assert lib.tobytes() == ref.tobytes()
 
@@ -1183,6 +1218,38 @@ class TestDrawRuleMatchesReference:
                 assert sorted(row_grads) == sorted(ref_row_grads)
                 for row, grad in row_grads.items():
                     assert np.array_equal(grad, ref_row_grads[row])
+
+
+class TestGuideTable:
+    """Negative draws through the guide table equal the binary search."""
+
+    @pytest.mark.parametrize("skewed", [True, False])
+    def test_guide_table_draws_at_every_bucket_edge(self, skewed):
+        # u = j/T and its float neighbours for every bucket j, the last
+        # bucket's top, and the table's own entries and their neighbours;
+        # target -1 skips no draw
+        vocab = TestDrawRuleMatchesReference._skewed_vocab() if skewed else _vocab(7)
+        table, guide = vocab.sampling_table, vocab.guide
+        T = len(guide)
+        assert T == 1 << (16 * len(vocab) - 1).bit_length() and T >= 16 * len(vocab)
+        edges = np.concatenate((np.arange(T) / T, table[:-1]))
+        u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [np.nextafter(1.0, 0.0)]))
+        u = u[(u >= 0.0) & (u < 1.0)]
+
+        class Uniforms:  # a generator that draws the uniforms u
+            def random(self, shape):
+                return u.reshape(shape)
+
+        rows, k = embedding._negative_steps(table, 1, np.full(len(u), -1), Uniforms(),
+                                            guide)
+        assert (k == 2).all()
+        assert rows[:, 1].tolist() == np.searchsorted(table, u, side="right").tolist()
+        # the buckets that hold a table entry are searched; the rest are not
+        searched = guide < 0
+        assert 0 < searched.sum() <= len(vocab)
+        assert searched[-1]  # the table's top entry, 1.0, bounds the last bucket
+        assert np.array_equal(guide, guide_table(table))
 
 
 def _repetitive_docs(n_docs=2):

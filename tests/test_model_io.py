@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from seqvec.embedding import TrainConfig, init_model, train
+from seqvec.embedding import MAX_NEGATIVE, TrainConfig, init_model, train
 from seqvec.errors import ConfigError, DataError
 from seqvec.model_io import (
     _CONFIG,
@@ -72,7 +72,8 @@ class TestModelRoundTrip:
     def test_largest_settings_and_names_round_trip(self):
         # the largest values TrainConfig and read_corpus let through
         top = 2**32 - 1
-        cfg = TrainConfig(dim=2, window=top, negative=top, epochs=top, seed=2**64 - 1)
+        cfg = TrainConfig(dim=2, window=top, negative=MAX_NEGATIVE, epochs=top,
+                          seed=2**64 - 1)
         vocab = build_vocabulary({"A" * 65535: 2, "C" * 65535: 1})
         model = init_model(vocab, 1, cfg, doc_ids=["\u00e9" * 32767 + "x"],
                            tokenizer=TokenizerConfig(65535, "overlap"))
@@ -181,6 +182,34 @@ class TestModelRejection:
         with pytest.raises(ModelFormatError,
                            match=f"vocabulary size {size} at byte {at}$"):
             load_model(bytes(blob))
+
+    def test_vocabulary_cut_short_is_a_truncated_file(self):
+        # the size is possible, but the bytes after it cannot hold it; this
+        # used to be called an impossible size
+        blob = _bytes_of(_trained_model())
+        at = 8 + _CONFIG.size
+        cut = blob[: at + 8 + 25]
+        with pytest.raises(ModelFormatError,
+                           match=r"^truncated model file: needed at least 70 bytes, only "
+                                 rf"25 left, for ns vocabulary size 7 at byte {at}$"):
+            load_model(cut)
+
+    @pytest.mark.parametrize("objective", ["ns", "hs"])
+    def test_negative_count_above_the_cap_rejected(self, objective):
+        # a value the u32 field holds, but one that would make inference ask
+        # numpy for terabytes; only load_model is run on such a file
+        blob = bytearray(_bytes_of(_trained_model(objective)))
+        at = 8 + 4 * 4  # the config block's fifth u32
+        assert struct.unpack_from("<I", blob, at) == (3,)
+        for negative, ok in [(MAX_NEGATIVE, True), (MAX_NEGATIVE + 1, False),
+                             (4_000_000_000, False)]:
+            struct.pack_into("<I", blob, at, negative)
+            if ok:
+                assert load_model(bytes(blob)).config.negative == negative
+                continue
+            with pytest.raises(ModelFormatError, match="invalid config block: negative "
+                               f"sample count must be at most {MAX_NEGATIVE}"):
+                load_model(bytes(blob))
 
     def test_token_count_beyond_int64_rejected_with_its_offset(self):
         # it used to escape as a raw OverflowError

@@ -1,7 +1,54 @@
 """Tests for the synthetic corpora."""
 
-from seqvec.synthetic import motif_order_corpus
+import numpy as np
+import pytest
+
+from seqvec.sequences import SequenceRecord
+from seqvec.synthetic import STANDARD_AMINO_ACIDS, markov_family_corpus, motif_order_corpus
 from seqvec.tokenizer import kmers_overlapping
+
+
+def _ref_markov_family_corpus(n_families, per_family, length, seed, concentration,
+                              alphabet):
+    """The per-residue loop: one member at a time, one searchsorted a residue."""
+    rng = np.random.default_rng(seed)
+    n_letters = len(alphabet)
+    records = []
+    for f in range(n_families):
+        start_cum = np.cumsum(rng.dirichlet(np.full(n_letters, concentration)))
+        rows_cum = np.cumsum(rng.dirichlet(np.full(n_letters, concentration),
+                                           size=n_letters), axis=1)
+        for i in range(per_family):
+            u = rng.random(length)
+            state = min(int(np.searchsorted(start_cum, u[0], side="right")),
+                        n_letters - 1)
+            seq = [alphabet[state]]
+            for pos in range(1, length):
+                state = min(int(np.searchsorted(rows_cum[state], u[pos], side="right")),
+                            n_letters - 1)
+                seq.append(alphabet[state])
+            records.append(SequenceRecord(f"FAM{f}_{i:03d}", f"synthetic member of FAM{f}",
+                                          "".join(seq), f"FAM{f}"))
+    return records
+
+
+class TestMarkovFamilyCorpus:
+    @pytest.mark.parametrize("n_families, per_family, length, seed, concentration, alphabet", [
+        (5, 20, 100, 0, 0.2, STANDARD_AMINO_ACIDS),
+        (3, 7, 1, 2, 0.2, STANDARD_AMINO_ACIDS),
+        (2, 9, 60, 3, 0.01, STANDARD_AMINO_ACIDS),
+        (3, 6, 40, 4, 0.5, "ACGT"),
+        (1, 1, 5, 5, 0.01, "ACGT"),
+    ])
+    def test_matches_the_per_residue_loop(self, n_families, per_family, length, seed,
+                                          concentration, alphabet):
+        got = markov_family_corpus(n_families, per_family, length, seed, concentration,
+                                   alphabet)
+        assert got == _ref_markov_family_corpus(n_families, per_family, length, seed,
+                                                concentration, alphabet)
+        assert len(got) == n_families * per_family
+        assert all(len(r.residues) == length and set(r.residues) <= set(alphabet)
+                   for r in got)
 
 
 class TestMotifOrderCorpus:

@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 __all__ = [
     "ConfusionCounts",
@@ -215,7 +215,7 @@ def _pegasos_lanes(
         raise DataError(f"SVM input {name} is not finite")
     for fit in fits:
         for y in fit.Y:
-            if set(np.unique(y).tolist()) != {-1, 1}:
+            if set(y.tolist()) != {-1, 1}:
                 raise DataError("need both classes present, labels in {-1, +1}")
         n = len(fit.rows)
         if 1.0 / (n * C) == 0.0:  # n * C overflowed
@@ -285,6 +285,7 @@ def train_linear_svm(
     schedule eta_t = 1/(lambda t). The bias is updated by the hinge
     subgradient but not regularized. One lane of ``_pegasos_lanes``.
     """
+    check_integer("seed", seed)
     y = np.asarray(y, dtype=np.int64)
     X = _matrix(X, len(y))
     return _pegasos_lanes(X, [_Fit(np.arange(len(X)), y[None], seed)], C)[0]
@@ -324,6 +325,7 @@ def one_vs_rest(
     two margin curves are exact negations and the argmax reduces to the
     single binary decision.
     """
+    check_integer("seed", seed)
     X = _matrix(X, len(y))
     classes, fit = _ovr_fit(np.arange(len(y)), np.asarray(y), seed)
     return OneVsRestModel(classes, _pegasos_lanes(X, [fit], C))
@@ -436,6 +438,7 @@ def binary_family_protocols(
     to them; its negatives, folds and fit seeds are drawn as for it alone,
     so each report is the one its own call gives.
     """
+    check_integer("seed", seed)
     if not families:
         return []
     ids = sorted(i for i in vectors if i in labels)
@@ -489,6 +492,7 @@ def multiclass_protocol(
     macro-averages the metrics over classes, then summarizes over folds.
     """
     _check_top_n(top_n_families)
+    check_integer("seed", seed)
     ids = sorted(i for i in vectors if i in labels)
     sizes = Counter(labels[i] for i in ids)
     if top_n_families > len(sizes):

@@ -15,6 +15,7 @@ and decodes every input file, which the CLI opens in binary, as UTF-8.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -248,6 +249,7 @@ def cmd_align_knn(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process, on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqvec",
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="min_count")
     p.add_argument("--policy", choices=POLICIES, default=_default(parse_fasta, "policy"))
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("train", help="train document vectors over a corpus")
     p.add_argument("--corpus", required=True)
@@ -279,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=TrainConfig.workers)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("vectors", help="export document vectors as text")
     p.add_argument("--model", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_vectors)
 
     p = sub.add_parser("infer", help="infer vectors for new sequences")
     p.add_argument("--model", required=True)
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=_default(infer_docs, "infer_epochs"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("knn-eval", help="cross-validated kNN accuracy")
     p.add_argument("--vectors", required=True)
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, default=VectorIndex.metric)
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_knn_eval)
 
     p = sub.add_parser("svm-eval", help="SVM family-classification protocols")
     p.add_argument("--vectors", required=True)
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=_default(multiclass_protocol, "folds"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_svm_eval)
 
     p = sub.add_parser("align-knn", help="local-alignment retrieval classification")
     p.add_argument("--db", required=True)
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-extend", type=int, default=AlignParams.gap_extend,
                    dest="gap_extend")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_align_knn)
 
     return parser
 
@@ -340,7 +335,8 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"seed must be a nonnegative integer, got {args.seed}")
         with _warnings_to_stderr():
-            return args.func(args)
+            # looked up per call, so a cmd_* rebound after import (a tracer) runs
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"seqvec: usage error: {exc}", file=sys.stderr)
         return 2

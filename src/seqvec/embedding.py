@@ -87,7 +87,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .tokenizer import (
     TokenizedDoc,
     TokenizerConfig,
@@ -179,8 +179,7 @@ class TrainConfig:
             raise ConfigError("epochs must be positive")
         if not 0 < self.alpha0 <= 1.0:
             raise ConfigError("alpha0 must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+        check_integer("seed", self.seed)
         for name in ("dim", "window", "epochs"):
             if getattr(self, name) > _U32_MAX:
                 raise ConfigError(f"{name} must be at most {_U32_MAX}, the model "
@@ -698,6 +697,7 @@ def loss_estimate(
     step's loss is that row-wise sum for its k, from a table of the K + 1
     counts. The step losses are then added in walk order.
     """
+    check_integer("probe_seed", probe_seed)
     _check_docs(model, docs)
     cfg, D, O = model.config, model.D, model.O
     Wx = _with_sentinel(model.W)
@@ -746,7 +746,8 @@ def infer_docs(
     learning-rate schedule (``_alpha``). The passes are planned in
     training's batches (``_batches``) and walked in order, a chunk at a time.
     Out-of-vocabulary ids are dropped; a token list that is not flat, or
-    holds ids that are not integers (bools among them), is a ``DataError``.
+    holds ids that are not integers (bools among them), is a ``DataError``;
+    ``infer_epochs`` below 1 or a negative ``seed`` is a ``ConfigError``.
     Several documents (one sequence's phase readings) share the one vector.
     Only document architectures (dm, dbow) support inference.
     """
@@ -757,8 +758,8 @@ def infer_docs(
         )
     if infer_epochs is None:
         infer_epochs = 2 * cfg.epochs
-    if infer_epochs < 1:
-        raise ConfigError(f"infer_epochs must be >= 1, got {infer_epochs}")
+    check_integer("infer_epochs", infer_epochs, 1)
+    check_integer("seed", seed)
     V = len(model.vocab)
     kept = []
     for i, tl in enumerate(token_lists):

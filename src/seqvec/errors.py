@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one integer check.
 
 Both concrete classes subclass ValueError so callers that do not care
 about the distinction can catch the builtin. The CLI maps ConfigError to
 exit code 2 (usage) and DataError to exit code 1 (bad input data).
 """
+
+import operator
 
 
 class SeqvecError(Exception):
@@ -16,3 +18,14 @@ class ConfigError(SeqvecError, ValueError):
 
 class DataError(SeqvecError, ValueError):
     """Malformed, empty, or otherwise unusable input data."""
+
+
+def check_integer(name: str, value, minimum: int = 0) -> None:
+    """A ConfigError naming ``name`` unless ``value`` is an integer (Python
+    or numpy) of at least ``minimum``; seeds and pass counts use it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classify import MetricSummary, _cv_families, _summarize, stratified_folds
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 __all__ = [
     "VectorIndex",
@@ -165,6 +165,7 @@ def knn_cross_validate(
     training-fold neighbors; the report maps k to accuracy mean +/-
     sample std over folds.
     """
+    check_integer("seed", seed)
     if index.labels is None:
         raise ConfigError("index has no labels to cross-validate against")
     if folds < 2:

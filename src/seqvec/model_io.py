@@ -180,18 +180,19 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
         )
         tok = TokenizerConfig(k=k, mode=MODES[mode])
     except (IndexError, ValueError) as exc:
-        raise ModelFormatError(f"invalid config block: {exc}") from exc
+        raise ModelFormatError(f"invalid config block: {exc} (block at byte 8)") from exc
 
+    vocab_at = r.off
     (V,) = r.unpack(_U64, "vocabulary size")
     if V < (2 if cfg.objective == "hs" else 1):
         raise ModelFormatError(
-            f"impossible {cfg.objective} vocabulary size {V} at byte {r.off - 8}"
+            f"impossible {cfg.objective} vocabulary size {V} at byte {vocab_at}"
         )
     left = len(r.blob) - r.off
     if 10 * V > left:  # each token takes at least 10 bytes (u16 length, u64 count)
         raise ModelFormatError(
             f"truncated model file: needed at least {10 * V} bytes, only {left} left, "
-            f"for {cfg.objective} vocabulary size {V} at byte {r.off - 8}"
+            f"for {cfg.objective} vocabulary size {V} at byte {vocab_at}"
         )
     tokens: list[str] = []
     counts = np.empty(V, dtype=np.int64)
@@ -205,7 +206,8 @@ def load_model(data: bytes | IO[bytes]) -> EmbeddingModel:
     try:
         vocab = Vocabulary(tokens, counts, min_count=min_count)
     except ValueError as exc:
-        raise ModelFormatError(f"invalid vocabulary block: {exc}") from exc
+        raise ModelFormatError(
+            f"invalid vocabulary block: {exc} (block at byte {vocab_at})") from exc
 
     (N,) = r.unpack(_U64, "document count")
     doc_ids = [r.text(f"doc id {i}") for i in range(N)]

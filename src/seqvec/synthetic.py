@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .sequences import SequenceRecord
 
 __all__ = ["markov_family_corpus", "motif_order_corpus", "STANDARD_AMINO_ACIDS"]
@@ -51,6 +51,7 @@ def markov_family_corpus(
         raise ConfigError("n_families, per_family and length must be positive")
     if concentration <= 0:
         raise ConfigError("concentration must be positive")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     n_letters = len(alphabet)
     letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
@@ -92,6 +93,7 @@ def motif_order_corpus(per_family: int = 100, seed: int = 0) -> list[SequenceRec
     49 letters a sequence. Family f is named ``FAMf`` and its members
     ``FAMf_i``; the corpus is a pure function of the arguments.
     """
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     letters = np.frombuffer(STANDARD_AMINO_ACIDS.encode("ascii"), dtype=np.uint8)
     motifs = letters[rng.integers(0, len(letters), (_MOTIFS, _MOTIF_LENGTH))]

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seqvec.align import AlignParams
 from seqvec.classify import binary_family_protocol, multiclass_protocol
+from seqvec import cli
 from seqvec.cli import _warnings_to_stderr, build_parser, main
 from seqvec.embedding import ARCHITECTURES, TrainConfig
 from seqvec.knn import METRICS, VectorIndex, knn_cross_validate
@@ -288,6 +289,20 @@ class TestVectorsAndInfer:
                    "--epochs", "2", "--output", str(tmp_path / "i.txt")])
         assert rc == 0
         assert capsys.readouterr().err == "seqvec: warning: skipped 1 sequences\n"
+
+    def test_infer_with_no_inferable_sequence_is_data_error(self, tiny_dataset,
+                                                            tmp_path, capsys):
+        root, fasta, labels = tiny_dataset
+        model_path = _train(root, _tokenize(root, fasta))
+        queries, out = tmp_path / "q.fasta", tmp_path / "i.txt"
+        queries.write_text(">tiny\nAC\n>short\nMK\n")
+        capsys.readouterr()
+        rc = main(["infer", "--model", str(model_path), "--input", str(queries),
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "seqvec: error: no sequence could be inferred (all too short or unknown)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("epochs", ["0", "-1"])
     def test_infer_epochs_below_one_is_usage_error(self, tiny_dataset, tmp_path,
@@ -567,6 +582,21 @@ class TestEvaluationCommands:
             f"seqvec: error: line 6: duplicate vector id {first_id!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["knn-eval", "svm-eval"])
+    def test_no_labeled_vector_is_data_error(self, eval_files, tmp_path, command,
+                                             capsys):
+        vectors, _ = eval_files
+        other = tmp_path / "other.tsv"
+        other.write_text("elsewhere\tFAM0\n")
+        out = tmp_path / "report.tsv"
+        rc = main([command, "--vectors", str(vectors), "--labels", str(other),
+                   "--folds", "4", "--seed", "0", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"seqvec: warning: {2 * PER_FAMILY} vectors have no family label\n"
+            "seqvec: error: no vector id appears in the label file\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["binary", "multiclass"])
     def test_svm_eval_failure_leaves_no_output_file(self, eval_files, tmp_path, mode,
                                                     capsys):
@@ -717,6 +747,29 @@ class TestParserReadsTheLibrary:
             "tokenize", "train", "vectors", "infer", "knn-eval", "svm-eval", "align-knn"]
         for argv in commands:
             build_parser().parse_args(argv)  # exits 2 on a flag it does not know
+
+
+class TestDispatch:
+    def test_a_second_call_builds_no_parser(self, tmp_path, monkeypatch):
+        argv = ["vectors", "--model", str(tmp_path / "missing.bin")]
+        assert main(argv) == 1  # the first call may build the parser
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        assert main(argv) == 1
+        assert built == []
+        build_parser.__wrapped__()  # an uncached build is counted
+        assert len(built) > 1
+
+    def test_command_is_looked_up_when_called(self, tmp_path, monkeypatch):
+        # the bench tracer wraps cli.cmd_* after the parser has been built
+        argv = ["vectors", "--model", str(tmp_path / "m.bin")]
+        assert main(argv) == 1
+        ran = []
+        monkeypatch.setattr(cli, "cmd_vectors", lambda args: ran.append(args.model) or 0)
+        assert main(argv) == 0
+        assert ran == [str(tmp_path / "m.bin")]
 
 
 @pytest.fixture(scope="module")

@@ -1440,6 +1440,11 @@ class TestInference:
         with pytest.raises(ConfigError, match=f"infer_epochs must be >= 1, got {epochs}"):
             infer_docs(model, [docs[0].tokens], infer_epochs=epochs, seed=3)
 
+    def test_non_integer_epochs_rejected(self):
+        model, docs = self._trained()
+        with pytest.raises(ConfigError, match="^infer_epochs must be an integer, got 2.5$"):
+            infer_docs(model, [docs[0].tokens], infer_epochs=2.5, seed=3)
+
     def test_deterministic_for_seed(self):
         model, docs = self._trained()
         a = infer_docs(model, [docs[2].tokens], seed=5)

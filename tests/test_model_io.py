@@ -211,6 +211,21 @@ class TestModelRejection:
                                f"sample count must be at most {MAX_NEGATIVE}"):
                 load_model(bytes(blob))
 
+    @pytest.mark.parametrize("old, new, block, reason", [
+        (b"km4", b"km3", "vocabulary", "duplicate token strings in vocabulary"),
+        (b"km0" + (3).to_bytes(8, "little"), b"km0" + bytes(8), "vocabulary",
+         "vocabulary contains tokens below min_count"),
+        (struct.pack("<4s4I", b"SQV1", 1, 0, 6, 5),  # magic, version, dm, dim, window
+         struct.pack("<4s4I", b"SQV1", 1, 0, 6, 0), "config", "window must be positive"),
+    ], ids=["repeated-token", "count-below-min-count", "zero-window"])
+    def test_invalid_block_names_its_offset(self, old, new, block, reason):
+        blob = _bytes_of(_trained_model())
+        assert blob.count(old) == 1
+        at = 8 if block == "config" else 8 + _CONFIG.size
+        with pytest.raises(ModelFormatError, match=rf"^invalid {block} block: {reason}"
+                                                   rf".*\(block at byte {at}\)$"):
+            load_model(blob.replace(old, new))
+
     def test_token_count_beyond_int64_rejected_with_its_offset(self):
         # it used to escape as a raw OverflowError
         blob = bytearray(_bytes_of(_trained_model()))

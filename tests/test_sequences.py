@@ -54,6 +54,12 @@ class TestParseFasta:
         with pytest.raises(FastaParseError, match="duplicate"):
             parse_fasta(">a\nMKV\n>a\nMKV\n", PROTEIN)
 
+    @pytest.mark.parametrize("header", [">", ">  "])
+    def test_header_without_id_rejected(self, header):
+        with pytest.raises(FastaParseError,
+                           match="^line 3: header line has no sequence id$"):
+            parse_fasta(f">a\nMKV\n{header}\nMKV\n", PROTEIN)
+
     def test_data_before_header_rejected(self):
         with pytest.raises(FastaParseError, match="line 1"):
             parse_fasta("MKV\n>a\nMKV\n", PROTEIN)
@@ -132,6 +138,10 @@ class TestFastaRoundTrip:
         write_fasta([SequenceRecord("a", "", "A" * 125)], buf)
         lines = buf.getvalue().splitlines()
         assert [len(l) for l in lines[1:]] == [60, 60, 5]
+
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="wrap width must be positive"):
+            write_fasta([SequenceRecord("a", "", "ACD")], io.StringIO(), width=0)
 
 
 class TestLoadFamilyLabels:

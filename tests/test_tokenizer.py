@@ -363,6 +363,25 @@ class TestCorpusRoundTrip:
         with pytest.raises(DataError, match="line 1"):
             read_corpus("0 ACG\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("#doc x a\n0 0 ACG\n", "line 1: bad doc tag in '#doc x a'"),
+        ("0 0 ACG\nx 0 CGT\n", "line 2: bad doc_tag/phase in 'x 0 CGT'"),
+        ("0 0 ACG\n0 y CGT\n", "line 2: bad doc_tag/phase in '0 y CGT'"),
+        ("# a comment\n#\n", "empty corpus file"),
+    ], ids=["doc-tag", "tag", "phase", "only-comments"])
+    def test_bad_tags_and_phases_rejected_with_their_line(self, text, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_corpus(text)
+
+    def test_blank_lines_are_skipped(self):
+        text = "#meta k=3 mode=nonoverlap\n0 0 ACG TTA\n0 1 CGT\n"
+        spaced = read_corpus(text.replace("\n", "\n\n   \n"))
+        corpus = read_corpus(text)
+        assert spaced.tokenizer == corpus.tokenizer
+        assert spaced.vocab.tokens == corpus.vocab.tokens
+        assert [d.tokens.tolist() for d in spaced.docs] == [
+            d.tokens.tolist() for d in corpus.docs]
+
     def test_read_without_metadata_infers_overlap_from_phase_zero(self):
         corpus = read_corpus("0 0 ACGT CGTA\n1 0 GTAC\n")
         assert corpus.tokenizer == TokenizerConfig(4, "overlap")

@@ -15,6 +15,7 @@ from seqvec import (
     kmers_overlapping,
     subsample_filter,
 )
+from seqvec.tokenizer import subsample_keep_probs
 
 # --- the two schemes on a DNA fragment and a toy protein ----------------
 
@@ -55,8 +56,9 @@ print("\nsampling table:", np.round(vocab.sampling_table, 3))
 # high-frequency tokens can be randomly thinned; survivors keep their order
 rng = np.random.default_rng(0)
 tokens = docs[0].tokens
+keep = subsample_keep_probs(vocab, 1e-2)  # per-token keep probability
 print("subsample t=1e-2 keeps:",
-      subsample_filter(tokens, vocab, 1e-2, rng).tolist(), "of", tokens.tolist())
+      subsample_filter(tokens, keep, rng).tolist(), "of", tokens.tolist())
 
 # Huffman codes over token counts drive the hierarchical-softmax objective
 # (built on first use and kept on the vocabulary)

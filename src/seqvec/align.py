@@ -38,7 +38,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .knn import NeighborResult, _ranked, majority_vote
 from .sequences import SequenceRecord, _as_text
 
@@ -151,9 +151,8 @@ class AlignParams:
             raise ConfigError("substitution table must hold integers")
         if not np.array_equal(sub, sub.T):
             raise ConfigError("substitution table must be symmetric")
-        for gap in (self.gap_open, self.gap_extend):
-            if not isinstance(gap, (int, np.integer)):
-                raise ConfigError("gap penalties must be integers")
+        check_integer("gap_open", self.gap_open, None)
+        check_integer("gap_extend", self.gap_extend, None)
         if not self.gap_open <= self.gap_extend <= 0:
             raise ConfigError(
                 "gap penalties must satisfy gap_open <= gap_extend <= 0"
@@ -307,8 +306,7 @@ def align_topk(
 
     Ties order by smaller id; a record sharing the query's id is skipped.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    check_integer("k", k, 1)
     if not db:
         raise DataError("alignment database is empty")
     others = [rec for rec in db if rec.id != query.id]

@@ -148,8 +148,7 @@ def stratified_folds(
     shuffled before round-robin assignment, so the partition is a pure
     function of the generator state.
     """
-    if folds < 2:
-        raise ConfigError("need at least 2 folds")
+    check_integer("folds", folds, 2)
     labels = np.asarray(labels)
     fold_of = np.empty(len(labels), dtype=np.int64)
     for lab in sorted(set(labels.tolist())):
@@ -381,12 +380,8 @@ def _cv_families(
 
 
 def _binary_min_members(folds: int) -> int:
+    check_integer("folds", folds, 2)
     return max(10, folds)
-
-
-def _check_top_n(top_n_families: int | None) -> None:
-    if top_n_families is not None and top_n_families < 1:
-        raise ConfigError(f"top_n_families must be >= 1, got {top_n_families}")
 
 
 def binary_eligible_families(
@@ -398,7 +393,8 @@ def binary_eligible_families(
     """The ``top_n_families`` (all when None) families that
     binary_family_protocol accepts at ``folds`` (at least max(10, folds)
     members), largest first with ties broken by name."""
-    _check_top_n(top_n_families)
+    if top_n_families is not None:
+        check_integer("top_n_families", top_n_families, 1)
     sizes = Counter(labels[i] for i in vectors if i in labels)
     need = _binary_min_members(folds)
     return [fam for fam in _ranked_families(sizes) if sizes[fam] >= need][:top_n_families]
@@ -491,7 +487,7 @@ def multiclass_protocol(
     Per fold, each class contributes a one-vs-rest confusion; the report
     macro-averages the metrics over classes, then summarizes over folds.
     """
-    _check_top_n(top_n_families)
+    check_integer("top_n_families", top_n_families, 1)
     check_integer("seed", seed)
     ids = sorted(i for i in vectors if i in labels)
     sizes = Counter(labels[i] for i in ids)

@@ -29,7 +29,7 @@ from .align import BLOSUM62, AlignParams, align_classify, load_substitution_matr
 from .classify import binary_eligible_families, binary_family_protocols, multiclass_protocol
 from .embedding import ARCHITECTURES, DOC_ARCHITECTURES, TrainConfig, infer_docs
 from .embedding import init_model, loss_estimate, train
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .knn import METRICS, VectorIndex, knn_cross_validate
 from .sequences import ALPHABETS, POLICIES, PROTEIN, load_family_labels, parse_fasta
 from .tokenizer import MODES, TokenizerConfig, build_corpus, read_corpus, write_corpus
@@ -332,8 +332,7 @@ def main(argv=None) -> int:
         if "seed" in vars(args):
             if args.seed is None:
                 args.seed = _default_seed()
-            if args.seed < 0:
-                raise ConfigError(f"seed must be a nonnegative integer, got {args.seed}")
+            check_integer("seed", args.seed)
         with _warnings_to_stderr():
             # looked up per call, so a cmd_* rebound after import (a tracer) runs
             return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -93,6 +93,7 @@ from .tokenizer import (
     TokenizerConfig,
     Vocabulary,
     guide_table,
+    subsample_filter,
     subsample_keep_probs,
 )
 
@@ -165,27 +166,16 @@ class TrainConfig:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
-        if self.window < 1:
-            raise ConfigError("window must be positive")
-        if self.objective == "ns" and self.negative < 1:
-            raise ConfigError("negative sample count must be >= 1")
-        if self.negative > MAX_NEGATIVE:
-            raise ConfigError(f"negative sample count must be at most {MAX_NEGATIVE}")
+        check_integer("dim", self.dim, 1, _U32_MAX)
+        check_integer("window", self.window, 1, _U32_MAX)
+        check_integer("negative sample count", self.negative,
+                      1 if self.objective == "ns" else 0, MAX_NEGATIVE)
         if not 0 <= self.subsample_t < math.inf:
             raise ConfigError("subsample_t must be finite and nonnegative")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be positive")
+        check_integer("epochs", self.epochs, 1, _U32_MAX)
         if not 0 < self.alpha0 <= 1.0:
             raise ConfigError("alpha0 must be in (0, 1]")
-        check_integer("seed", self.seed)
-        for name in ("dim", "window", "epochs"):
-            if getattr(self, name) > _U32_MAX:
-                raise ConfigError(f"{name} must be at most {_U32_MAX}, the model "
-                                  "file's limit")
-        if self.seed > _U64_MAX:
-            raise ConfigError(f"seed must be at most {_U64_MAX}, the model file's limit")
+        check_integer("seed", self.seed, 0, _U64_MAX)
         if self.workers != 1:
             raise ConfigError("workers must be 1 (training is single-threaded)")
 
@@ -236,6 +226,7 @@ def init_model(
         raise DataError("vocabulary is empty")
     if cfg.objective == "hs" and V < 2:
         raise DataError("hierarchical softmax needs a vocabulary of >= 2 tokens")
+    check_integer("n_docs", n_docs)
     if n_docs < 1:
         raise DataError("need at least one document")
     rng = np.random.default_rng(cfg.seed)
@@ -626,12 +617,9 @@ def train(model: EmbeddingModel, docs: Sequence[TokenizedDoc]) -> EmbeddingModel
             doc = docs[di]
             alpha = _alpha(cfg, processed, total)
             processed += len(doc.tokens)
-            toks = doc.tokens
-            if keep is not None:
-                toks = toks[rng.random(len(toks)) < keep[toks]]
-                if len(toks) == 0:
-                    continue
-            yield toks, doc.doc_tag, alpha
+            toks = doc.tokens if keep is None else subsample_filter(doc.tokens, keep, rng)
+            if len(toks):
+                yield toks, doc.doc_tag, alpha
 
     for e in range(cfg.epochs):
         for batch in _batches(epoch(e * tokens)):
@@ -654,22 +642,21 @@ def objective_gradient(
     Returns ``(loss, grad_h, row_grads)`` in float64, where ``row_grads``
     maps output-row index to the loss gradient with respect to that row
     (an SGD step subtracts alpha times these). The rows and labels are
-    the ones training scores; only those rows are read, in float64.
+    the ones training scores (``_Objective.scored_steps``, cut to the
+    step's k); only those rows are read, in float64.
     Negative-sampling draws come from ``rng`` unless ``negatives`` are
     supplied pre-drawn; the result is pure given the generator state.
     """
     h = np.asarray(h, dtype=np.float64)
-    vocab, cfg = model.vocab, model.config
-    if cfg.objective == "hs":
-        rows, labels = vocab.huffman.paths[target], vocab.huffman.targets[target]
-    else:
-        if negatives is None:
-            if rng is None:
-                raise ConfigError("negative sampling needs rng or pre-drawn negatives")
-            negatives = draw_negatives(rng, vocab.sampling_table, target, cfg.negative)
+    obj = _Objective(model.O, model.vocab, model.config)
+    if obj.hs or negatives is None:
+        if not obj.hs and rng is None:
+            raise ConfigError("negative sampling needs rng or pre-drawn negatives")
+        rows, labels, k = obj.scored_steps(np.array([target]), rng)
+        rows, labels = rows[0, : k[0]], labels[0, : k[0]]
+    else:  # the target's row, then the given noise rows
         rows = np.append(target, negatives).astype(np.intp)
-        labels = np.zeros(len(rows))
-        labels[0] = 1.0
+        labels = (np.arange(len(rows)) == 0).astype(np.float32)
     vecs = model.O[rows].astype(np.float64)
     x = vecs @ h
     coeff = 1.0 / (1.0 + np.exp(-x)) - labels  # d loss / d x

@@ -20,12 +20,18 @@ class DataError(SeqvecError, ValueError):
     """Malformed, empty, or otherwise unusable input data."""
 
 
-def check_integer(name: str, value, minimum: int = 0) -> None:
+def check_integer(name: str, value, minimum: int | None = 0,
+                  maximum: int | None = None) -> None:
     """A ConfigError naming ``name`` unless ``value`` is an integer (Python
-    or numpy) of at least ``minimum``; seeds and pass counts use it."""
+    or numpy, not a bool) in [minimum, maximum], a None bound being open;
+    every integer setting of the package goes through it."""
     try:
-        operator.index(value)
+        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+            raise TypeError
+        v = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{name} must be at most {maximum}, got {v}")

@@ -103,8 +103,7 @@ def neighbors(
     ``exclude_id`` removes one row (self-queries). Asking for more
     neighbors than the index holds returns everything, sorted.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    check_integer("k", k, 1)
     if len(index) == 0:
         raise DataError("index is empty")
     query = np.asarray(query, dtype=np.float64)
@@ -168,10 +167,11 @@ def knn_cross_validate(
     check_integer("seed", seed)
     if index.labels is None:
         raise ConfigError("index has no labels to cross-validate against")
-    if folds < 2:
-        raise ConfigError("need at least 2 folds")
-    if not k_values or min(k_values) < 1:
-        raise ConfigError("k_values must be positive")
+    check_integer("folds", folds, 2)
+    if not k_values:
+        raise ConfigError("k_values must not be empty")
+    for k in k_values:
+        check_integer("k", k, 1)
     if len(set(k_values)) < len(k_values):
         raise ConfigError(f"k_values must be distinct, got {','.join(map(str, k_values))}")
 

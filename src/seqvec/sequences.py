@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 __all__ = [
     "Alphabet",
@@ -183,8 +183,7 @@ def parse_fasta(
 
 def write_fasta(records: Iterable[SequenceRecord], stream: IO, width: int = 60) -> None:
     """Write records as FASTA with bodies wrapped at ``width`` columns."""
-    if width < 1:
-        raise ConfigError("wrap width must be positive")
+    check_integer("width", width, 1)
     for rec in records:
         head = f">{rec.id} {rec.description}".rstrip()
         stream.write(head + "\n")

@@ -47,8 +47,9 @@ def markov_family_corpus(
     family's members are drawn together: one uniform per residue, member
     by member, then one chain step per position for all of them.
     """
-    if n_families < 1 or per_family < 1 or length < 1:
-        raise ConfigError("n_families, per_family and length must be positive")
+    check_integer("n_families", n_families, 1)
+    check_integer("per_family", per_family, 1)
+    check_integer("length", length, 1)
     if concentration <= 0:
         raise ConfigError("concentration must be positive")
     check_integer("seed", seed)
@@ -93,6 +94,7 @@ def motif_order_corpus(per_family: int = 100, seed: int = 0) -> list[SequenceRec
     49 letters a sequence. Family f is named ``FAMf`` and its members
     ``FAMf_i``; the corpus is a pure function of the arguments.
     """
+    check_integer("per_family", per_family, 1)
     check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     letters = np.frombuffer(STANDARD_AMINO_ACIDS.encode("ascii"), dtype=np.uint8)

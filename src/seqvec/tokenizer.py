@@ -32,7 +32,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .sequences import SequenceRecord, _as_text
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "kmers_nonoverlapping",
     "build_corpus",
     "build_vocabulary",
+    "subsample_keep_probs",
     "subsample_filter",
     "build_huffman",
     "guide_table",
@@ -70,11 +71,7 @@ class TokenizerConfig:
     mode: str = "nonoverlap"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"kmer length must be >= 1, got {self.k}")
-        if self.k > MAX_K:
-            raise ConfigError(f"kmer length must be at most {MAX_K}, the model file's "
-                              f"limit, got {self.k}")
+        check_integer("kmer length", self.k, 1, MAX_K)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -190,8 +187,7 @@ def kmers_overlapping(residues: str, k: int) -> list[str]:
     Yields ``len(residues) - k + 1`` kmers; consecutive outputs overlap in
     k-1 letters. Raises DataError when the sequence is shorter than k.
     """
-    if k < 1:
-        raise ConfigError(f"kmer length must be >= 1, got {k}")
+    check_integer("kmer length", k, 1)
     if len(residues) < k:
         raise DataError(
             f"sequence of length {len(residues)} is shorter than k={k}"
@@ -206,8 +202,7 @@ def kmers_nonoverlapping(residues: str, k: int) -> list[list[str]]:
     holds floor((L - p) / k) kmers. Requires L >= 2k - 1 so that every
     phase yields at least one kmer.
     """
-    if k < 1:
-        raise ConfigError(f"kmer length must be >= 1, got {k}")
+    check_integer("kmer length", k, 1)
     if len(residues) < 2 * k - 1:
         raise DataError(
             f"sequence of length {len(residues)} too short for {k} phases "
@@ -238,8 +233,7 @@ def build_vocabulary(counts: Counter[str] | dict[str, int],
     """Vocabulary over ``counts`` with tokens below ``min_count`` removed,
     in the dict's iteration order (first-occurrence order when the counts
     come from a corpus scan)."""
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+    check_integer("min_count", min_count, 1)
     kept = [t for t in counts if counts[t] >= min_count]
     return Vocabulary(kept, np.array([counts[t] for t in kept], dtype=np.int64),
                       min_count=min_count)
@@ -300,20 +294,16 @@ def subsample_keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
 
 def subsample_filter(
     tokens: Sequence[int] | np.ndarray,
-    vocab: Vocabulary,
-    t: float,
+    keep: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Randomly drop high-frequency tokens, preserving survivor order.
 
-    A token with corpus frequency f survives with probability
-    min(1, sqrt(t/f) + t/f); one uniform draw is consumed per input token,
-    so a fixed generator state reproduces the output exactly.
+    Token t survives with probability ``keep[t]``, the table
+    ``subsample_keep_probs`` gives; one uniform draw is consumed per input
+    token, so a fixed generator state reproduces the output exactly.
     """
-    keep = subsample_keep_probs(vocab, t)
     tokens = np.asarray(tokens, dtype=np.int32)
-    if len(tokens) == 0:
-        return tokens
     return tokens[rng.random(len(tokens)) < keep[tokens]]
 
 

@@ -1,4 +1,8 @@
-"""Keep the evidence of a failing test session.
+"""Derandomized hypothesis examples, and the evidence of a failing test session.
+
+Every ``@given`` test draws the same examples on every run (the "seqvec"
+profile: ``derandomize=True``, no deadline), so a failing example fails
+again on the next run.
 
 On a session's first failure this writes ``.test-failures/<UTC time>-<pid>.txt``
 at the repository root (git-ignored): a fingerprint of the process taken
@@ -6,8 +10,8 @@ at session start and another taken at that failure, then the id and the
 ``longrepr`` of that failure and of every later one in the session. A
 fingerprint is numpy's runtime (its SIMD dispatch), its build and BLAS
 configuration, the CPU flags, the load average and the process's thread
-count and memory from ``/proc/self/status``. Nothing here changes what a
-test runs or asserts; a passing session writes nothing.
+count and memory from ``/proc/self/status``. The evidence changes nothing
+that a test runs or asserts; a passing session writes nothing.
 """
 
 import io
@@ -18,6 +22,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+settings.register_profile("seqvec", derandomize=True, deadline=None)
+settings.load_profile("seqvec")
 
 _EVIDENCE = Path(__file__).resolve().parents[1] / ".test-failures"
 

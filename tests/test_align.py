@@ -225,7 +225,7 @@ class TestAlignParams:
         # the kernel scores in int32/int64 lanes
         with pytest.raises(ConfigError, match="integers"):
             AlignParams(uniform_table().astype(np.float64), -2, -1)
-        with pytest.raises(ConfigError, match="integers"):
+        with pytest.raises(ConfigError, match="^gap_open must be an integer, got -2.5$"):
             AlignParams(uniform_table(), gap_open=-2.5, gap_extend=-1)
         assert smith_waterman("ACG", "ACG", AlignParams(uniform_table(), np.int64(-2),
                                                         np.int32(-1))) == 6

@@ -216,7 +216,7 @@ class TestModelRejection:
         (b"km0" + (3).to_bytes(8, "little"), b"km0" + bytes(8), "vocabulary",
          "vocabulary contains tokens below min_count"),
         (struct.pack("<4s4I", b"SQV1", 1, 0, 6, 5),  # magic, version, dm, dim, window
-         struct.pack("<4s4I", b"SQV1", 1, 0, 6, 0), "config", "window must be positive"),
+         struct.pack("<4s4I", b"SQV1", 1, 0, 6, 0), "config", "window must be >= 1, got 0"),
     ], ids=["repeated-token", "count-below-min-count", "zero-window"])
     def test_invalid_block_names_its_offset(self, old, new, block, reason):
         blob = _bytes_of(_trained_model())

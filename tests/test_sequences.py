@@ -140,7 +140,7 @@ class TestFastaRoundTrip:
         assert [len(l) for l in lines[1:]] == [60, 60, 5]
 
     def test_width_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="wrap width must be positive"):
+        with pytest.raises(ConfigError, match="^width must be >= 1, got 0$"):
             write_fasta([SequenceRecord("a", "", "ACD")], io.StringIO(), width=0)
 
 

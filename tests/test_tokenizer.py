@@ -20,6 +20,7 @@ from seqvec.tokenizer import (
     kmers_overlapping,
     read_corpus,
     subsample_filter,
+    subsample_keep_probs,
     write_corpus,
 )
 
@@ -152,7 +153,8 @@ class TestSubsampleFilter:
     def test_threshold_one_keeps_everything(self):
         vocab = build_vocabulary({"AAA": 5, "CCC": 5})
         tokens = [0, 1, 0, 1, 0]
-        out = subsample_filter(tokens, vocab, 1.0, np.random.default_rng(0))
+        out = subsample_filter(tokens, subsample_keep_probs(vocab, 1.0),
+                               np.random.default_rng(0))
         assert out.tolist() == tokens
 
     def test_monte_carlo_keep_rate_single_token(self):
@@ -160,25 +162,28 @@ class TestSubsampleFilter:
         vocab = build_vocabulary({"AAA": 100})
         rng = np.random.default_rng(42)
         n = 100_000
-        kept = len(subsample_filter(np.zeros(n, dtype=np.int32), vocab, 1e-4, rng))
+        keep = subsample_keep_probs(vocab, 1e-4)
+        kept = len(subsample_filter(np.zeros(n, dtype=np.int32), keep, rng))
         assert abs(kept / n - 0.0101) < 0.002
 
     def test_empty_input(self):
         vocab = build_vocabulary({"AAA": 1})
-        out = subsample_filter([], vocab, 0.5, np.random.default_rng(0))
+        out = subsample_filter([], subsample_keep_probs(vocab, 0.5), np.random.default_rng(0))
         assert len(out) == 0
 
     def test_seeded_reproducibility(self):
         vocab = build_vocabulary({"AAA": 90, "CCC": 10})
         tokens = np.array([0, 1] * 50, dtype=np.int32)
-        a = subsample_filter(tokens, vocab, 1e-2, np.random.default_rng(7))
-        b = subsample_filter(tokens, vocab, 1e-2, np.random.default_rng(7))
+        keep = subsample_keep_probs(vocab, 1e-2)
+        a = subsample_filter(tokens, keep, np.random.default_rng(7))
+        b = subsample_filter(tokens, keep, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_order_preserved(self):
         vocab = build_vocabulary({"AAA": 999, "CCC": 1})
         tokens = np.array([0, 1, 0, 1, 0, 0, 1], dtype=np.int32)
-        out = subsample_filter(tokens, vocab, 1e-3, np.random.default_rng(3))
+        out = subsample_filter(tokens, subsample_keep_probs(vocab, 1e-3),
+                               np.random.default_rng(3))
         # survivors must be a subsequence of the input
         it = iter(tokens.tolist())
         assert all(any(t == o for t in it) for o in out.tolist())

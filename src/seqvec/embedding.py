@@ -44,23 +44,22 @@ count k of those it scores; the rest hold row 0 with label 0. Every
 reader works on all K slots: a slot past k takes learning rate 0
 (``_slot_rates``), so it moves no row, and is left out of the probe's
 loss. So the SGD is that over each step's k rows, and every step of a
-model has the same shape. ``_hidden`` builds the steps' h from the plan, for the lanes a
-step at a time and for ``loss_estimate`` a chunk at a time.
-The batch's steps are then cut into lanes of equal length, at
-most ``_LANES`` of them plus one shorter piece per document; a long
-document gives several lanes, which share its row of D. Lanes run
-longest first. Step p runs the p-th step of every lane that has one, in
-one gradient call: it reads D, W and O as step p - 1 left them, then
-adds all of its updates, repeated rows summed in lane order, one
-``np.add.at`` per matrix over the flat indices of the elements it writes
-(``_add_rows``; a padded slot adds +-0 to row 0 of O). So each
-lane sees its own earlier steps but not the other lanes' step p, a
-synchronous form of HogBatch minibatching (Ji et al. 2016), and training
-stays bit-deterministic for a fixed seed. One lane is the sequential
-walk. A context slot outside the window reads a row of -0.0 appended to
-W, which changes no sum (or one of +0.0, so that an empty context sums to
-+0.0), and the context sums of a step are one gather and one sum over
-its slots.
+model has the same shape. ``_hidden`` builds the steps' h from the plan,
+for the lanes a step at a time and for ``loss_estimate`` a chunk at a
+time. ``_train_lanes`` cuts the batch's steps into lanes of equal length,
+at most ``_LANES`` of them plus one shorter piece per document (a long
+document gives several lanes, which share its row of D), longest first,
+and ``_step_lanes`` runs them. Its step p runs the p-th step of every lane
+that has one, in one gradient call: it reads D, W and O as step p - 1 left
+them, then adds all of its updates, repeated rows summed in lane order,
+one ``np.add.at`` per matrix over the flat indices of the elements it
+writes (``_add_rows``; a padded slot adds +-0 to row 0 of O). So each lane
+sees its own earlier steps but not the other lanes' step p, a synchronous
+form of HogBatch minibatching (Ji et al. 2016), and training stays
+bit-deterministic for a fixed seed. One lane is the sequential walk. A
+context slot outside the window reads a row of -0.0 appended to W, which
+changes no sum (or one of +0.0, so that an empty context sums to +0.0),
+and the context sums of a step are one gather and one sum over its slots.
 
 Inference is that training step for one lane on a frozen model:
 ``infer_docs`` trains a fresh document row with W and O left unwritten,
@@ -237,21 +236,17 @@ def init_model(
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n float32 rows uniform in [-0.5/dim, 0.5/dim)."""
+    """n float32 rows uniform in [-0.5/dim, 0.5/dim): the draws of one
+    (n, dim) call, made 2^16 at a time, so no float64 copy of the rows is
+    held. Rows too many for numpy or the machine are a ``ConfigError``."""
     bound = 0.5 / dim
-    return rng.uniform(-bound, bound, (n, dim)).astype(np.float32)
-
-
-def draw_negatives(
-    rng: np.random.Generator, table: np.ndarray, target: int, n: int
-) -> np.ndarray:
-    """n indices from the cumulative sampling table, avoiding ``target``.
-
-    The one-step case of ``_negative_steps``: a draw equal to the target
-    is skipped, so the result can be shorter than n.
-    """
-    rows, k = _negative_steps(table, n, np.array([target]), rng)
-    return rows[0, 1 : k[0]]
+    try:
+        M = np.empty((n, dim), dtype=np.float32)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"cannot allocate {n} rows of dim {dim}") from None
+    for part in np.split(M.reshape(-1), range(1 << 16, n * dim, 1 << 16)):
+        part[...] = rng.uniform(-bound, bound, part.size)
+    return M
 
 
 def _negative_steps(table, n, targets, rng, guide=None):
@@ -478,12 +473,7 @@ def _train_lanes(arch, D, Wx, obj, docs, tags, alphas, window, rng):
     The passes are planned together (``_plan``), S steps in all, and each
     document's steps are cut into lanes of L = ceil(S / ``_LANES``) steps
     (the last one shorter). Lanes are sorted by step count, longest first
-    (ties in document, then step order), and step p runs the p-th step of
-    every lane that has one. All of step p's reads of D, W and O see them
-    as step p - 1 left them. Its writes are added after them, each row's in
-    lane order and, within a lane, in the order of the step's rows, as
-    ``np.add.at`` sums them. One lane is the sequential walk, step by step.
-    W is read and written as the first V rows of Wx = ``_with_sentinel(W)``.
+    (ties in document, then step order), and ``_step_lanes`` runs them.
     """
     p = _plan(arch, docs, window, obj, rng)
     S = len(p.doc)
@@ -509,10 +499,19 @@ def _train_lanes(arch, D, Wx, obj, docs, tags, alphas, window, rng):
     for i, a in enumerate(fields):
         fields[i] = None if a is None else a[order]
     p = _Plan(*fields)
+    _step_lanes(arch, D, Wx, obj, p, bounds, np.asarray(tags, dtype=np.intp)[p.doc],
+                _slot_rates(alphas, p))
+
+
+def _step_lanes(arch, D, Wx, obj, p, bounds, tag, rates):
+    """Run a step-major plan's lanes in lockstep: step i runs plan steps
+    bounds[i]..bounds[i + 1]-1, which read D, W and O as step i - 1 left
+    them and then add their writes, each row's in lane order, as
+    ``np.add.at`` sums them. Plan step s scores its slots at the rates
+    ``rates[s]`` and reads and writes D[tag[s]]; W is the first V rows of
+    Wx = ``_with_sentinel(W)``."""
     rows, labels = p.rows, p.labels
-    rates = _slot_rates(alphas, p)
     last = np.subtract(bounds[1:], 1)  # each step's last lane
-    tag = np.asarray(tags, dtype=np.intp)[p.doc]
     O, gradient = obj.O, obj.gradient
     K, d = rows.shape[1], O.shape[1]
     # each matrix's writes go to its flat view (``train`` keeps D, Wx and O

@@ -18,7 +18,7 @@ from seqvec.classify import ConfusionCounts, metrics_from_counts, stratified_fol
 from seqvec.cli import main
 from seqvec.embedding import (
     TrainConfig,
-    draw_negatives,
+    _negative_steps,
     infer_docs,
     init_model,
     objective_gradient,
@@ -166,11 +166,10 @@ def _fd_gradient_suite_instance(rng, arch, objective):
             n_contrib = 1
             contributors = [("D", tag, 1)]
 
-    negs = (
-        draw_negatives(rng, vocab.sampling_table, target, cfg.negative)
-        if objective == "ns"
-        else None
-    )
+    negs = None
+    if objective == "ns":  # the noise rows of one step
+        rows, k = _negative_steps(vocab.sampling_table, cfg.negative, np.array([target]), rng)
+        negs = rows[0, 1 : k[0]]
     loss_of = lambda: objective_gradient(h_of(), target, model, negatives=negs)[0]
     _, grad_h, row_grads = objective_gradient(h_of(), target, model, negatives=negs)
 

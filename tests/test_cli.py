@@ -3,7 +3,10 @@
 import argparse
 import inspect
 import io
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -170,6 +173,26 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"seqvec: error: {message}\n"
         assert not (tmp_path / "bad.bin").exists()
+
+    def test_dim_too_large_to_allocate_is_usage_error(self, tmp_path):
+        # D alone needs 2 x (2^32 - 1) float32s, 32 GiB, and the child may
+        # map 3 GB: numpy's allocation fails with MemoryError, however much
+        # this machine could map lazily
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("#meta k=3 mode=nonoverlap\n0 0 ACG TTA\n1 0 CGT TAC\n")
+        limited = ("import resource, sys; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9)); "
+                   "from seqvec.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", limited, "train", "--corpus", str(corpus),
+             "--dim", str(2**32 - 1), "--output", str(tmp_path / "big.bin")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"seqvec: usage error: cannot allocate 2 rows of dim {2**32 - 1}\n")
+        assert not (tmp_path / "big.bin").exists()
 
     def test_corpus_without_metadata_trains_with_inferred_settings(self, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqvec import embedding
 from seqvec.embedding import (
@@ -17,7 +18,6 @@ from seqvec.embedding import (
     _Objective,
     _context_sums,
     _train_lanes,
-    draw_negatives,
     infer_docs,
     init_model,
     loss_estimate,
@@ -41,6 +41,13 @@ def _vocab(n=6, base_count=5):
 
 def _doc(tag, tokens):
     return TokenizedDoc(tag, 0, np.asarray(tokens, dtype=np.int32))
+
+
+def _noise_rows(rng, table, target, n):
+    """The noise rows of one negative-sampling step at ``target``: the
+    one-step case of ``_negative_steps``."""
+    rows, k = embedding._negative_steps(table, n, np.array([target]), rng)
+    return rows[0, 1 : k[0]]
 
 
 class TestTrainConfig:
@@ -107,6 +114,21 @@ class TestInitModel:
         assert not m.O.any()
         assert m.O.shape == (10, 8)
 
+    def test_rows_numpy_cannot_hold_are_a_config_error(self):
+        # numpy refuses 2^40 rows of 2^32 - 1 floats before it allocates
+        with pytest.raises(ConfigError,
+                           match="cannot allocate 1099511627776 rows of dim 4294967295"):
+            init_model(_vocab(2), 2**40, TrainConfig(dim=2**32 - 1))
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (3, 7), (2, 40_000)])
+    def test_rows_are_the_draws_of_one_call(self, n, dim):
+        # drawn 2^16 at a time into float32, across rows in the last case,
+        # the rows and the generator's state are those of one float64 draw
+        lib, ref = np.random.default_rng(4), np.random.default_rng(4)
+        want = ref.uniform(-0.5 / dim, 0.5 / dim, (n, dim)).astype(np.float32)
+        assert embedding._uniform_rows(lib, n, dim).tobytes() == want.tobytes()
+        assert lib.random() == ref.random()
+
     def test_hs_output_has_inner_node_rows(self):
         m = init_model(_vocab(10), 4, TrainConfig(dim=4, objective="hs"))
         assert m.O.shape == (9, 4)
@@ -140,7 +162,7 @@ class TestObjectiveGradient:
         model = init_model(_vocab(8), 2, cfg)
         model.O[:] = np.random.default_rng(1).normal(size=model.O.shape)
         rng = np.random.default_rng(2)
-        negs = draw_negatives(rng, model.vocab.sampling_table, 0, 3)
+        negs = _noise_rows(rng, model.vocab.sampling_table, 0, 3)
         loss, grad_h, rows = objective_gradient(
             np.zeros(5), 0, model, negatives=negs
         )
@@ -156,7 +178,7 @@ class TestObjectiveGradient:
         model = init_model(_vocab(12), 2, cfg)
         model.O[:] = 0.5 * rng.normal(size=model.O.shape)
         h = rng.normal(size=5)
-        negs = draw_negatives(rng, model.vocab.sampling_table, 4, 3)
+        negs = _noise_rows(rng, model.vocab.sampling_table, 4, 3)
         loss, grad_h, row_grads = objective_gradient(h, 4, model, negatives=negs)
 
         _fd_check(
@@ -227,8 +249,8 @@ class TestObjectiveGradient:
         model.D[0] = 0.5 * rng.normal(size=5)
         h = model.D[0].copy()
         alpha, target = 0.1, 2
-        negs = draw_negatives(np.random.default_rng(5), model.vocab.sampling_table,
-                              target, cfg.negative)
+        negs = _noise_rows(np.random.default_rng(5), model.vocab.sampling_table,
+                           target, cfg.negative)
         if objective == "ns":
             assert len(np.unique(negs)) < len(negs)
             assert len(negs) < cfg.negative  # k = 1 + len(negs) < K = 1 + n
@@ -301,7 +323,7 @@ class TestArchitectureGradients:
                     continue
                 target = int(toks[others[0]])
                 negs = (
-                    draw_negatives(rng, vocab.sampling_table, target, 3)
+                    _noise_rows(rng, vocab.sampling_table, target, 3)
                     if objective == "ns"
                     else None
                 )
@@ -327,7 +349,7 @@ class TestArchitectureGradients:
                 continue
             target = int(toks[pos])
             negs = (
-                draw_negatives(rng, vocab.sampling_table, target, 3)
+                _noise_rows(rng, vocab.sampling_table, target, 3)
                 if objective == "ns"
                 else None
             )
@@ -454,7 +476,7 @@ class TestUpdateDistribution:
 # library must reproduce these byte for byte: training at one lane the
 # first, at several the second. The reference shares the library's
 # gradient kernel and Huffman coding, but neither its draw rule
-# (draw_negatives, _negative_steps), nor its planner (scored_steps), nor
+# (_negative_steps), nor its planner (scored_steps), nor
 # its row writes (_add_rows).
 
 
@@ -1132,7 +1154,7 @@ class TestLanesMatchReference:
 
 
 class TestDrawRuleMatchesReference:
-    """``draw_negatives`` is the one-step case of the planner's draw rule."""
+    """The planner's draw rule (``_negative_steps``) against the per-draw loop."""
 
     @staticmethod
     def _skewed_vocab():
@@ -1141,13 +1163,13 @@ class TestDrawRuleMatchesReference:
 
     @pytest.mark.parametrize("negative", [1, 3, 9])
     @pytest.mark.parametrize("skewed", [True, False])
-    def test_draw_negatives_matches_the_per_draw_loop(self, skewed, negative):
+    def test_one_step_matches_the_per_draw_loop(self, skewed, negative):
         vocab = self._skewed_vocab() if skewed else _vocab(3)
         table, short = vocab.sampling_table, 0
         for seed in range(60):
             for target in range(len(vocab)):
                 lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = draw_negatives(lib_rng, table, target, negative)
+                got = _noise_rows(lib_rng, table, target, negative)
                 want = _ref_draw_negatives(ref_rng, table, target, negative)
                 assert got.dtype == want.dtype == np.intp
                 assert got.tolist() == want.tolist()
@@ -1250,6 +1272,115 @@ class TestGuideTable:
         assert 0 < searched.sum() <= len(vocab)
         assert searched[-1]  # the table's top entry, 1.0, bounds the last bucket
         assert np.array_equal(guide, guide_table(table))
+
+
+@st.composite
+def _small_cases(draw, archs=embedding.ARCHITECTURES):
+    """A small corpus, a config and the budgets of ``_batches``, the lanes
+    and the frozen gathers: (vocab, docs, document rows, cfg, budgets)."""
+    objective = draw(st.sampled_from(embedding.OBJECTIVES))
+    V = draw(st.integers(2 if objective == "hs" else 1, 30))
+    shape = draw(st.sampled_from(["flat", "uneven", "skewed"]))
+    counts = [5] * V if shape == "flat" else draw(st.lists(st.integers(1, 9),
+                                                            min_size=V, max_size=V))
+    if shape == "skewed":  # one token holds nearly all the count^0.75 mass
+        counts[draw(st.integers(0, V - 1))] = 100_000
+    vocab = build_vocabulary({f"t{i:02d}": c for i, c in enumerate(counts)})
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    rows = draw(st.integers(1, len(lengths)))  # documents share rows of D
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    docs = [_doc(i % rows, rng.integers(0, V, n)) for i, n in enumerate(lengths)]
+    cfg = TrainConfig(architecture=draw(st.sampled_from(archs)),
+                      dim=draw(st.sampled_from([1, 2, 5])), window=draw(st.integers(1, 6)),
+                      objective=objective, negative=draw(st.integers(1, 9)),
+                      subsample_t=draw(st.sampled_from([0.0, 0.001, 0.05])),
+                      epochs=draw(st.integers(1, 2)), alpha0=0.1,
+                      seed=draw(st.integers(0, 2**16)))
+    budgets = {"_LANES": draw(st.sampled_from([1, 2, 3, 64])),
+               "_BATCH_TOKENS": draw(st.sampled_from([1, 10, 4096])),
+               "_GATHER_CELLS": draw(st.sampled_from([1, 7, 150, 1 << 15]))}
+    return vocab, docs, rows, cfg, budgets
+
+
+def _patched(mp, budgets):
+    """Set the module budgets on ``mp``; returns the lanes and batch tokens."""
+    for name, value in budgets.items():
+        mp.setattr(embedding, name, value)
+    return budgets["_LANES"], budgets["_BATCH_TOKENS"]
+
+
+def _scrambled(model, seed):
+    """The model with D, W and O redrawn from N(0, 0.4^2), as float32."""
+    rng = np.random.default_rng(seed)
+    for M in (model.D, model.W, model.O):
+        M[:] = 0.4 * rng.normal(size=M.shape)
+    return model
+
+
+class TestDifferentialProperties:
+    """Training, the loss probe, inference and the negative draws against
+    their references, bit for bit, on drawn corpora, configs and budgets.
+    The budgets are patched inside each example, as a function-scoped
+    fixture would outlive it."""
+
+    @settings(max_examples=40)
+    @given(_small_cases())
+    def test_train_matches_the_lockstep_reference(self, case):
+        vocab, docs, rows, cfg, budgets = case
+        with pytest.MonkeyPatch.context() as mp:
+            lanes, batch_tokens = _patched(mp, budgets)
+            made = _last_rng(mp)
+            lib = train(init_model(vocab, rows, cfg), docs)
+            lib_rng = made[-1]
+            ref, _ = _ref_train_lanes(init_model(vocab, rows, cfg), docs, lanes,
+                                      batch_tokens)
+            assert lib_rng.random() == made[-1].random()
+        for M, R in ((lib.D, ref.D), (lib.W, ref.W), (lib.O, ref.O)):
+            assert M.tobytes() == R.tobytes()
+
+    @settings(max_examples=40)
+    @given(_small_cases(), st.integers(0, 2**16))
+    def test_loss_estimate_matches_the_batched_reference(self, case, seed):
+        vocab, docs, rows, cfg, budgets = case
+        model = init_model(vocab, rows, cfg)
+        scoreable = cfg.architecture in embedding.DOC_ARCHITECTURES or max(
+            len(d.tokens) for d in docs) > 1
+        with pytest.MonkeyPatch.context() as mp:
+            lanes, batch_tokens = _patched(mp, budgets)
+            for m in (model, _scrambled(model, seed)):  # O all zero, then not
+                if not scoreable:
+                    with pytest.raises(DataError, match="no scoreable positions"):
+                        loss_estimate(m, docs, probe_seed=seed)
+                    continue
+                want, _ = _ref_batched_loss_estimate(m, docs, seed, lanes, batch_tokens)
+                assert loss_estimate(m, docs, probe_seed=seed) == want
+
+    @settings(max_examples=40)
+    @given(_small_cases(archs=embedding.DOC_ARCHITECTURES), st.integers(1, 3), st.integers(0, 2**16))
+    def test_infer_docs_matches_the_batched_reference(self, case, epochs, seed):
+        vocab, docs, rows, cfg, budgets = case
+        model = _scrambled(init_model(vocab, rows, cfg), seed)
+        lists = [d.tokens for d in docs[::-1]]
+        with pytest.MonkeyPatch.context() as mp:
+            lanes, batch_tokens = _patched(mp, budgets)
+            want, _ = _ref_batched_infer_docs(model, lists, epochs, seed, lanes,
+                                              batch_tokens)
+            assert infer_docs(model, lists, epochs, seed).tobytes() == want.tobytes()
+
+    @settings(max_examples=60)
+    @given(_small_cases(), st.integers(1, 200), st.integers(0, 2**16))
+    def test_guide_table_draws_match_the_binary_search(self, case, steps, seed):
+        vocab, cfg = case[0], case[3]
+        table = vocab.sampling_table
+        targets = np.random.default_rng(seed).integers(-1, len(vocab), steps)
+        lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows, k = embedding._negative_steps(table, cfg.negative, targets, lib_rng,
+                                            vocab.guide)
+        for s, t in enumerate(targets.tolist()):
+            want = [t, *_ref_draw_negatives(ref_rng, table, t, cfg.negative).tolist()]
+            assert rows[s, : k[s]].tolist() == want
+            assert not rows[s, k[s] :].any()
+        assert lib_rng.random() == ref_rng.random()
 
 
 def _repetitive_docs(n_docs=2):

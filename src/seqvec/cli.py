@@ -142,11 +142,10 @@ def cmd_infer(args) -> int:
         model = model_io.load_model(fh)
     with open(args.input, "rb") as fh:
         records = parse_fasta(fh, PROTEIN, "replace")
-    tok = model.tokenizer
     ids, rows = [], []
     skipped = kmers = kept = 0
     for rec in records:
-        phases = tok.phases(rec.residues) if len(rec.residues) >= tok.min_length() else []
+        phases = model.tokenizer.phases(rec.residues)
         token_lists = [tl for tl in map(model.vocab.encode, phases) if len(tl)]
         kmers += sum(map(len, phases))
         kept += sum(map(len, token_lists))

@@ -43,7 +43,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingModel, TrainConfig, ARCHITECTURES, OBJECTIVES
+from .embedding import _U32_MAX, EmbeddingModel, TrainConfig, ARCHITECTURES, OBJECTIVES
 from .errors import ConfigError, DataError
 from .sequences import _as_text
 from .tokenizer import MAX_TEXT_BYTES, MODES, TokenizerConfig, Vocabulary
@@ -246,13 +246,14 @@ def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:
     if not lines:
         raise DataError("empty vector file")
     head = lines[0].split()
-    if len(head) != 2 or not all(h.isdecimal() for h in head) or int(head[1]) < 1:
-        raise DataError(f"line 1: expected header 'N d', d >= 1, got {lines[0]!r}")
+    if (len(head) != 2 or not all(h.isdecimal() for h in head)
+            or not 1 <= int(head[1]) <= _U32_MAX):  # a model's largest dim
+        raise DataError(f"line 1: expected header 'N d', 1 <= d <= {_U32_MAX}, "
+                        f"got {lines[0]!r}")
     n, d = int(head[0]), int(head[1])
     if len(lines) - 1 != n:
         raise DataError(f"header declares {n} vectors but file has {len(lines) - 1}")
-    ids, seen = [], set()
-    matrix = np.empty((n, d))
+    ids, seen, rows = [], set(), []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d + 1:
@@ -262,9 +263,11 @@ def read_vectors(data: str | bytes | IO) -> tuple[list[str], np.ndarray]:
         seen.add(parts[0])
         ids.append(parts[0])
         try:
-            matrix[i - 2] = [float(v) for v in parts[1:]]
+            rows.append([float(v) for v in parts[1:]])
         except ValueError:
             raise DataError(f"line {i}: non-numeric value in {parts[0]!r}") from None
+    # built from the values read, so a declared shape allocates nothing
+    matrix = np.array(rows, dtype=np.float64).reshape(n, d)
     with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected below
         matrix = matrix.astype(np.float32)
     finite = np.isfinite(matrix).all(axis=1)

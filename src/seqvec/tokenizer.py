@@ -15,10 +15,12 @@ the documents), and carries the cumulative count^0.75 table used to draw
 negative samples plus, built on first use, its guide table and a Huffman
 coding of the tokens.
 
-``Vocabulary.encode`` is the only kmer -> id rule, for corpora and for
-inference queries alike. ``build_corpus`` and ``read_corpus`` share one
-assembly (``_assemble``): count, build the vocabulary, encode, drop empty
-documents, and tag the surviving sequences densely.
+``TokenizerConfig.phases`` is the only split rule and ``Vocabulary.encode``
+the only kmer -> id rule, for corpora and inference queries alike.
+``build_corpus`` and ``read_corpus`` share one assembly (``_assemble``):
+count, build the vocabulary, encode, drop empty documents, and tag the
+surviving sequences densely; ``Corpus.skipped`` lists the sequences left
+without a document.
 """
 
 from __future__ import annotations
@@ -75,16 +77,17 @@ class TokenizerConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    def min_length(self) -> int:
-        """Shortest sequence this configuration can tokenize."""
-        return self.k if self.mode == "overlap" else 2 * self.k - 1
-
     def phases(self, residues: str) -> list[list[str]]:
         """The kmer documents of one sequence: a single overlapping reading,
-        or the k non-overlapping phase readings."""
-        if self.mode == "overlap":
-            return [kmers_overlapping(residues, self.k)]
-        return kmers_nonoverlapping(residues, self.k)
+        or the k non-overlapping phase readings, phase p holding the kmers
+        that start at p, p + k, ...; none when a reading would hold no kmer."""
+        k = self.k
+        stride = 1 if self.mode == "overlap" else k
+        last = len(residues) - k  # where the last kmer starts
+        if last < stride - 1:  # the last reading, the shortest, would be empty
+            return []
+        return [[residues[i : i + k] for i in range(p, last + 1, stride)]
+                for p in range(stride)]
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,6 @@ class TokenizedDoc:
     doc_tag: int
     phase: int
     tokens: np.ndarray  # int32, non-empty
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -187,39 +187,36 @@ def kmers_overlapping(residues: str, k: int) -> list[str]:
     Yields ``len(residues) - k + 1`` kmers; consecutive outputs overlap in
     k-1 letters. Raises DataError when the sequence is shorter than k.
     """
-    check_integer("kmer length", k, 1)
-    if len(residues) < k:
+    readings = TokenizerConfig(k, "overlap").phases(residues)
+    if not readings:
         raise DataError(
             f"sequence of length {len(residues)} is shorter than k={k}"
         )
-    return [residues[i : i + k] for i in range(len(residues) - k + 1)]
+    return readings[0]
 
 
 def kmers_nonoverlapping(residues: str, k: int) -> list[list[str]]:
     """The k phase readings of ``residues``, each tiled by disjoint kmers.
 
     Phase p starts at offset p and drops any trailing partial kmer, so it
-    holds floor((L - p) / k) kmers. Requires L >= 2k - 1 so that every
-    phase yields at least one kmer.
+    holds floor((L - p) / k) kmers. Raises DataError when the last phase
+    would hold none.
     """
-    check_integer("kmer length", k, 1)
-    if len(residues) < 2 * k - 1:
+    readings = TokenizerConfig(k).phases(residues)
+    if not readings:
         raise DataError(
             f"sequence of length {len(residues)} too short for {k} phases "
-            f"(need >= {2 * k - 1})"
+            f"(phase {k - 1} would hold no kmer)"
         )
-    phases = []
-    for p in range(k):
-        n = (len(residues) - p) // k
-        phases.append([residues[p + i * k : p + i * k + k] for i in range(n)])
-    return phases
+    return readings
 
 
 @dataclass
 class Corpus:
     """Token documents and their vocabulary, the settings that split them,
-    the kept sequence ids (aligned with doc tags) and the ids skipped for
-    being too short."""
+    the kept sequence ids (aligned with doc tags) and, in input order, the
+    ids of the input sequences that own no document: too short for
+    ``TokenizerConfig.phases``, or with every kmer below ``min_count``."""
 
     docs: list[TokenizedDoc]
     vocab: Vocabulary
@@ -254,7 +251,8 @@ def _assemble(raw: Sequence[tuple[int, int, list[str]]], min_count: int
     encoded = [(key, phase, vocab.encode(kmers)) for key, phase, kmers in raw]
     encoded = [doc for doc in encoded if len(doc[2])]
     if not encoded:
-        raise DataError("empty corpus: min_count filtering removed every token")
+        raise DataError(f"empty corpus: every sequence is too short to tokenize "
+                        f"or has only kmers below min_count={min_count}")
     keys = sorted({key for key, _, _ in encoded})
     tag_of = {key: tag for tag, key in enumerate(keys)}
     docs = [TokenizedDoc(tag_of[key], phase, ids) for key, phase, ids in encoded]
@@ -268,20 +266,18 @@ def build_corpus(
 ) -> Corpus:
     """Tokenize ``records`` into documents and build their vocabulary.
 
-    Sequences shorter than the mode's minimum are skipped and reported in
-    ``Corpus.skipped``. After rare-token removal, documents that end up
-    empty are dropped; doc tags are re-assigned densely over the sequences
-    that still own at least one document, preserving input order. Raises
-    DataError if nothing survives.
+    Each sequence is split by ``cfg.phases``. After rare-token removal,
+    documents that end up empty are dropped; doc tags are assigned densely
+    over the sequences that still own at least one document, preserving
+    input order, and the others are reported in ``Corpus.skipped``.
+    Raises DataError if nothing survives.
     """
-    kept = [rec for rec in records if len(rec.residues) >= cfg.min_length()]
-    skipped = [rec.id for rec in records if len(rec.residues) < cfg.min_length()]
-    if not kept:
-        raise DataError("empty corpus: no sequence satisfied the length requirement")
-    raw = [(i, phase, kmers) for i, rec in enumerate(kept)
+    raw = [(i, phase, kmers) for i, rec in enumerate(records)
            for phase, kmers in enumerate(cfg.phases(rec.residues))]
     docs, vocab, keys = _assemble(raw, min_count)
-    return Corpus(docs, vocab, cfg, [kept[i].id for i in keys], skipped)
+    kept = set(keys)
+    return Corpus(docs, vocab, cfg, [records[i].id for i in keys],
+                  [rec.id for i, rec in enumerate(records) if i not in kept])
 
 
 def subsample_keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
@@ -397,10 +393,11 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
     The settings come from the ``#meta`` line wherever it sits, or are
     inferred as above; every kmer must be k letters long and every phase
     one the mode has. Doc tags must be nonnegative; gaps between them are
-    closed.
+    closed. No two tags that own a document may share a sequence id, be it
+    from a ``#doc`` line or the ``doc<tag>`` name a tag without one gets.
     """
     k = mode = None
-    id_of: dict[int, str] = {}
+    id_of: dict[int, tuple[str, int]] = {}  # tag -> (id, line of its #doc)
     raw: list[tuple[int, int, list[str]]] = []
     linenos: list[int] = []  # the line of each document in raw
     for lineno, line in enumerate(io.StringIO(_as_text(data)), start=1):
@@ -431,7 +428,7 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
                 rid = _fitting(parts[2], lineno, "sequence id")
                 if rid.split() != [rid]:  # vector files split lines at whitespace
                     raise DataError(f"line {lineno}: sequence id contains whitespace")
-                id_of[tag] = rid
+                id_of[tag] = rid, lineno
             continue
         if line.startswith("#"):
             continue
@@ -467,5 +464,12 @@ def read_corpus(data: bytes | str | IO) -> Corpus:
             raise DataError(f"line {lineno}: phase {phase} is not in [0, {phases}), "
                             f"the phases of mode={mode} with k={k}")
     docs, vocab, tags = _assemble(raw, min_count=1)
-    doc_ids = [id_of.get(tag, f"doc{tag}") for tag in tags]
-    return Corpus(docs, vocab, TokenizerConfig(k=k, mode=mode), doc_ids, [])
+    tag_of: dict[str, int] = {}
+    for tag in tags:
+        rid, lineno = id_of.get(tag, (f"doc{tag}", None))
+        if rid in tag_of:  # one of the two has a #doc line
+            other = tag_of[rid]
+            raise DataError(f"line {lineno or id_of[other][1]}: doc tags {other} and "
+                            f"{tag} share the sequence id {rid!r}")
+        tag_of[rid] = tag
+    return Corpus(docs, vocab, TokenizerConfig(k=k, mode=mode), list(tag_of), [])

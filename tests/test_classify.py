@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqvec import classify
 from seqvec.classify import (
     SVM_EPOCHS,
     ConfusionCounts,
@@ -321,6 +323,34 @@ class TestPegasosLanes:
             multiclass_protocol(vectors, labels, top_n_families=2, folds=4)
         with pytest.raises(DataError, match="sequence 's13' is not finite"):
             binary_family_protocol(vectors, labels, "A", folds=4)
+
+
+@st.composite
+def _lane_cases(draw):
+    """X, 1-6 fits of 1-4 lanes each over 2-40 of its rows, with one shared
+    seed or a seed per fit, C, and a plan budget."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(40, d)) * rng.choice([0.1, 1.0, 10.0], size=(40, 1))
+    shared_seed = draw(st.booleans())
+    fits = []
+    for f in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 40))
+        Y = rng.choice([-1, 1], size=(draw(st.integers(1, 4)), n))
+        Y[:, :2] = -1, 1
+        fits.append(_Fit(rng.choice(len(X), size=n), Y, [7] if shared_seed else [7, f]))
+    C = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    return X, fits, C, draw(st.sampled_from([1, 16, 300, classify._PLAN_CELLS]))
+
+
+class TestPegasosLanesProperty:
+    @settings(max_examples=60)
+    @given(_lane_cases())
+    def test_every_lane_matches_the_reference(self, case):
+        X, fits, C, cells = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_PLAN_CELLS", cells)
+            _check_lanes(X, fits, C)
 
 
 def _golden_vectors():

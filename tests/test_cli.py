@@ -80,6 +80,17 @@ class TestTokenize:
             "0 2 ERT YQW ERT",
         ]
 
+    def test_report_counts_every_sequence_left_without_a_document(self, tmp_path,
+                                                                  capsys):
+        # "tiny" is too short for k=3; every kmer of "rare" falls below --min-count
+        fasta = tmp_path / "q.fasta"
+        fasta.write_text(">rare\nMMMKKKLLLPPP\n>kept\n" + "QWERTY" * 3 + "\n>tiny\nQW\n")
+        rc = main(["tokenize", "--input", str(fasta), "--k", "3", "--min-count", "3",
+                   "--output", str(tmp_path / "c.txt")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "vocabulary 4 tokens, 3 documents over 1 sequences, 2 sequences dropped\n")
+
     def test_k_zero_is_usage_error(self, tmp_path):
         fasta = tmp_path / "q.fasta"
         fasta.write_text(">q1\nQWERTYQWERTY\n")
@@ -162,8 +173,12 @@ class TestTrain:
          "line 2: phase 1 is not in [0, 1), the phases of mode=overlap with k=3"),
         ("#doc 0 my id\n0 0 ACG TTA\n",
          "line 1: sequence id contains whitespace"),
+        ("#doc 0 A\n#doc 1 A\n0 0 ACG TTA\n1 0 CGT TAC\n",
+         "line 2: doc tags 0 and 1 share the sequence id 'A'"),
+        ("#doc 0 doc1\n0 0 ACG TTA\n1 0 CGT TAC\n",
+         "line 1: doc tags 0 and 1 share the sequence id 'doc1'"),
     ], ids=["kmer-longer-than-k", "k-beyond-u32", "id-beyond-u16", "phase-not-in-mode",
-            "id-with-whitespace"])
+            "id-with-whitespace", "repeated-id", "id-of-an-unnamed-tag"])
     def test_corpus_no_model_can_serve_is_data_error(self, tmp_path, text, message,
                                                       capsys):
         corpus = tmp_path / "corpus.txt"

@@ -24,7 +24,7 @@ from seqvec.embedding import (
     objective_gradient,
     train,
 )
-from seqvec.errors import ConfigError, DataError
+from seqvec.errors import ConfigError, DataError, SeqvecError
 from seqvec.tokenizer import (
     TokenizedDoc,
     build_vocabulary,
@@ -1661,3 +1661,20 @@ class TestInference:
         assert np.array_equal(model.D, d_before)
         assert np.array_equal(model.W, w_before)
         assert np.array_equal(model.O, o_before)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(
+        st.lists(st.integers(-3, 10), max_size=6),
+        st.lists(st.integers(-2**70, 2**70), max_size=3),
+        st.lists(st.integers(0, 7), max_size=4).map(np.array),
+        st.lists(st.one_of(st.integers(-3, 8), st.booleans(), st.floats(),
+                           st.text(max_size=2), st.none()), max_size=5),
+        st.lists(st.lists(st.integers(0, 7), max_size=2), max_size=3),
+        st.integers(0, 7), st.text(max_size=3)), max_size=4))
+    def test_any_token_lists_yield_a_vector_or_a_seqvec_error(self, token_lists):
+        model = init_model(_vocab(8), 1, TrainConfig(dim=3, epochs=1, seed=0))
+        try:
+            vec = infer_docs(model, token_lists, seed=0)
+        except SeqvecError:
+            return
+        assert vec.shape == (3,) and np.isfinite(vec).all()

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqvec.classify import MetricSummary, multiclass_protocol, stratified_folds
-from seqvec.errors import ConfigError, DataError
+from seqvec.errors import ConfigError, DataError, SeqvecError
 from seqvec.knn import (
     NeighborResult,
     VectorIndex,
@@ -285,6 +286,21 @@ class TestKnnCrossValidate:
         index = VectorIndex(np.zeros((4, 2)), [f"v{i}" for i in range(4)], ["A"] * 4)
         with pytest.raises(DataError):
             knn_cross_validate(index, folds=2, k_values=[1])
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.integers(-2, 12), st.integers(1, 12),
+                              st.integers(2**62, 2**70), st.integers(1, 9).map(np.int64),
+                              st.booleans(), st.floats(), st.text(max_size=2), st.none()),
+                    max_size=4))
+    def test_any_k_values_yield_a_report_or_a_seqvec_error(self, k_values):
+        index = _two_cluster_index(per_class=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k above the training fold
+            try:
+                report = knn_cross_validate(index, k_values, folds=2)
+            except SeqvecError:
+                return
+        assert list(report) == k_values
 
     def test_unlabeled_index_rejected(self):
         with pytest.raises(ConfigError):

@@ -5,9 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqvec.embedding import MAX_NEGATIVE, TrainConfig, init_model, train
-from seqvec.errors import ConfigError, DataError
+from seqvec.errors import ConfigError, DataError, SeqvecError
 from seqvec.model_io import (
     _CONFIG,
     ModelFormatError,
@@ -296,6 +297,53 @@ class TestVectorText:
         with pytest.raises(DataError, match="line 1"):
             read_vectors(f"{header}\na 1 2\n")
 
+    @pytest.mark.parametrize("text", ["1 1099511627776\na 1\n", "0 4294967296\n",
+                                      "0 18446744073709551616\n"],
+                             ids=["one-row", "no-row", "beyond-int64"])
+    def test_dim_no_model_holds_rejected_before_any_allocation(self, text):
+        # at 2^40 one row of float64 is 8 TiB; at 2^64 numpy refuses the shape
+        with pytest.raises(DataError, match="^line 1: expected header 'N d', "
+                                            "1 <= d <= 4294967295, got "):
+            read_vectors(text)
+
     def test_duplicate_id_rejected_with_its_line(self):
         with pytest.raises(DataError, match="line 4: duplicate vector id 'a'"):
             read_vectors("3 2\na 1 2\nb 3 4\na 5 6\n")
+
+
+_VALUE = st.one_of(st.floats(-1e3, 1e3), st.floats()).map(repr)
+_ODD_VECTOR_LINE = st.one_of(
+    st.builds(lambda rid, values: " ".join([rid, *values]), st.sampled_from(["s0", "x", ""]),
+              st.lists(st.one_of(_VALUE, st.text(max_size=3)), max_size=3)),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _vector_files(draw):
+    """Bytes, or rows of two values with malformed lines put in among them
+    under a header that mostly counts them."""
+    if draw(st.integers(0, 3)) == 1:
+        return draw(st.binary(max_size=80))
+    values = draw(st.lists(st.tuples(_VALUE, _VALUE), max_size=4))
+    lines = [f"s{0 if draw(st.integers(0, 3)) == 1 else i} {a} {b}"  # ids may repeat
+             for i, (a, b) in enumerate(values)]
+    for line in draw(st.lists(_ODD_VECTOR_LINE, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    odd = st.one_of(st.integers(0, 3), st.sampled_from([2**32, 2**40, 2**64]),
+                    st.text(max_size=3))
+    n = draw(odd) if draw(st.integers(0, 3)) == 1 else len(lines)
+    d = draw(odd) if draw(st.integers(0, 3)) == 1 else 2
+    return "\n".join([f"{n} {d}", *lines])
+
+
+class TestReadVectorsTotality:
+    @settings(max_examples=200)
+    @given(_vector_files())
+    def test_any_input_yields_vectors_or_a_seqvec_error(self, data):
+        try:
+            ids, matrix = read_vectors(data)
+        except SeqvecError:
+            return
+        assert len(matrix) == len(set(ids)) == len(ids)
+        assert np.isfinite(matrix).all()

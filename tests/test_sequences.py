@@ -3,9 +3,9 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from seqvec.errors import ConfigError, DataError
+from seqvec.errors import ConfigError, DataError, SeqvecError
 from seqvec.sequences import (
     DNA,
     PROTEIN,
@@ -165,6 +165,20 @@ class TestLoadFamilyLabels:
     def test_malformed_line_rejected(self):
         with pytest.raises(DataError, match="line 2"):
             load_family_labels("s1\tPF1\njustonefield\n")
+
+    @settings(max_examples=200)
+    @given(st.one_of(
+        st.lists(st.one_of(st.text(max_size=20),
+                           st.builds("{}\t{}".format, st.text(max_size=5), st.text(max_size=5))),
+                 max_size=6).map("\n".join),
+        st.binary(max_size=80)))
+    def test_any_input_yields_labels_or_a_seqvec_error(self, data):
+        try:
+            labels, duplicates = load_family_labels(data)
+        except SeqvecError:
+            return
+        assert all(rid and family for rid, family in labels.items())
+        assert duplicates >= 0
 
 
 def _rec(i, fam):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqvec.errors import DataError
+from seqvec.errors import DataError, SeqvecError
 from seqvec.sequences import SequenceRecord
 from seqvec.tokenizer import (
+    MODES,
     Corpus,
     TokenizerConfig,
     Vocabulary,
@@ -45,8 +46,10 @@ class TestOverlapping:
         if len(seq) < k:
             with pytest.raises(DataError):
                 kmers_overlapping(seq, k)
+            assert TokenizerConfig(k, "overlap").phases(seq) == []
             return
         out = kmers_overlapping(seq, k)
+        assert TokenizerConfig(k, "overlap").phases(seq) == [out]
         assert len(out) == len(seq) - k + 1
         assert "".join(km[0] for km in out) == seq[: len(out)]
 
@@ -72,8 +75,10 @@ class TestNonOverlapping:
         if len(seq) < 2 * k - 1:
             with pytest.raises(DataError):
                 kmers_nonoverlapping(seq, k)
+            assert TokenizerConfig(k).phases(seq) == []
             return
         phases = kmers_nonoverlapping(seq, k)
+        assert TokenizerConfig(k).phases(seq) == phases
         assert len(phases) == k
         total = sum(len(ph) for ph in phases)
         assert total == sum((len(seq) - p) // k for p in range(k))
@@ -89,6 +94,11 @@ class TestNonOverlapping:
 
 def _qwerty_record():
     return SequenceRecord("q1", "", "QWERTYQWERTY")
+
+
+_TINY = SequenceRecord("tiny", "", "QW")
+_RARE = SequenceRecord("rare", "", "MMMKKKLLLPPP")  # every kmer once
+_KEPT = SequenceRecord("kept", "", "QWERTY" * 3)  # QWE RTY WER ERT thrice
 
 
 class TestBuildCorpus:
@@ -113,9 +123,14 @@ class TestBuildCorpus:
         strings = [[vocab.tokens[t] for t in d.tokens] for d in docs]
         assert strings == [["QWE", "RTY", "QWE", "RTY"], ["WER", "WER"], ["ERT", "ERT"]]
 
-    def test_empty_corpus_is_an_error(self):
-        with pytest.raises(DataError, match="empty corpus"):
-            build_corpus([], TokenizerConfig(3), 1)
+    @pytest.mark.parametrize("records, min_count", [
+        ([], 1), ([_TINY], 1), ([_RARE], 3), ([_TINY, _RARE], 3),
+    ], ids=["no-sequence", "too-short", "rare-kmers", "both"])
+    def test_empty_corpus_error_names_both_causes(self, records, min_count):
+        with pytest.raises(DataError, match=(
+                "^empty corpus: every sequence is too short to tokenize or has only "
+                f"kmers below min_count={min_count}$")):
+            build_corpus(records, TokenizerConfig(3), min_count)
 
     def test_short_sequences_skipped_and_reported(self):
         corpus = build_corpus(
@@ -125,6 +140,13 @@ class TestBuildCorpus:
         )
         assert corpus.skipped == ["tiny"]
         assert corpus.doc_ids == ["ok"]
+
+    @pytest.mark.parametrize("cfg", [TokenizerConfig(3), TokenizerConfig(3, "overlap")])
+    def test_every_sequence_without_a_document_skipped_in_input_order(self, cfg):
+        # "rare" tokenizes but keeps no kmer at min_count 3; "tiny" is too short
+        corpus = build_corpus([_RARE, _KEPT, _TINY], cfg, min_count=3)
+        assert corpus.doc_ids == ["kept"]
+        assert corpus.skipped == ["rare", "tiny"]
 
     def test_overlap_mode_one_doc_per_sequence(self):
         docs = build_corpus(
@@ -347,6 +369,20 @@ class TestCorpusRoundTrip:
         assert [d.doc_tag for d in corpus.docs] == [0, 1]
         assert corpus.vocab.tokens == ["ACG", "TTA", "CGT"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("#doc 1 A\n#doc 0 A\n0 0 ACG\n1 0 CGT\n",
+         "line 1: doc tags 0 and 1 share the sequence id 'A'"),
+        ("0 0 ACG\n1 0 CGT\n#doc 1 doc0\n",
+         "line 3: doc tags 0 and 1 share the sequence id 'doc0'"),
+    ], ids=["repeated-id", "id-of-an-unnamed-tag"])
+    def test_sequence_id_of_two_tags_rejected_with_its_doc_line(self, text, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_corpus(text)
+
+    def test_id_of_a_tag_without_documents_may_repeat(self):
+        corpus = read_corpus("#doc 0 A\n#doc 1 A\n#doc 2 doc0\n0 0 ACG\n")
+        assert corpus.doc_ids == ["A"]
+
     def test_negative_tag_rejected_with_its_line(self):
         with pytest.raises(DataError, match="line 2: negative doc_tag"):
             read_corpus("0 0 ACG\n-1 0 TTA\n")
@@ -436,6 +472,47 @@ class TestCorpusRoundTrip:
         corpus = read_corpus(f"#doc 0 {rid}\n0 0 {kmer}\n")
         assert corpus.doc_ids == [rid]
         assert corpus.tokenizer.k == 65535
+
+
+_DOC_LINE = st.builds("{} {} {}".format, st.integers(0, 3), st.integers(0, 1),
+                     st.lists(st.sampled_from(["AC", "CA", "GG"]), min_size=1,
+                              max_size=4).map(" ".join))
+_ID_LINE = st.builds("#doc {} {}".format, st.integers(0, 3),
+                    st.sampled_from(["a", "b", "doc0", "doc1"]))
+_ODD_CORPUS_LINE = st.one_of(
+    st.builds("#meta k={} mode={}".format,
+              st.sampled_from(["2", "2", "3", "0", "x"]),  # mostly the kmers' length
+              st.sampled_from(MODES + ("x",))),
+    st.builds("#doc {} {}".format, st.one_of(st.integers(-1, 3), st.text(max_size=3)),
+              st.one_of(st.sampled_from(["a", "b", "doc0", "doc1"]), st.text(max_size=6))),
+    st.builds("{} {} {}".format, st.integers(-2, 5), st.integers(-2, 5),
+              st.lists(st.text("ACG", max_size=4), max_size=4).map(" ".join)),
+    st.text(max_size=30),
+)
+
+
+@st.composite
+def _corpus_texts(draw):
+    """Document lines with #doc lines (ids repeat), #meta and malformed lines
+    put in among them."""
+    lines = draw(st.lists(_DOC_LINE, min_size=1, max_size=5))
+    for line in draw(st.lists(_ID_LINE, max_size=3)) + draw(
+            st.lists(_ODD_CORPUS_LINE, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+class TestReadCorpusTotality:
+    @settings(max_examples=200)
+    @given(st.one_of(_corpus_texts(), st.binary(max_size=120)))
+    def test_any_input_yields_a_corpus_or_a_seqvec_error(self, data):
+        try:
+            corpus = read_corpus(data)
+        except SeqvecError:
+            return
+        assert len(corpus.doc_ids) == 1 + max(d.doc_tag for d in corpus.docs)
+        assert len(set(corpus.doc_ids)) == len(corpus.doc_ids)
+        assert all(len(t) == corpus.tokenizer.k for t in corpus.vocab.tokens)
 
 
 class TestCorpusApi:
